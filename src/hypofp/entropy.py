@@ -7,7 +7,8 @@ quadratic, power-p).  States live in the flow-invariant class of Gaussian
 mixtures, optionally carrying an affine polynomial factor (1 + a.x) on
 steady-shaped components; ratios f/f_inf and their gradients are then
 analytic, and all integrals reduce to Gauss-Hermite sums in whitened
-coordinates where the weight is exactly f_inf.
+coordinates where the weight is exactly f_inf.  ``functionals`` gets e, I
+and S of a state from one evaluation of the ratio and its gradient.
 """
 
 from __future__ import annotations
@@ -156,16 +157,6 @@ class PowerEntropy:
 EntropyGenerator = LogEntropy | QuadraticEntropy | PowerEntropy
 
 
-def psi_derivatives(gen: EntropyGenerator, s, order: int = 0):
-    """Derivative of the generator at s; order 0 is psi itself."""
-    return gen.psi(s, order)
-
-
-def w_transform(gen: EntropyGenerator, ratio):
-    """w(r) = int_1^r sqrt(psi''(s)) ds in closed form."""
-    return gen.w(ratio)
-
-
 # ---------------------------------------------------------------------------
 # States: Gaussian mixtures with optional affine factors
 
@@ -208,9 +199,6 @@ class GaussianMixture:
     def d(self) -> int:
         return self.components[0].mean.shape[0]
 
-    def has_negative_weight(self) -> bool:
-        return any(c.weight < 0 for c in self.components)
-
 
 def shifted_steady(ss: SteadyState, v0: np.ndarray) -> GaussianMixture:
     """f_inf(. - v0): single Gaussian at mean v0 with covariance K."""
@@ -230,13 +218,14 @@ def ratio_and_grad(f: GaussianMixture, ss: SteadyState, X: np.ndarray):
         rho(x) = w (cA/cK) exp(x.Kinv.x/2 - (x-v).Ainv.(x-v)/2),
         grad rho = rho * (Kinv x - Ainv (x-v)),
     and an affine factor (1 + a.x) multiplies rho and adds a*rho to the
-    gradient by the product rule.
+    gradient by the product rule.  X Kinv and (X-v) Ainv serve both the
+    exponents and the gradient.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    Kinv = ss.K_inv
     logdetK = float(np.linalg.slogdet(ss.K)[1])
-    q_ref = 0.5 * np.einsum("ni,ij,nj->n", X, Kinv, X)
+    XK = X @ ss.K_inv  # rows: Kinv x (Kinv is symmetric)
+    q_ref = 0.5 * np.einsum("ni,ni->n", XK, X)
 
     r = np.zeros(n)
     grad = np.zeros((n, d))
@@ -245,9 +234,10 @@ def ratio_and_grad(f: GaussianMixture, ss: SteadyState, X: np.ndarray):
         Ainv = 0.5 * (Ainv + Ainv.T)
         logdetA = float(np.linalg.slogdet(comp.cov)[1])
         Xc = X - comp.mean
-        q = 0.5 * np.einsum("ni,ij,nj->n", Xc, Ainv, Xc)
+        XcA = Xc @ Ainv  # rows: Ainv (x - v)
+        q = 0.5 * np.einsum("ni,ni->n", XcA, Xc)
         rho = comp.weight * np.exp(0.5 * (logdetK - logdetA) + q_ref - q)
-        drift = X @ Kinv.T - Xc @ Ainv.T  # rows: Kinv x - Ainv (x - v)
+        drift = XK - XcA
         if comp.affine is None:
             r += rho
             grad += rho[:, None] * drift
@@ -267,8 +257,8 @@ class QuadratureRule:
     """Nodes/weights integrating int g(x) f_inf(x) dx for f_inf = N(0, K).
 
     Tensor Gauss-Hermite in whitened coordinates x = sqrt(K) y for d <= 3;
-    scrambled-Sobol quasi-Monte Carlo (fixed seed) for d >= 4, with a
-    standard-error estimate exposed for honesty.
+    one scrambled-Sobol quasi-Monte Carlo point set (fixed seed, equal
+    weights) for d >= 4.  No error estimate is attached to either rule.
     """
 
     points: np.ndarray
@@ -321,15 +311,38 @@ def _check_domain(gen: EntropyGenerator, r: np.ndarray):
         )
 
 
+def functionals(
+    f: GaussianMixture,
+    ss: SteadyState,
+    gen: EntropyGenerator,
+    q: QuadratureRule,
+    matrices=(),
+) -> tuple[float, ...]:
+    """(e, I_M for each M in matrices) from one ``ratio_and_grad`` pass:
+    e = int psi(r) f_inf dx and I_M = int psi''(r) grad r . M grad r f_inf dx
+    with r = f/f_inf.  M = D gives the dissipation I, M = P gives S."""
+    if np.linalg.norm(q.K - ss.K, 2) > 1e-10 * max(np.linalg.norm(ss.K, 2), 1.0):
+        raise ValueError("quadrature reference covariance must equal the steady K")
+    r, grad = ratio_and_grad(f, ss, q.points)
+    _check_domain(gen, r)
+    out = [float(q.weights @ gen.psi(r, 0))]
+    if matrices:
+        lo = gen.domain_min
+        if lo > -np.inf:
+            # psi'' has a pole at the domain edge; clamp roundoff-negative ratios.
+            r = np.maximum(r, lo + 1e-300)
+        psi2 = gen.psi(r, 2)
+        for M in matrices:
+            quad = np.einsum("ni,ni->n", grad @ np.asarray(M, float), grad)
+            out.append(float(q.weights @ (psi2 * quad)))
+    return tuple(out)
+
+
 def relative_entropy(
     f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator, q: QuadratureRule
 ) -> float:
     """e(f) = int psi(f/f_inf) f_inf dx by quadrature."""
-    if np.linalg.norm(q.K - ss.K, 2) > 1e-10 * max(np.linalg.norm(ss.K, 2), 1.0):
-        raise ValueError("quadrature reference covariance must equal the steady K")
-    r, _ = ratio_and_grad(f, ss, q.points)
-    _check_domain(gen, r)
-    return float(q.weights @ gen.psi(r, 0))
+    return functionals(f, ss, gen, q)[0]
 
 
 def entropy_dissipation_I(
@@ -341,7 +354,7 @@ def entropy_dissipation_I(
 ) -> float:
     """I(f) = int psi''(f/f_inf) grad(f/f_inf) . D grad(f/f_inf) f_inf dx,
     the (nonnegative) entropy dissipation."""
-    return _weighted_dissipation(f, ss, spec.D, gen, q)
+    return functionals(f, ss, gen, q, (spec.D,))[1]
 
 
 def modified_dissipation_S(
@@ -353,15 +366,4 @@ def modified_dissipation_S(
 ) -> float:
     """S(f): the dissipation functional with D replaced by the SPD transport
     matrix P; the engine of the hypocoercive decay estimates."""
-    return _weighted_dissipation(f, ss, P, gen, q)
-
-
-def _weighted_dissipation(f, ss, M, gen, q) -> float:
-    r, grad = ratio_and_grad(f, ss, q.points)
-    _check_domain(gen, r)
-    lo = gen.domain_min
-    if lo > -np.inf:
-        # psi'' has a pole at the domain edge; clamp roundoff-negative ratios.
-        r = np.maximum(r, lo + 1e-300)
-    quad = np.einsum("ni,ij,nj->n", grad, np.asarray(M, float), grad)
-    return float(q.weights @ (gen.psi(r, 2) * quad))
+    return functionals(f, ss, gen, q, (P,))[1]

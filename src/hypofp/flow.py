@@ -272,7 +272,8 @@ def run_trajectory(
 ) -> TrajectoryRecord:
     """Exact states at the requested times with quadrature entropy series
     e(t), I(t), S(t) and the certificate envelope S(f0)/(2 lambda_P)
-    e^{-2 kappa t}."""
+    e^{-2 kappa t}.  Each sample costs one quadrature pass; S(f0) comes from
+    the t = 0 sample when the grid starts there."""
     from .certificates import lambda_P as _lambda_P
 
     times = np.asarray(times, dtype=float)
@@ -281,24 +282,17 @@ def run_trajectory(
     if lam_P is None:
         lam_P = _lambda_P(ss.K, cert.P)
 
-    S0 = ent.modified_dissipation_S(f0, ss, cert.P, gen, q)
-    amplitude = S0 / (2.0 * lam_P)
-    rate = 2.0 * cert.kappa
-
-    states, e_vals, i_vals, s_vals = [], [], [], []
-    for t in times:
-        ft = evolve_mixture(f0, float(t), spec.C, ss.K)
-        states.append(ft)
-        e_vals.append(ent.relative_entropy(ft, ss, gen, q))
-        i_vals.append(ent.entropy_dissipation_I(ft, ss, spec, gen, q))
-        s_vals.append(ent.modified_dissipation_S(ft, ss, cert.P, gen, q))
+    states = tuple(evolve_mixture(f0, float(t), spec.C, ss.K) for t in times)
+    e, i, s = np.array(
+        [ent.functionals(ft, ss, gen, q, (spec.D, cert.P)) for ft in states]
+    ).reshape(-1, 3).T
+    if len(times) and times[0] == 0.0:
+        S0 = s[0]
+    else:
+        S0 = ent.functionals(f0, ss, gen, q, (cert.P,))[1]
     return TrajectoryRecord(
-        times=times,
-        states=tuple(states),
-        entropy=np.array(e_vals),
-        dissipation=np.array(i_vals),
-        modified=np.array(s_vals),
-        envelope=amplitude * np.exp(-rate * times),
+        times=times, states=states, entropy=e, dissipation=i, modified=s,
+        envelope=S0 / (2.0 * lam_P) * np.exp(-2.0 * cert.kappa * times),
     )
 
 

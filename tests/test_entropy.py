@@ -121,6 +121,16 @@ class TestQuadratureFunctionals:
         I = hp.entropy_dissipation_I(f, ss, spec, ent.LogEntropy(), q)
         assert abs(I) <= 1e-8
 
+    def test_rule_on_other_covariance_rejected(self, fig1b):
+        spec, ss, _ = fig1b
+        q = hp.gauss_hermite_rule(2.0 * ss.K, 16)
+        f = ent.shifted_steady(ss, np.array([0.7, -0.4]))
+        gen = ent.LogEntropy()
+        with pytest.raises(ValueError, match="steady K"):
+            hp.entropy_dissipation_I(f, ss, spec, gen, q)
+        with pytest.raises(ValueError, match="steady K"):
+            hp.modified_dissipation_S(f, ss, np.eye(2), gen, q)
+
     def test_quadrature_convergence(self, fig1b):
         spec, ss, _ = fig1b
         mix = hp.GaussianMixture((

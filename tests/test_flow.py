@@ -202,13 +202,15 @@ class TestZeroTangent:
             hp.zero_tangent_initial(1.0, np.array([1.0, 0.0]), ss, spec)
 
 
+TRAJ_V0 = np.array([1.0, 0.0])
+
+
 @pytest.fixture(scope="module")
 def traj():
     spec = hp.SystemSpec(**SEC8)
     ss = hp.steady_state(spec)
     tm = hp.build_P(ss)
-    v0 = np.array([1.0, 0.0])
-    f0 = ent.shifted_steady(ss, v0)
+    f0 = ent.shifted_steady(ss, TRAJ_V0)
     times = np.linspace(0.0, 4.0, 81)
     rec = flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), times)
     return spec, ss, tm, rec
@@ -245,6 +247,24 @@ class TestTrajectory:
         assert len(hits) >= 3
         gaps = np.diff(hits)
         assert np.allclose(gaps, np.pi / omega, rtol=0.1)
+
+    def test_series_match_closed_forms(self, traj):
+        spec, ss, tm, rec = traj
+        for t, e, i, s in zip(rec.times, rec.entropy, rec.dissipation, rec.modified):
+            vt = hp.evolve_shift(TRAJ_V0, t, spec.C)
+            assert e == pytest.approx(hp.entropy_log_shift(vt, ss.K), rel=1e-10)
+            assert i == pytest.approx(hp.dissipation_log_shift(vt, ss.K, spec.D), rel=1e-10)
+            assert s == pytest.approx(hp.dissipation_log_shift(vt, ss.K, tm.P), rel=1e-10)
+        S0 = hp.dissipation_log_shift(TRAJ_V0, ss.K, tm.P)
+        envelope = S0 / (2.0 * hp.lambda_P(ss.K, tm.P)) * np.exp(-2.0 * tm.kappa * rec.times)
+        assert np.allclose(rec.envelope, envelope, rtol=1e-10, atol=0.0)
+
+    def test_envelope_from_f0_when_grid_starts_later(self, traj):
+        spec, ss, tm, rec = traj
+        f0 = ent.shifted_steady(ss, TRAJ_V0)
+        late = flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), rec.times[10:20])
+        assert np.allclose(late.envelope, rec.envelope[10:20], rtol=1e-12, atol=0.0)
+        assert np.allclose(late.modified, rec.modified[10:20], rtol=1e-12, atol=0.0)
 
     def test_refine_maximum(self):
         t = flow.refine_maximum(lambda x: -(x - 1.234) ** 2, 0.0, 3.0)
