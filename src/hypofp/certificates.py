@@ -17,13 +17,14 @@ S-decay it yields the envelope  e(t) <= S(f0)/(2 lambda_P) e^{-2 kappa t}.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .linalg import EigenStructure
-from .system import SteadyState, SystemSpec, check_condition_A
+from .system import SteadyState, SystemSpec, check_condition_A  # noqa: F401 (bench/selftest.py)
 
 MARGIN_TOL = 1e-8
 DEFAULT_EPSILON_FACTOR = 1e-2
@@ -49,16 +50,12 @@ class TransportMatrix:
 @dataclass(frozen=True)
 class DecayCertificate:
     mu: float
-    epsilon: float
-    lambda_P: float | None = None
-    lambda_K: float | None = None
-    S0: float | None = None
-    envelope: tuple[float, float] | None = None  # (amplitude, rate)
-    cond_sq_bound: float | None = None
+    lambda_K: float
+    cond_sq_bound: float | None
 
     @property
     def rate(self) -> float:
-        return 2.0 * (self.mu - self.epsilon)
+        return 2.0 * self.mu
 
 
 def _chain_weights(length: int, tau: float) -> np.ndarray:
@@ -89,15 +86,12 @@ def build_P(
     """
     if eig is None:
         eig = linalg.eigen_structure(ss.Q, tol=cluster_tol)
-    mu = min(lam.real for lam in eig.eigenvalues)
+    mu = eig.mu
     scale = max(np.linalg.norm(ss.Q, 2), 1.0)
     re_tol = max(1e-8, cluster_tol) * scale
 
     chains = eig.chains
-    minimal_defective = any(
-        ch.length > 1 and abs(ch.eigenvalue.real - mu) <= re_tol for ch in chains
-    )
-    if minimal_defective:
+    if any(ch.length > 1 for ch in eig.minimal_chains(re_tol)):
         if epsilon is None:
             epsilon = DEFAULT_EPSILON_FACTOR * mu
         if epsilon <= 0:
@@ -116,7 +110,12 @@ def build_P(
             raise CertificateError(
                 f"need one positive weight per Jordan chain ({len(chains)})"
             )
-        _check_conjugate_weights(chains, w_arr, re_tol)
+        for grp in eig.conjugate_groups(re_tol):
+            lo, hi = w_arr[grp].min(), w_arr[grp].max()
+            if hi - lo > 1e-12 * max(1.0, lo):
+                raise CertificateError(
+                    "complex-conjugate eigenvector pairs must get equal weights"
+                )
 
     d = ss.Q.shape[0]
     P = np.zeros((d, d), dtype=complex)
@@ -146,19 +145,6 @@ def build_P(
     )
 
 
-def _check_conjugate_weights(chains, w_arr, tol):
-    for i, ci in enumerate(chains):
-        if abs(ci.eigenvalue.imag) <= tol:
-            continue
-        for j, cj in enumerate(chains):
-            if j != i and abs(cj.eigenvalue - ci.eigenvalue.conjugate()) <= tol:
-                if abs(w_arr[i] - w_arr[j]) > 1e-12 * max(1.0, abs(w_arr[i])):
-                    raise CertificateError(
-                        "complex-conjugate eigenvector pairs must get equal weights"
-                    )
-                break
-
-
 def verify_P(ss: SteadyState, P: np.ndarray, kappa: float) -> float:
     """PSD margin of the certificate inequality: smallest eigenvalue of
     Q P + P Q^T - 2 kappa P.  Valid iff >= -1e-8 * ||P||."""
@@ -185,17 +171,20 @@ def lambda_K(D: np.ndarray, K: np.ndarray) -> float:
     return linalg.min_sym_eigenvalue(S @ Kinv @ S)
 
 
-def compare_rates(spec: SystemSpec, ss: SteadyState) -> DecayCertificate:
+def compare_rates(
+    spec: SystemSpec, ss: SteadyState, eig: EigenStructure | None = None
+) -> DecayCertificate:
     """Sandwich comparison lam_K <= mu <= cond(A~)^2 * lam_K for SPD D,
     where A~ diagonalizes D^{-1/2} C D^{1/2}.  The upper bound is omitted
-    when C is defective."""
+    when C is defective.  ``eig`` is the eigenstructure of C, computed here
+    when not given."""
     lamK = lambda_K(spec.D, ss.K)
-    report = check_condition_A(spec)
-    mu = report.mu
+    if eig is None:
+        eig = linalg.eigen_structure(spec.C)
+    mu = eig.mu
     if lamK > mu + 1e-10:
         raise CertificateError(f"lambda_K = {lamK} exceeds mu = {mu}")
     cond_sq_bound = None
-    eig = linalg.eigen_structure(spec.C)
     if all(ch.length == 1 for ch in eig.chains):
         sqrtD = linalg.sqrt_spd(spec.D)
         Ct = np.linalg.inv(sqrtD) @ spec.C @ sqrtD
@@ -206,9 +195,7 @@ def compare_rates(spec: SystemSpec, ss: SteadyState) -> DecayCertificate:
             raise CertificateError(
                 f"mu = {mu} exceeds the conditioning bound {cond_sq_bound}"
             )
-    return DecayCertificate(
-        mu=mu, epsilon=0.0, lambda_K=float(lamK), cond_sq_bound=cond_sq_bound
-    )
+    return DecayCertificate(mu=mu, lambda_K=float(lamK), cond_sq_bound=cond_sq_bound)
 
 
 def entropy_envelope(
@@ -240,45 +227,18 @@ def optimize_weights(
     """
     if eig is None:
         eig = linalg.eigen_structure(ss.Q)
-    chains = eig.chains
     if grid is None:
         grid = np.logspace(-2, 2, 9)
-    # Group chains: conjugate pairs move together.
     scale = max(np.linalg.norm(ss.Q, 2), 1.0)
-    groups: list[list[int]] = []
-    assigned = set()
-    for i, ch in enumerate(chains):
-        if i in assigned:
-            continue
-        grp = [i]
-        assigned.add(i)
-        if abs(ch.eigenvalue.imag) > 1e-8 * scale:
-            for j in range(i + 1, len(chains)):
-                if j not in assigned and abs(
-                    chains[j].eigenvalue - ch.eigenvalue.conjugate()
-                ) <= 1e-8 * scale:
-                    grp.append(j)
-                    assigned.add(j)
-                    break
-        groups.append(grp)
-
+    groups = eig.conjugate_groups(1e-8 * scale)
     best = None
     best_amp = np.inf
-
-    def recurse(gi, w):
-        nonlocal best, best_amp
-        if gi == len(groups):
-            tm = build_P(ss, eig=eig, epsilon=epsilon, weights=w)
-            amp = S0_of_P(tm.P) / (2.0 * lambda_P(ss.K, tm.P))
-            if amp < best_amp:
-                best_amp, best = amp, tm
-            return
-        choices = [1.0] if gi == 0 else grid
-        for g in choices:
-            w2 = np.array(w)
-            for idx in groups[gi]:
-                w2[idx] = g
-            recurse(gi + 1, w2)
-
-    recurse(0, np.ones(len(chains)))
+    for choice in itertools.product([1.0], *[grid] * (len(groups) - 1)):
+        w = np.ones(len(eig.chains))
+        for grp, g in zip(groups, choice):
+            w[grp] = g
+        tm = build_P(ss, eig=eig, epsilon=epsilon, weights=w)
+        amp = S0_of_P(tm.P) / (2.0 * lambda_P(ss.K, tm.P))
+        if amp < best_amp:
+            best_amp, best = amp, tm
     return best

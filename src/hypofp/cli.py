@@ -7,7 +7,8 @@ Subcommands: analyze, evolve, spectrum, kinetic, compare.  The config is a
 single JSON document (matrices as nested arrays); results are written as
 JSON/CSV with 17 significant digits and optional self-contained SVG line
 plots.  Exit codes: 0 success, 2 config error, 3 structural-condition
-failure, 4 certificate failure, 5 I/O error.
+failure, 4 certificate failure, 5 I/O error, 6 undecidable at this
+conditioning (ambiguous eigenvalue clustering).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_CONFIG = 2
 EXIT_CONDITION = 3
 EXIT_CERTIFICATE = 4
 EXIT_IO = 5
+EXIT_UNDECIDABLE = 6
 
 FLOAT_FMT = "%.17g"
 
@@ -40,10 +42,6 @@ class ConditionFailure(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
-
-
-def _fnum(x) -> float:
-    return float(x)
 
 
 def _jsonable(obj):
@@ -215,6 +213,20 @@ def _check_condition(spec) -> system.ConditionAReport:
     return report
 
 
+def _certificate(cfg, ss) -> tuple[certificates.TransportMatrix, float]:
+    """Transport matrix for the config's certificate section, re-verified."""
+    sec = cfg.get("certificate", {})
+    weights = sec.get("weights")
+    weights = None if weights is None else np.array(weights, dtype=float)
+    tm = certificates.build_P(ss, epsilon=sec.get("epsilon"), weights=weights)
+    margin = certificates.verify_P(ss, tm.P, tm.kappa)
+    if margin < -tm.margin_tolerance:
+        raise certificates.CertificateError(
+            f"transport-matrix inequality margin {margin:.3e} below tolerance"
+        )
+    return tm, margin
+
+
 def _report_payload(report) -> dict:
     return {
         "hypoelliptic": report.hypoelliptic,
@@ -238,15 +250,7 @@ def _cmd_analyze(cfg, outdir, fmt, plot) -> list[str]:
     spec = _system_from(cfg)
     report = _check_condition(spec)
     ss = system.steady_state(spec)
-    eps = cfg.get("certificate", {}).get("epsilon")
-    weights = cfg.get("certificate", {}).get("weights")
-    weights = None if weights is None else np.array(weights, dtype=float)
-    tm = certificates.build_P(ss, epsilon=eps, weights=weights)
-    margin = certificates.verify_P(ss, tm.P, tm.kappa)
-    if margin < -tm.margin_tolerance:
-        raise certificates.CertificateError(
-            f"transport-matrix inequality margin {margin:.3e} below tolerance"
-        )
+    tm, margin = _certificate(cfg, ss)
     lamP = certificates.lambda_P(ss.K, tm.P)
     payload = {
         "condition": _report_payload(report),
@@ -278,13 +282,7 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
     if samples < 2:
         raise ConfigError("times.samples must be >= 2")
     order = int(cfg.get("quadrature", {}).get("order", 64))
-    eps = cfg.get("certificate", {}).get("epsilon")
-    tm = certificates.build_P(ss, epsilon=eps)
-    margin = certificates.verify_P(ss, tm.P, tm.kappa)
-    if margin < -tm.margin_tolerance:
-        raise certificates.CertificateError(
-            f"transport-matrix inequality margin {margin:.3e} below tolerance"
-        )
+    tm, _ = _certificate(cfg, ss)
     q = entropy.gauss_hermite_rule(ss.K, order=order)
     times = np.linspace(0.0, t_end, samples)
     rec = flow.run_trajectory(spec, ss, tm, f0, gen, times, q=q)
@@ -313,10 +311,9 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
 
 def _cmd_spectrum(cfg, outdir, fmt, plot) -> list[str]:
     spec = _system_from(cfg)
-    _check_condition(spec)
+    report = _check_condition(spec)
     m_max = int(cfg.get("spectrum", {}).get("m_max", 4))
-    eig = linalg.eigen_structure(spec.C)
-    sset = spectrum.enumerate_spectrum(eig, m_max)
+    sset = spectrum.enumerate_spectrum(report.eig, m_max)
     re = np.array([e.value.real for e in sset.entries])
     im = np.array([e.value.imag for e in sset.entries])
     deg = np.array([float(e.degree) for e in sset.entries])
@@ -429,7 +426,7 @@ def _cmd_compare(cfg, outdir, fmt, plot) -> list[str]:
     report = _check_condition(spec)
     ss = system.steady_state(spec)
     try:
-        cert = certificates.compare_rates(spec, ss)
+        cert = certificates.compare_rates(spec, ss, eig=report.eig)
     except np.linalg.LinAlgError as exc:
         raise ConditionFailure(f"comparison needs SPD diffusion: {exc}") from exc
     path = os.path.join(outdir, "compare.json")
@@ -473,6 +470,9 @@ def run(subcommand: str, config_path: str, outdir: str, fmt: str, plot: str) -> 
     except ConditionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONDITION
+    except linalg.ClusteringError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDABLE
     except (certificates.CertificateError, kinetic.KineticError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -497,9 +497,6 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--plot", choices=["none", "svg"], default="none")
     args = parser.parse_args(argv)
-    # HYPOFP_THREADS caps worker parallelism; evaluation is currently
-    # single-threaded, so the variable is accepted and reserved.
-    os.environ.setdefault("HYPOFP_THREADS", "1")
     return run(args.subcommand, args.config, args.output, args.format, args.plot)
 
 

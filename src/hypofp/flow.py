@@ -19,7 +19,7 @@ import numpy as np
 
 from . import entropy as ent
 from . import linalg
-from .certificates import DecayCertificate, TransportMatrix
+from .certificates import TransportMatrix
 from .entropy import (
     EntropyGenerator,
     GaussianComponent,
@@ -188,9 +188,9 @@ def sharpness_scenario(
     """
     if eig is None:
         eig = linalg.eigen_structure(spec.C)
-    mu = min(lam.real for lam in eig.eigenvalues)
+    mu = eig.mu
     scale = max(np.linalg.norm(spec.C, 2), 1.0)
-    minimal = [ch for ch in eig.chains if abs(ch.eigenvalue.real - mu) <= 1e-8 * scale]
+    minimal = eig.minimal_chains(1e-8 * scale)
     Kinv = ss.K_inv
 
     if kind == "real-eig":

@@ -53,7 +53,6 @@ class EigenStructure:
     algebraic: tuple[int, ...]
     geometric: tuple[int, ...]
     chains: tuple[JordanChain, ...] = field(repr=False)
-    cluster_tolerance: float = DEFAULT_CLUSTER_TOL
 
     @property
     def all_eigenvalues(self) -> np.ndarray:
@@ -62,11 +61,35 @@ class EigenStructure:
             [np.full(a, lam) for lam, a in zip(self.eigenvalues, self.algebraic)]
         )
 
-    def is_defective(self, lam: complex, tol: float = 1e-10) -> bool:
-        for ev, a, g in zip(self.eigenvalues, self.algebraic, self.geometric):
-            if abs(ev - lam) <= tol * max(1.0, abs(lam)):
-                return g < a
-        raise ValueError(f"{lam} is not an eigenvalue of this structure")
+    @property
+    def mu(self) -> float:
+        """Smallest real part of the spectrum."""
+        return float(min(lam.real for lam in self.eigenvalues))
+
+    def minimal_chains(self, tol_abs: float) -> tuple[JordanChain, ...]:
+        """Chains whose eigenvalue has real part within tol_abs of mu."""
+        mu = self.mu
+        return tuple(ch for ch in self.chains if abs(ch.eigenvalue.real - mu) <= tol_abs)
+
+    def conjugate_groups(self, tol_abs: float) -> list[list[int]]:
+        """Chain indices grouped so that each chain of a non-real eigenvalue
+        (|Im| > tol_abs) shares its group with the first later, still
+        unpaired chain of the conjugate eigenvalue; other chains stand alone."""
+        groups: list[list[int]] = []
+        paired: set[int] = set()
+        for i, ch in enumerate(self.chains):
+            if i in paired:
+                continue
+            groups.append([i])
+            if abs(ch.eigenvalue.imag) <= tol_abs:
+                continue
+            conj = ch.eigenvalue.conjugate()
+            for j in range(i + 1, len(self.chains)):
+                if j not in paired and abs(self.chains[j].eigenvalue - conj) <= tol_abs:
+                    groups[-1].append(j)
+                    paired.add(j)
+                    break
+        return groups
 
 
 def _cluster_eigenvalues(w: np.ndarray, tol_abs: float) -> list[np.ndarray]:
@@ -184,7 +207,6 @@ def eigen_structure(M: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> EigenStr
         algebraic=tuple(algebraic),
         geometric=tuple(geometric),
         chains=tuple(chains),
-        cluster_tolerance=tol,
     )
 
 
@@ -294,21 +316,3 @@ def sqrt_spd(M: np.ndarray) -> np.ndarray:
             f"matrix not SPD: min eigenvalue {w[0]:.3e}"
         )
     return (V * np.sqrt(w)) @ V.T
-
-
-def sqrt_psd_pinv(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Pseudo-inverse square root of a symmetric PSD matrix.
-
-    Eigenvalues below rtol*max(eig) are treated as exact zeros.  Used for
-    restricted-range comparisons like sqrt(D)^+ P sqrt(D)^+ on im D.
-    """
-    M = np.asarray(M, dtype=float)
-    S = 0.5 * (M + M.T)
-    w, V = np.linalg.eigh(S)
-    cut = rtol * max(w.max(), 0.0)
-    inv_sqrt = np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-    return (V * inv_sqrt) @ V.T
-
-
-def is_spd(M: np.ndarray, tol: float = 0.0) -> bool:
-    return min_sym_eigenvalue(M) > tol

@@ -15,7 +15,7 @@ covariance W(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +66,7 @@ class ConditionAReport:
     mu: float
     minimal_eigs_defective: bool
     defective_details: tuple[tuple[complex, int], ...]
+    eig: linalg.EigenStructure = field(repr=False, compare=False)  # of C
 
     @property
     def satisfied(self) -> bool:
@@ -153,27 +154,22 @@ def check_condition_A(
     tau, kappa = hr if hr is not None else (None, None)
 
     eig = linalg.eigen_structure(spec.C, tol=cluster_tol)
-    mu = min(lam.real for lam in eig.eigenvalues)
-    positively_stable = mu > STABILITY_TOL
-
     scale = max(np.linalg.norm(spec.C, 2), 1.0)
     details = []
-    minimal_defective = False
     for lam, a, g in zip(eig.eigenvalues, eig.algebraic, eig.geometric):
         if g < a:
             # Longest chain length for this eigenvalue.
             block = max(ch.length for ch in eig.chains if abs(ch.eigenvalue - lam) <= 1e-12 * scale)
             details.append((lam, block))
-            if abs(lam.real - mu) <= 1e-8 * scale:
-                minimal_defective = True
     return ConditionAReport(
         hypoelliptic=hypoelliptic,
         tau=tau,
         kappa=kappa,
-        positively_stable=positively_stable,
-        mu=float(mu),
-        minimal_eigs_defective=minimal_defective,
+        positively_stable=eig.mu > STABILITY_TOL,
+        mu=eig.mu,
+        minimal_eigs_defective=any(ch.length > 1 for ch in eig.minimal_chains(1e-8 * scale)),
         defective_details=tuple(details),
+        eig=eig,
     )
 
 

@@ -192,6 +192,7 @@ class TestCompareRates:
         assert dc.rate == pytest.approx(1.25, abs=1e-12)
         assert dc.cond_sq_bound is not None
         assert dc.lambda_K <= dc.mu <= dc.cond_sq_bound + 1e-9
+        assert hp.compare_rates(spec, ss, eig=linalg.eigen_structure(spec.C)) == dc
 
     def test_symmetric_equality(self):
         # Normal drift commuting with D: both bounds collapse to mu.

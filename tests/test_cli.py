@@ -4,10 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from hypofp import cli
+from hypofp import cli, linalg, system
 
 FIG1B = {"system": {"D": [[1.0, 0.0], [0.0, 0.0]], "C": [[1.0, -1.0], [1.0, 0.0]]}}
 SEC8 = {"system": {"D": [[0.25, 0.0], [0.0, 1.0]], "C": [[0.25, -4.0], [4.0, 1.0]]}}
+# Eigenvalues 1 and 1 + 3e-8: two clusters closer than twice the clustering
+# tolerance, so the defect call is undecidable.
+NEAR_DEFECTIVE = {"system": {"D": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 1.0], [0.0, 1.0 + 3e-8]]}}
 
 
 def run_cli(args):
@@ -122,6 +125,21 @@ class TestEvolve:
         assert svg.startswith("<?xml")
         assert "<svg" in svg and "polyline" in svg
 
+    def test_certificate_weights_honoured(self, tmp_path):
+        # Q has the real eigenvalues 1 and 2; unequal weights change lambda_P.
+        cfg = write_cfg(tmp_path, {
+            "system": {"D": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 1.0], [0.0, 2.0]]},
+            "certificate": {"weights": [3.0, 1.0]},
+            "initial": {"components": [{"weight": 1.0, "mean": [0.7, -0.4]}]},
+            "times": {"t_end": 1.0, "samples": 5},
+            "quadrature": {"order": 16},
+        })
+        assert run_cli(["analyze", "--config", cfg, "--output", tmp_path]) == 0
+        assert run_cli(["evolve", "--config", cfg, "--output", tmp_path, "--format", "json"]) == 0
+        lam_p = json.loads((tmp_path / "analyze.json").read_text())["certificate"]["lambda_P"]
+        out = json.loads((tmp_path / "evolve.json").read_text())
+        assert out["envelope"][0] == pytest.approx(out["S_psi"][0] / (2.0 * lam_p), rel=1e-12)
+
     def test_deterministic_output(self, tmp_path):
         cfg = write_cfg(tmp_path, self._fig1b_evolve())
         d1 = tmp_path / "r1"
@@ -202,3 +220,39 @@ class TestCompareCommand:
     def test_degenerate_exit_code(self, tmp_path):
         cfgp = write_cfg(tmp_path, FIG1B)
         assert run_cli(["compare", "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CONDITION
+
+
+@pytest.mark.parametrize("subcommand", ["analyze", "spectrum", "compare"])
+def test_ambiguous_clustering_exit_code(tmp_path, capsys, subcommand):
+    cfg = write_cfg(tmp_path, NEAR_DEFECTIVE)
+    assert run_cli([subcommand, "--config", cfg, "--output", tmp_path]) == cli.EXIT_UNDECIDABLE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ambiguous eigenvalue clustering")
+    assert "2*tol" in err
+
+
+@pytest.mark.parametrize("subcommand, tau_calls, eig_calls", [
+    ("analyze", 1, 2),  # eigenstructure of C, then of Q for the certificate
+    ("evolve", 1, 2),
+    ("spectrum", 1, 1),
+    ("compare", 1, 1),
+])
+def test_spectral_work_per_subcommand(tmp_path, monkeypatch, subcommand, tau_calls, eig_calls):
+    calls = {"tau": 0, "eig": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(system, "hoermander_tau", counting("tau", system.hoermander_tau))
+    monkeypatch.setattr(linalg, "eigen_structure", counting("eig", linalg.eigen_structure))
+    cfg = dict(SEC8)
+    cfg["initial"] = {"components": [{"weight": 1.0, "mean": [0.5, 0.2]}]}
+    cfg["times"] = {"t_end": 1.0, "samples": 3}
+    cfg["quadrature"] = {"order": 8}
+    cfg["spectrum"] = {"m_max": 1}
+    cfgp = write_cfg(tmp_path, cfg)
+    assert run_cli([subcommand, "--config", cfgp, "--output", tmp_path]) == 0
+    assert (calls["tau"], calls["eig"]) == (tau_calls, eig_calls)
