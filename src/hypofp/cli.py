@@ -216,9 +216,18 @@ def _check_condition(spec) -> system.ConditionAReport:
 def _certificate(cfg, ss) -> tuple[certificates.TransportMatrix, float]:
     """Transport matrix for the config's certificate section, re-verified."""
     sec = cfg.get("certificate", {})
-    weights = sec.get("weights")
-    weights = None if weights is None else np.array(weights, dtype=float)
-    tm = certificates.build_P(ss, epsilon=sec.get("epsilon"), weights=weights)
+    if not isinstance(sec, dict):
+        raise ConfigError("certificate section must be an object")
+    weights, epsilon = sec.get("weights"), sec.get("epsilon")
+    try:
+        weights = None if weights is None else np.array(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"certificate.weights: {exc}") from exc
+    if weights is not None and (weights.ndim != 1 or not np.all(np.isfinite(weights))):
+        raise ConfigError("certificate.weights must be a list of finite numbers")
+    if epsilon is not None and (type(epsilon) not in (int, float) or not np.isfinite(epsilon)):
+        raise ConfigError("certificate.epsilon must be a finite number or null")
+    tm = certificates.build_P(ss, epsilon=epsilon, weights=weights)
     margin = certificates.verify_P(ss, tm.P, tm.kappa)
     if margin < -tm.margin_tolerance:
         raise certificates.CertificateError(
@@ -339,73 +348,88 @@ def _cmd_spectrum(cfg, outdir, fmt, plot) -> list[str]:
     return files
 
 
-def _cmd_kinetic(cfg, outdir, fmt, plot) -> list[str]:
-    sec = cfg.get("kinetic")
-    if not isinstance(sec, dict):
-        raise ConfigError("config needs a 'kinetic' section")
+def _kinetic_spec(sec) -> kinetic.KineticSpec:
+    pot = sec.get("potential", {"kind": "quadratic"})
+    if not isinstance(pot, dict):
+        raise ConfigError("kinetic.potential must be an object")
+    kind = pot.get("kind", "quadratic")
     try:
         nu = float(sec["nu"])
         sigma = float(sec["sigma"])
         omega0 = float(sec["omega0"])
-    except (KeyError, ValueError) as exc:
+        if kind == "quadratic":
+            return kinetic.KineticSpec(nu=nu, sigma=sigma, omega0=omega0)
+        if kind == "cosine":
+            epsp = float(pot.get("epsilon", 0.1))
+            return kinetic.KineticSpec(
+                nu=nu, sigma=sigma, omega0=omega0, vtilde_dd_bound=abs(epsp),
+                potential=lambda x, e=epsp, w=omega0: 0.5 * w * w * x * x + e * np.cos(x),
+                dpotential=lambda x, e=epsp, w=omega0: w * w * x - e * np.sin(x),
+            )
+        if kind == "polynomial":
+            poly = np.polynomial.Polynomial([float(c) for c in pot.get("coeffs", [])])
+            dpoly = poly.deriv()
+            return kinetic.KineticSpec(
+                nu=nu, sigma=sigma, omega0=omega0,
+                vtilde_dd_bound=float(sec.get("vtilde_dd_bound", 0.0)),
+                potential=lambda x, w=omega0: 0.5 * w * w * np.asarray(x) ** 2 + poly(x),
+                dpotential=lambda x, w=omega0: w * w * np.asarray(x) + dpoly(x),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad kinetic section: {exc}") from exc
-    pot = sec.get("potential", {"kind": "quadratic"})
-    kind = pot.get("kind", "quadratic")
-    if kind == "quadratic":
-        ks = kinetic.KineticSpec(nu=nu, sigma=sigma, omega0=omega0)
-    elif kind == "cosine":
-        epsp = float(pot.get("epsilon", 0.1))
-        ks = kinetic.KineticSpec(
-            nu=nu, sigma=sigma, omega0=omega0, vtilde_dd_bound=abs(epsp),
-            potential=lambda x, e=epsp, w=omega0: 0.5 * w * w * x * x + e * np.cos(x),
-            dpotential=lambda x, e=epsp, w=omega0: w * w * x - e * np.sin(x),
-        )
-    elif kind == "polynomial":
-        coeffs = [float(c) for c in pot.get("coeffs", [])]
-        poly = np.polynomial.Polynomial(coeffs)
-        dpoly = poly.deriv()
-        d2 = dpoly.deriv()
-        bound = float(sec.get("vtilde_dd_bound", 0.0))
-        ks = kinetic.KineticSpec(
-            nu=nu, sigma=sigma, omega0=omega0, vtilde_dd_bound=bound,
-            potential=lambda x, w=omega0: 0.5 * w * w * np.asarray(x) ** 2 + poly(x),
-            dpotential=lambda x, w=omega0: w * w * np.asarray(x) + dpoly(x),
-        )
-    else:
-        raise ConfigError(f"unknown potential kind {kind!r}")
+    raise ConfigError(f"unknown potential kind {kind!r}")
 
+
+def _kinetic_run(sec, ks):
+    """Grid, initial field, t_end and dt of the kinetic section's FD run."""
+    gsec = sec["grid"]
+    try:
+        grid = kinetic.PhaseGrid(
+            x_range=tuple(float(z) for z in gsec["x_range"]),
+            v_range=tuple(float(z) for z in gsec["v_range"]),
+            nx=int(gsec["nx"]), nv=int(gsec["nv"]),
+        )
+        t_end = float(sec.get("t_end", 5.0))
+        dt = float(sec.get("dt", 2e-3))
+        kinetic.step_count(t_end, dt)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad kinetic grid: {exc}") from exc
+    init = sec.get("initial")
+    if init is None:
+        return grid, kinetic.steady_state_grid(ks, grid), t_end, dt
+    try:
+        mean = np.array(init.get("mean", [0.0, 0.0]), dtype=float).reshape(2)
+        cov = np.array(init.get("cov", np.eye(2)), dtype=float).reshape(2, 2)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad kinetic initial state: {exc}") from exc
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))
+            and np.array_equal(cov, cov.T) and np.linalg.eigvalsh(cov)[0] > 0):
+        raise ConfigError("kinetic.initial needs a finite mean and a symmetric "
+                          "positive definite cov")
+    f0 = kinetic.gaussian_on_grid(mean, cov, grid)
+    return grid, f0 / (f0.sum() * grid.cell), t_end, dt
+
+
+def _cmd_kinetic(cfg, outdir, fmt, plot) -> list[str]:
+    sec = cfg.get("kinetic")
+    if not isinstance(sec, dict):
+        raise ConfigError("config needs a 'kinetic' section")
+    ks = _kinetic_spec(sec)
     try:
         cert = kinetic.kinetic_rate(ks)
     except kinetic.InfeasibleError as exc:
         raise certificates.CertificateError(str(exc)) from exc
-    files = []
-    path = os.path.join(outdir, "kinetic.json")
-    _write_json(path, {
+    payload = {
         "kappa0": cert.kappa0, "P": cert.P, "lambda": cert.lam,
         "rate": cert.rate, "regime": cert.regime,
-    })
-    files.append(path)
+    }
+    path = os.path.join(outdir, "kinetic.json")
+    files = [path]
 
-    gsec = sec.get("grid")
-    if gsec is not None:
-        try:
-            grid = kinetic.PhaseGrid(
-                x_range=tuple(float(z) for z in gsec["x_range"]),
-                v_range=tuple(float(z) for z in gsec["v_range"]),
-                nx=int(gsec["nx"]), nv=int(gsec["nv"]),
-            )
-            t_end = float(sec.get("t_end", 5.0))
-            dt = float(sec.get("dt", 2e-3))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad kinetic grid: {exc}") from exc
-        f0 = kinetic.steady_state_grid(ks, grid)
-        init = sec.get("initial")
-        if init is not None:
-            mean = np.array(init.get("mean", [0.0, 0.0]), dtype=float)
-            cov = np.array(init.get("cov", np.eye(2)), dtype=float)
-            f0 = kinetic.gaussian_on_grid(mean, cov, grid)
-            f0 = f0 / (f0.sum() * grid.cell)
+    if sec.get("grid") is not None:
+        grid, f0, t_end, dt = _kinetic_run(sec, ks)
         series = kinetic.fd_simulate(ks, grid, f0, t_end, dt, P=cert.P)
+        payload.update(cfl=series.cfl, mass_drift=series.mass_drift)
         cpath = os.path.join(outdir, "kinetic_series.csv")
         _write_csv(cpath, ["t", "e_psi", "I_psi", "S_psi", "mass"],
                    [series.times, series.entropy, series.dissipation,
@@ -418,6 +442,7 @@ def _cmd_kinetic(cfg, outdir, fmt, plot) -> list[str]:
                 ("modified dissipation", series.modified),
             ], "kinetic entropy decay", logy=True)
             files.append(spath)
+    _write_json(path, payload)
     return files
 
 

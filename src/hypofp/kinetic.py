@@ -10,9 +10,12 @@ cross-validation.  The explicit 2x2 transport matrices and the rate constant
 kappa0 are provided in closed form, together with the perturbation bound
 that extends the certificate to non-quadratic potentials with small |Vt''|.
 
-A desk-scale finite-difference simulator (operator splitting: flux-limited
-transport, Crank-Nicolson velocity friction+diffusion, zero-flux walls)
-produces discrete entropy series against the discretized steady state.
+A desk-scale finite-difference simulator produces discrete entropy series
+against the discretized steady state.  Each step is Strang-split: van Leer
+(MUSCL) flux-limited transport half-steps in x and v around a Crank-Nicolson
+step of the velocity friction+diffusion operator, which is tridiagonal and
+solved in banded form; all walls are zero-flux, so mass is conserved to
+round-off.  The series also carries the run's CFL number and mass drift.
 """
 
 from __future__ import annotations
@@ -184,6 +187,13 @@ class PhaseGrid:
     nx: int
     nv: int
 
+    def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (self.nx, self.nv)):
+            raise ValueError(f"need integers nx, nv >= 2, got {self.nx!r}, {self.nv!r}")
+        if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi
+                   for lo, hi in (self.x_range, self.v_range)):
+            raise ValueError(f"need finite increasing ranges, got {self.x_range}, {self.v_range}")
+
     @property
     def dx(self) -> float:
         return (self.x_range[1] - self.x_range[0]) / self.nx
@@ -214,6 +224,8 @@ class KineticSeries:
     mass: np.ndarray
     f_final: np.ndarray
     grid: PhaseGrid
+    cfl: float  # dt * max(max|v| / dx, max|V'| / dv), at most 1
+    mass_drift: float  # |mass(t_end) - mass(0)| / max(t_end, 1)
 
 
 def steady_state_grid(ks: KineticSpec, grid: PhaseGrid) -> np.ndarray:
@@ -233,59 +245,94 @@ def gaussian_on_grid(mean: np.ndarray, cov: np.ndarray, grid: PhaseGrid) -> np.n
     return np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
 
 
-def _vanleer(r):
-    return (r + np.abs(r)) / (1.0 + np.abs(r))
+class _Sweep:
+    """Flux-limited (van Leer / MUSCL) conservative advection along ``axis``
+    of an (nx, nv) field whose speed is constant along ``axis`` and varies
+    across the other axis.  Zero-flux walls: nothing enters or leaves the
+    domain.  Calling it advances a C-contiguous field by ``dt`` in place; the
+    work arrays are kept, so repeated steps allocate nothing."""
+
+    def __init__(self, speed: np.ndarray, h: float, dt: float, axis: int, shape: tuple[int, int]):
+        # The sweep runs on the flat field, where neighbours along ``axis`` are
+        # ``step`` apart and face i lies between cells i and i + step.  Along
+        # axis 1, the seams from the end of one line to the start of the next
+        # are walls: their differences are zeroed and they carry no flux.
+        n, nv = shape[0] * shape[1], shape[1]
+        self.step = nv if axis == 0 else 1
+        self.seams = slice(nv - 1, None, nv) if axis == 1 else slice(0)
+        c = np.broadcast_to(np.expand_dims(speed, axis) * (dt / h), shape).ravel()
+        # Upwind flux (dt/h) F_i = c+ q_i + c- q_{i+step}, where
+        # q = f + face_weight * slope is a cell's value on its downwind face.
+        self.face_weight = 0.5 * np.sign(c) * (1.0 - np.abs(c))
+        self.c_pos, self.c_neg = np.maximum(c[:-self.step], 0.0), np.minimum(c[:-self.step], 0.0)
+        self.c_pos[self.seams] = self.c_neg[self.seams] = 0.0
+        self.b, self.abs_b, self.flux = (np.empty(n - self.step) for _ in range(3))
+        self.slope, self.q = np.zeros(n), np.empty(n)  # slope stays 0 in axis-0 walls
+
+    def __call__(self, f: np.ndarray) -> None:
+        if not f.flags.c_contiguous:
+            raise ValueError("the field must be C-contiguous")
+        f, k = f.reshape(-1), self.step
+        b, abs_b, flux, slope, q = self.b, self.abs_b, self.flux, self.slope, self.q
+        np.subtract(f[k:], f[:-k], out=b)
+        b[self.seams] = 0.0
+        np.abs(b, out=abs_b)
+        # Cell slope from its one-sided differences a = b[i-k], b = b[i]:
+        # phi(a/b) b = (a|b| + |a|b) / (|a| + |b|), 0 where a = b = 0.
+        tmp, inner = flux[:-k], slope[k:-k]
+        np.multiply(b[:-k], abs_b[k:], out=inner)
+        np.multiply(abs_b[:-k], b[k:], out=tmp)
+        inner += tmp
+        np.add(abs_b[:-k], abs_b[k:], out=tmp)
+        np.divide(inner, tmp, out=inner, where=tmp > 0.0)
+        np.multiply(slope, self.face_weight, out=q)
+        q += f
+        np.multiply(q[:-k], self.c_pos, out=flux)
+        np.multiply(q[k:], self.c_neg, out=b)
+        flux += b
+        f[:-k] -= flux
+        f[k:] += flux
 
 
-def _advect(f: np.ndarray, speed: np.ndarray, h: float, dt: float, axis: int) -> np.ndarray:
-    """One flux-limited (van Leer / MUSCL) conservative advection step with
-    speed constant along ``axis`` (it varies only across the other axis).
-    Zero-flux walls: nothing enters or leaves the domain."""
-    if axis == 1:
-        return _advect(f.T, speed, h, dt, 0).T
-    # axis == 0; speed has shape broadcastable to f[1:], constant per column.
-    n = f.shape[0]
-    df = np.diff(f, axis=0)  # df[i] = f[i+1] - f[i], shape (n-1, m)
-    s = np.broadcast_to(np.asarray(speed), f.shape[1:])
-    c = s * dt / h
-    # Upwind part of the interface flux F[i] at x_{i+1/2}, i = 0..n-2.
-    F = np.where(s > 0, s * f[:-1], s * f[1:])
-    # Second-order limited correction.
-    eps = 1e-300
-    r_pos = np.empty_like(df)
-    r_neg = np.empty_like(df)
-    r_pos[0] = 0.0
-    r_pos[1:] = df[:-1] / (df[1:] + np.where(np.abs(df[1:]) < eps, eps, 0.0))
-    r_neg[-1] = 0.0
-    r_neg[:-1] = df[1:] / (df[:-1] + np.where(np.abs(df[:-1]) < eps, eps, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(s > 0, _vanleer(r_pos), _vanleer(r_neg))
-    phi = np.nan_to_num(phi, nan=0.0, posinf=0.0, neginf=0.0)
-    F = F + 0.5 * np.abs(s) * (1.0 - np.abs(c)) * phi * df
-    out = f.copy()
-    out[:-1] -= (dt / h) * F
-    out[1:] += (dt / h) * F
-    return out
+def _velocity_operator(ks: KineticSpec, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower, main and upper diagonals of the tridiagonal (nv, nv)
+    divergence-form matrix A for d/dv (nu v f + sigma d/dv f) with zero-flux
+    walls.  A has zero column sums, so the implicit step conserves mass
+    exactly."""
+    dv = grid.dv
+    vh = 0.5 * (grid.v[:-1] + grid.v[1:])
+    # Interface flux G_{j+1/2} = nu*vh*(f_j+f_{j+1})/2 + sigma*(f_{j+1}-f_j)/dv
+    # = dv (c_j f_j + c1_j f_{j+1}); df_j/dt = (G_{j+1/2} - G_{j-1/2})/dv.
+    c = (0.5 * ks.nu * vh - ks.sigma / dv) / dv
+    c1 = (0.5 * ks.nu * vh + ks.sigma / dv) / dv
+    diag = np.zeros(grid.nv)
+    diag[:-1] += c
+    diag[1:] -= c1
+    return -c, diag, c1
 
 
-def _velocity_operator(ks: KineticSpec, grid: PhaseGrid) -> np.ndarray:
-    """Dense (nv, nv) divergence-form matrix for
-    d/dv (nu v f + sigma d/dv f) with zero-flux walls (zero column sums, so
-    the implicit step conserves mass exactly)."""
-    nv, dv = grid.nv, grid.dv
-    v = grid.v
-    A = np.zeros((nv, nv))
-    for j in range(nv - 1):
-        vh = 0.5 * (v[j] + v[j + 1])
-        # Interface flux G_{j+1/2} = nu*vh*(f_j+f_{j+1})/2 + sigma*(f_{j+1}-f_j)/dv
-        cj = 0.5 * ks.nu * vh - ks.sigma / dv
-        cj1 = 0.5 * ks.nu * vh + ks.sigma / dv
-        # df_j/dt += G_{j+1/2}/dv ... divergence: (G_{j+1/2} - G_{j-1/2})/dv
-        A[j, j] += cj / dv
-        A[j, j + 1] += cj1 / dv
-        A[j + 1, j] -= cj / dv
-        A[j + 1, j + 1] -= cj1 / dv
-    return A
+class _CrankNicolson:
+    """The Crank-Nicolson step (I - dt/2 A) f_new = (I + dt/2 A) f along
+    axis 1, for the tridiagonal A given by its three diagonals."""
+
+    def __init__(self, diagonals, dt: float, shape: tuple[int, int]):
+        lower, diag, upper = diagonals
+        h = 0.5 * dt
+        self.lower, self.diag, self.upper = h * lower, 1.0 + h * diag, h * upper
+        # I - dt/2 A in banded storage
+        self.ab = np.array([np.r_[0.0, -self.upper], 1.0 - h * diag, np.r_[-self.lower, 0.0]])
+        self.tmp = np.empty((shape[0], shape[1] - 1))
+
+    def __call__(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The step of ``f``.  ``out`` is overwritten; it holds the result
+        when the banded solver works in place, as it does for C-contiguous
+        ``out``."""
+        np.multiply(f, self.diag, out=out)
+        np.multiply(f[:, 1:], self.upper, out=self.tmp)
+        out[:, :-1] += self.tmp
+        np.multiply(f[:, :-1], self.lower, out=self.tmp)
+        out[:, 1:] += self.tmp
+        return scipy.linalg.solve_banded((1, 1), self.ab, out.T, overwrite_b=True).T
 
 
 def _grid_gradients(r: np.ndarray, grid: PhaseGrid):
@@ -314,6 +361,17 @@ def _series_point(f, f_inf, ks, grid, gen, P):
     return e, i_val, s_val
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of steps of size ``dt`` that reach ``t_end``; raises
+    ValueError unless dt > 0 and at least one step is taken."""
+    if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_end)):
+        raise ValueError(f"need a finite dt > 0 and t_end, got dt = {dt!r}, t_end = {t_end!r}")
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_end = {t_end!r} takes no step of dt = {dt!r}")
+    return n_steps
+
+
 def fd_simulate(
     ks: KineticSpec,
     grid: PhaseGrid,
@@ -327,11 +385,16 @@ def fd_simulate(
     """Operator-split integration: flux-limited transport in x and v
     (Strang-symmetrized), Crank-Nicolson velocity friction+diffusion,
     zero-flux boundaries.  Mass is conserved to roundoff; a CFL violation or
-    an under-resolved steady state raises before stepping.
+    an under-resolved steady state raises KineticError before stepping, and
+    invalid arguments (``dt``, ``t_end``, the shape of ``f0``) ValueError.
 
     Returns discrete entropy/dissipation series against the discretized
-    steady state and the final field.
+    steady state, the final field, the CFL number and the mass drift.
     """
+    n_steps = step_count(t_end, dt)
+    f = np.array(f0, dtype=float, order="C")
+    if f.shape != (grid.nx, grid.nv):
+        raise ValueError(f"f0 has shape {f.shape}, the grid needs {(grid.nx, grid.nv)}")
     if gen is None:
         gen = LogEntropy()
     if P is None:
@@ -353,49 +416,33 @@ def fd_simulate(
     if cfl > 1.0:
         raise KineticError(f"CFL number {cfl:.3f} > 1; reduce dt")
 
-    A = _velocity_operator(ks, grid)
-    eye = np.eye(grid.nv)
-    lu = scipy.linalg.lu_factor(eye - 0.5 * dt * A)
-    forward = eye + 0.5 * dt * A
-
-    n_steps = int(round(t_end / dt))
     rec_every = max(1, n_steps // max(n_records - 1, 1))
-    f = np.array(f0, dtype=float)
-    mass0 = f.sum() * grid.cell
-
-    times, es, iss, ss_, ms = [], [], [], [], []
+    rows = []  # (t, e, I, S, mass) per record
 
     def record(t):
-        e, ival, sval = _series_point(f, f_inf, ks, grid, gen, P)
-        times.append(t)
-        es.append(e)
-        iss.append(ival)
-        ss_.append(sval)
-        ms.append(f.sum() * grid.cell)
+        rows.append((t, *_series_point(f, f_inf, ks, grid, gen, P), f.sum() * grid.cell))
 
     record(0.0)
-    accel = -ks.Vp(grid.x)  # dv/dt along characteristics
+    x_sweep = _Sweep(grid.v, grid.dx, 0.5 * dt, 0, f.shape)
+    # dv/dt = -V'(x) along characteristics
+    v_sweep = _Sweep(-ks.Vp(grid.x), grid.dv, 0.5 * dt, 1, f.shape)
+    velocity_step = _CrankNicolson(_velocity_operator(ks, grid), dt, f.shape)
+    spare = np.empty_like(f)
     for n in range(1, n_steps + 1):
-        f = _advect(f, grid.v, grid.dx, 0.5 * dt, axis=0)
-        f = _advect(f, accel, grid.dv, 0.5 * dt, axis=1)
-        f = scipy.linalg.lu_solve(lu, (forward @ f.T)).T
-        f = _advect(f, accel, grid.dv, 0.5 * dt, axis=1)
-        f = _advect(f, grid.v, grid.dx, 0.5 * dt, axis=0)
+        x_sweep(f)
+        v_sweep(f)
+        f, spare = velocity_step(f, spare), f  # the old field's memory is free now
+        v_sweep(f)
+        x_sweep(f)
         if n % rec_every == 0 or n == n_steps:
             record(n * dt)
 
-    drift = abs(ms[-1] - mass0) / max(t_end, 1.0)
-    if drift > 1e-8:
+    times, es, iss, ss_, ms = np.array(rows).T
+    drift = abs(ms[-1] - ms[0]) / max(t_end, 1.0)
+    if not drift <= 1e-8:
         raise KineticError(f"mass drift {drift:.2e} per unit time exceeds 1e-8")
-    return KineticSeries(
-        times=np.array(times),
-        entropy=np.array(es),
-        dissipation=np.array(iss),
-        modified=np.array(ss_),
-        mass=np.array(ms),
-        f_final=f,
-        grid=grid,
-    )
+    return KineticSeries(times=times, entropy=es, dissipation=iss, modified=ss_, mass=ms,
+                         f_final=f, grid=grid, cfl=cfl, mass_drift=drift)
 
 
 def fit_decay_rate(times: np.ndarray, values: np.ndarray, window: tuple[float, float] | None = None) -> float:

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,6 +208,101 @@ class TestKineticCommand:
         mass = np.array([float(r["mass"]) for r in rows])
         assert e[-1] < e[0]
         assert np.allclose(mass, 1.0, atol=1e-9)
+
+
+    def test_grid_reports_cfl_and_mass_drift(self, tmp_path):
+        cfgp = write_cfg(tmp_path, {
+            "kinetic": {
+                "nu": 1.0, "sigma": 1.0, "omega0": 1.0,
+                "grid": {"x_range": [-6, 6], "v_range": [-6, 6], "nx": 48, "nv": 48},
+                "t_end": 0.1, "dt": 0.01,
+            }
+        })
+        assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == 0
+        out = json.loads((tmp_path / "kinetic.json").read_text())
+        # dt * max(max|v| / dx, max|x| / dv) on the cell centers.
+        assert out["cfl"] == pytest.approx(0.01 * 5.875 / 0.25)
+        assert 0.0 <= out["mass_drift"] <= 1e-12
+
+    def test_certificate_only_omits_fd_fields(self, tmp_path):
+        cfgp = write_cfg(tmp_path, {"kinetic": {"nu": 1.0, "sigma": 1.0, "omega0": 1.0}})
+        assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == 0
+        out = json.loads((tmp_path / "kinetic.json").read_text())
+        assert "cfl" not in out and "mass_drift" not in out
+
+    @pytest.mark.parametrize("patch", [
+        pytest.param({"dt": -0.01}, id="dt-negative"),
+        pytest.param({"dt": 0}, id="dt-zero"),
+        pytest.param({"t_end": 0.004}, id="t_end-under-half-step"),
+        pytest.param({"grid": {"x_range": [-6, 6], "v_range": [-6, 6], "nx": 0, "nv": 48}},
+                     id="nx-zero"),
+        pytest.param({"grid": {"x_range": [6, -6], "v_range": [-6, 6], "nx": 48, "nv": 48}},
+                     id="x_range-decreasing"),
+        pytest.param({"grid": [1, 2]}, id="grid-not-object"),
+        pytest.param({"nu": -1}, id="nu-negative"),
+        pytest.param({"sigma": None}, id="sigma-null"),
+        pytest.param({"potential": {"kind": "cosine", "epsilon": "x"}}, id="epsilon-string"),
+        pytest.param({"potential": {"kind": "polynomial", "coeffs": ["a"]}}, id="coeffs-string"),
+        pytest.param({"potential": "cosine"}, id="potential-not-object"),
+        pytest.param({"initial": {"cov": [[1.0, 0.0], [0.0, -1.0]]}}, id="cov-indefinite"),
+        pytest.param({"initial": {"cov": [[1.0, 0.5], [0.0, 1.0]]}}, id="cov-asymmetric"),
+        pytest.param({"initial": {"mean": [1.0]}}, id="mean-short"),
+        pytest.param({"initial": {"mean": [float("nan"), 0.0]}}, id="mean-nan"),
+    ])
+    def test_config_error_exit_code(self, tmp_path, capsys, patch):
+        sec = {"nu": 1.0, "sigma": 1.0, "omega0": 1.0,
+               "grid": {"x_range": [-6, 6], "v_range": [-6, 6], "nx": 48, "nv": 48},
+               "t_end": 0.1, "dt": 0.01}
+        sec.update(patch)
+        cfgp = write_cfg(tmp_path, {"kinetic": sec})
+        assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "kinetic_series.csv").exists()
+
+
+# D = diag(1, 0), C = [[2, -1], [1, 0]]: Q has the defective eigenvalue 1.
+DEFECTIVE = {"system": {"D": [[1.0, 0.0], [0.0, 0.0]], "C": [[2.0, -1.0], [1.0, 0.0]]}}
+
+
+@pytest.mark.parametrize("subcommand", ["analyze", "evolve"])
+@pytest.mark.parametrize("certificate", [
+    pytest.param({"weights": "abc"}, id="weights-string"),
+    pytest.param({"weights": [[1.0], [2.0]]}, id="weights-nested"),
+    pytest.param({"weights": [1.0, None]}, id="weights-null-entry"),
+    pytest.param({"weights": 2.0}, id="weights-scalar"),
+    pytest.param({"epsilon": "x"}, id="epsilon-string"),
+    pytest.param({"epsilon": [0.1]}, id="epsilon-list"),
+    pytest.param({"epsilon": True}, id="epsilon-bool"),
+    pytest.param("weights", id="section-not-object"),
+])
+def test_certificate_config_error_exit_code(tmp_path, capsys, subcommand, certificate):
+    cfg = dict(DEFECTIVE, certificate=certificate)
+    cfg["initial"] = {"components": [{"weight": 1.0, "mean": [0.5, 0.2]}]}
+    cfg["times"] = {"t_end": 1.0, "samples": 3}
+    cfg["quadrature"] = {"order": 8}
+    cfgp = write_cfg(tmp_path, cfg)
+    assert run_cli([subcommand, "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: certificate")
+
+
+def test_certificate_epsilon_accepted(tmp_path):
+    cfgp = write_cfg(tmp_path, dict(DEFECTIVE, certificate={"epsilon": 0.1, "weights": None}))
+    assert run_cli(["analyze", "--config", cfgp, "--output", tmp_path]) == 0
+    out = json.loads((tmp_path / "analyze.json").read_text())["certificate"]
+    assert out["epsilon"] == pytest.approx(0.1)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import hypofp
+
+    cfgp = write_cfg(tmp_path, {"kinetic": {"nu": 1.0, "sigma": 1.0, "omega0": 1.0}})
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hypofp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypofp", "kinetic", "--config", str(cfgp), "--output", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(tmp_path / "kinetic.json")
 
 
 class TestCompareCommand:

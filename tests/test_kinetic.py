@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hypofp as hp
 from hypofp import kinetic as kin
@@ -208,3 +209,153 @@ class TestSimulator:
         y = 3.0 * np.exp(-0.7 * t)
         assert kin.fit_decay_rate(t, y) == pytest.approx(0.7, rel=1e-10)
         assert kin.fit_decay_rate(t, y, window=(1.0, 4.0)) == pytest.approx(0.7, rel=1e-10)
+
+
+def _dense_velocity_operator(ks, grid):
+    # Dense reference: the interface-flux loop the banded operator replaces.
+    nv, dv, v = grid.nv, grid.dv, grid.v
+    A = np.zeros((nv, nv))
+    for j in range(nv - 1):
+        vh = 0.5 * (v[j] + v[j + 1])
+        cj = 0.5 * ks.nu * vh - ks.sigma / dv
+        cj1 = 0.5 * ks.nu * vh + ks.sigma / dv
+        A[j, j] += cj / dv
+        A[j, j + 1] += cj1 / dv
+        A[j + 1, j] -= cj / dv
+        A[j + 1, j + 1] -= cj1 / dv
+    return A
+
+
+def _advect_reference(f, speed, h, dt, axis):
+    # The two-sided limiter with ratio guards and a nan_to_num pass that the
+    # one-pass sweep replaces.
+    if axis == 1:
+        return _advect_reference(f.T, speed, h, dt, 0).T
+    df = np.diff(f, axis=0)
+    s = np.broadcast_to(np.asarray(speed), f.shape[1:])
+    c = s * dt / h
+    F = np.where(s > 0, s * f[:-1], s * f[1:])
+    eps = 1e-300
+    r_pos = np.empty_like(df)
+    r_neg = np.empty_like(df)
+    r_pos[0] = 0.0
+    r_pos[1:] = df[:-1] / (df[1:] + np.where(np.abs(df[1:]) < eps, eps, 0.0))
+    r_neg[-1] = 0.0
+    r_neg[:-1] = df[1:] / (df[:-1] + np.where(np.abs(df[:-1]) < eps, eps, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi = np.where(s > 0, (r_pos + np.abs(r_pos)) / (1.0 + np.abs(r_pos)),
+                       (r_neg + np.abs(r_neg)) / (1.0 + np.abs(r_neg)))
+    phi = np.nan_to_num(phi, nan=0.0, posinf=0.0, neginf=0.0)
+    F = F + 0.5 * np.abs(s) * (1.0 - np.abs(c)) * phi * df
+    out = f.copy()
+    out[:-1] -= (dt / h) * F
+    out[1:] += (dt / h) * F
+    return out
+
+
+def _advect(f, speed, h, dt, axis):
+    # One sweep applied to a copy of f.
+    out = np.array(f, dtype=float, order="C")
+    kin._Sweep(speed, h, dt, axis, out.shape)(out)
+    return out
+
+
+class TestKernels:
+    ks = kin.KineticSpec(nu=1.3, sigma=0.7, omega0=1.0)
+    grid = kin.PhaseGrid(x_range=(-5.0, 4.0), v_range=(-6.0, 6.0), nx=24, nv=40)
+
+    def _field(self, rng):
+        # Random positive field with flat blocks (zero differences) along
+        # both axes and a flat corner where both one-sided differences vanish.
+        f = rng.uniform(0.1, 1.0, (self.grid.nx, self.grid.nv))
+        f[5:9, :] = 0.4
+        f[:, 20:26] = 0.7
+        f[:4, :4] = 0.0
+        return f
+
+    def test_banded_operator_matches_dense(self):
+        lower, diag, upper = kin._velocity_operator(self.ks, self.grid)
+        A = _dense_velocity_operator(self.ks, self.grid)
+        assert np.array_equal(np.diag(A), diag)
+        assert np.array_equal(np.diag(A, 1), upper)
+        assert np.array_equal(np.diag(A, -1), lower)
+        assert np.count_nonzero(A) == 3 * self.grid.nv - 2
+        col = diag.copy()
+        col[:-1] += lower
+        col[1:] += upper
+        assert np.max(np.abs(col)) <= 1e-13 * np.max(np.abs(diag))
+
+    def test_crank_nicolson_matches_dense_solve(self, rng):
+        dt = 0.01
+        f = self._field(rng)
+        A = _dense_velocity_operator(self.ks, self.grid)
+        eye = np.eye(self.grid.nv)
+        lu = scipy.linalg.lu_factor(eye - 0.5 * dt * A)
+        want = scipy.linalg.lu_solve(lu, (eye + 0.5 * dt * A) @ f.T).T
+        step = kin._CrankNicolson(kin._velocity_operator(self.ks, self.grid), dt, f.shape)
+        got = step(f, np.empty_like(f))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_advect_matches_two_sided_limiter(self, rng, axis):
+        f = self._field(rng)
+        n_across = f.shape[1 - axis]
+        speed = np.linspace(-2.0, 2.0, n_across)
+        speed[n_across // 3] = 0.0
+        h, dt = 0.3, 0.05
+        want = _advect_reference(f, speed, h, dt, axis)
+        got = _advect(f, speed, h, dt, axis)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert got.sum() == pytest.approx(f.sum(), rel=1e-14)
+
+    def test_advect_axis_one_is_transposed_axis_zero(self, rng):
+        f = self._field(rng)
+        speed = rng.standard_normal(f.shape[0])
+        got = _advect(f, speed, 0.3, 0.05, axis=1)
+        assert np.array_equal(got, _advect(f.T, speed, 0.3, 0.05, axis=0).T)
+
+    def test_sweep_rejects_strided_field(self, rng):
+        f = self._field(rng)
+        sweep = kin._Sweep(rng.standard_normal(f.shape[0]), 0.3, 0.05, 0, f.T.shape)
+        with pytest.raises(ValueError):
+            sweep(f.T)
+
+
+class TestSimulatorInputs:
+    ks = kin.KineticSpec(nu=1.0, sigma=1.0, omega0=1.0)
+    grid = kin.PhaseGrid(x_range=(-6.0, 6.0), v_range=(-6.0, 6.0), nx=48, nv=48)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"nx": 0}, {"nx": 1}, {"nv": 1}, {"nx": 2.5},
+        {"x_range": (1.0, 1.0)}, {"v_range": (2.0, -2.0)}, {"x_range": (0.0, float("inf"))},
+    ])
+    def test_grid_validation(self, kwargs):
+        args = {"x_range": (-1.0, 1.0), "v_range": (-1.0, 1.0), "nx": 8, "nv": 8, **kwargs}
+        with pytest.raises(ValueError):
+            kin.PhaseGrid(**args)
+
+    @pytest.mark.parametrize("t_end, dt", [
+        (1.0, -0.01), (1.0, 0.0), (1.0, float("nan")), (0.004, 0.01), (-1.0, 0.01), (float("inf"), 0.01),
+    ])
+    def test_step_validation(self, t_end, dt):
+        f0 = kin.steady_state_grid(self.ks, self.grid)
+        with pytest.raises(ValueError) as info:
+            kin.fd_simulate(self.ks, self.grid, f0, t_end=t_end, dt=dt)
+        assert not isinstance(info.value, kin.KineticError)
+
+    def test_f0_shape_validation(self):
+        f0 = kin.steady_state_grid(self.ks, self.grid)
+        with pytest.raises(ValueError, match="shape"):
+            kin.fd_simulate(self.ks, self.grid, f0[:, :-1], t_end=0.1, dt=0.01)
+
+    def test_reports_cfl_and_mass_drift(self):
+        f0 = kin.gaussian_on_grid(np.array([1.0, 0.0]), 0.8 * np.eye(2), self.grid)
+        f0 /= f0.sum() * self.grid.cell
+        series = kin.fd_simulate(self.ks, self.grid, f0, t_end=0.5, dt=0.01, n_records=3)
+        vmax = abs(self.grid.v[-1])
+        amax = abs(self.grid.x[-1])  # V'(x) = x
+        assert series.cfl == pytest.approx(0.01 * max(vmax / self.grid.dx, amax / self.grid.dv))
+        assert series.mass_drift == abs(series.mass[-1] - series.mass[0])
+        assert 0.0 <= series.mass_drift <= 1e-12
+        # The caller's initial field is left untouched.
+        assert f0.sum() * self.grid.cell == pytest.approx(1.0, rel=1e-14)
