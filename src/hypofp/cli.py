@@ -158,19 +158,31 @@ def _system_from(cfg) -> system.SystemSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def _setting(cfg, section: str, key: str, default, cast, minimum):
+    """cfg[section][key] (or ``default``) converted by ``cast``; it must be
+    finite and at least ``minimum``."""
+    try:
+        value = cast(cfg.get(section, {}).get(key, default))
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}.{key}: {exc}") from exc
+    if not (np.isfinite(value) and value >= minimum):
+        raise ConfigError(f"{section}.{key} must be a finite number >= {minimum}")
+    return value
+
+
 def _generator_from(cfg) -> entropy.EntropyGenerator:
     sec = cfg.get("entropy", {"kind": "log"})
     kind = sec.get("kind", "log")
-    alpha = float(sec.get("alpha", 1.0))
-    beta = float(sec.get("beta", 0.0))
     try:
+        alpha = float(sec.get("alpha", 1.0))
+        beta = float(sec.get("beta", 0.0))
         if kind in ("log", "logarithmic"):
             return entropy.LogEntropy(alpha=alpha, beta=beta)
         if kind in ("quadratic", "quad"):
             return entropy.QuadraticEntropy(alpha=alpha)
         if kind == "power":
             return entropy.PowerEntropy(p=float(sec["p"]), alpha=alpha, beta=beta)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad entropy section: {exc}") from exc
     raise ConfigError(f"unknown entropy kind {kind!r}")
 
@@ -285,12 +297,9 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
     ss = system.steady_state(spec)
     gen = _generator_from(cfg)
     f0 = _mixture_from(cfg, ss, gen)
-    times_sec = cfg.get("times", {})
-    t_end = float(times_sec.get("t_end", 8.0))
-    samples = int(times_sec.get("samples", 200))
-    if samples < 2:
-        raise ConfigError("times.samples must be >= 2")
-    order = int(cfg.get("quadrature", {}).get("order", 64))
+    t_end = _setting(cfg, "times", "t_end", 8.0, float, 0.0)
+    samples = _setting(cfg, "times", "samples", 200, int, 2)
+    order = _setting(cfg, "quadrature", "order", 64, int, 2)
     tm, _ = _certificate(cfg, ss)
     q = entropy.gauss_hermite_rule(ss.K, order=order)
     times = np.linspace(0.0, t_end, samples)
@@ -321,7 +330,7 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
 def _cmd_spectrum(cfg, outdir, fmt, plot) -> list[str]:
     spec = _system_from(cfg)
     report = _check_condition(spec)
-    m_max = int(cfg.get("spectrum", {}).get("m_max", 4))
+    m_max = _setting(cfg, "spectrum", "m_max", 4, int, 0)
     sset = spectrum.enumerate_spectrum(report.eig, m_max)
     re = np.array([e.value.real for e in sset.entries])
     im = np.array([e.value.imag for e in sset.entries])

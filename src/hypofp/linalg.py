@@ -92,49 +92,30 @@ class EigenStructure:
         return groups
 
 
-def _cluster_eigenvalues(w: np.ndarray, tol_abs: float) -> list[np.ndarray]:
+def _cluster_eigenvalues(w: np.ndarray, tol_abs: float):
     """Single-linkage clustering of complex points at absolute gap tol_abs.
 
-    Returns index arrays.  Raises ClusteringError when two distinct clusters
-    end up closer than 2*tol_abs (the defective/non-defective call would be
-    unstable there).
+    Returns the clusters as index arrays, ordered by their smallest index,
+    and the cluster centres.  Raises ClusteringError when two distinct
+    clusters end up closer than 2*tol_abs (the defective/non-defective call
+    would be unstable there).
     """
-    n = len(w)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(w[i] - w[j]) <= tol_abs:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [np.array(idx) for idx in groups.values()]
-
-    centers = [np.mean(w[idx]) for idx in clusters]
-    for a in range(len(centers)):
-        for b in range(a + 1, len(centers)):
-            if abs(centers[a] - centers[b]) <= 2.0 * tol_abs:
-                raise ClusteringError(
-                    "ambiguous eigenvalue clustering: centers "
-                    f"{centers[a]:.6g} and {centers[b]:.6g} are within "
-                    f"2*tol = {2 * tol_abs:.3g}"
-                )
-    return clusters
-
-
-def _nullspace(A: np.ndarray, tol_abs: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of A."""
-    U, s, Vh = np.linalg.svd(A)
-    rank = int(np.sum(s > tol_abs))
-    return Vh[rank:].conj().T
+    near = np.abs(w[:, None] - w[None, :]) <= tol_abs
+    # Each point takes the smallest label among its neighbours until the
+    # labels settle: then every cluster carries its smallest index.
+    labels, prev = np.arange(len(w)), None
+    while not np.array_equal(labels, prev):
+        labels, prev = np.where(near, labels, len(w)).min(axis=1), labels
+    clusters = [np.flatnonzero(labels == lab) for lab in np.unique(labels)]
+    centers = np.array([np.mean(w[idx]) for idx in clusters])
+    a, b = np.nonzero(np.triu(np.abs(centers[:, None] - centers[None, :]) <= 2.0 * tol_abs, 1))
+    if len(a):
+        raise ClusteringError(
+            "ambiguous eigenvalue clustering: centers "
+            f"{centers[a[0]]:.6g} and {centers[b[0]]:.6g} are within "
+            f"2*tol = {2 * tol_abs:.3g}"
+        )
+    return clusters, centers
 
 
 def eigen_structure(M: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> EigenStructure:
@@ -153,10 +134,9 @@ def eigen_structure(M: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> EigenStr
         raise ValueError("tol must be positive")
 
     tol_abs = tol * _scale(M)
-    w = np.linalg.eigvals(M)
-    clusters = _cluster_eigenvalues(w, tol_abs)
+    clusters, centers = _cluster_eigenvalues(np.linalg.eigvals(M), tol_abs)
     # Deterministic order: by (real part, imaginary part) of the center.
-    clusters.sort(key=lambda idx: (np.mean(w[idx]).real, np.mean(w[idx]).imag))
+    by_center = sorted(zip(centers, clusters), key=lambda cc: (cc[0].real, cc[0].imag))
 
     eigenvalues: list[complex] = []
     algebraic: list[int] = []
@@ -164,8 +144,8 @@ def eigen_structure(M: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> EigenStr
     chains: list[JordanChain] = []
 
     Mc = M.astype(complex)
-    for idx in clusters:
-        lam = complex(np.mean(w[idx]))
+    for center, idx in by_center:
+        lam = complex(center)
         # Snap tiny imaginary parts so real eigenvalues stay real.
         if abs(lam.imag) <= tol_abs:
             lam = complex(lam.real, 0.0)
@@ -181,9 +161,11 @@ def eigen_structure(M: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> EigenStr
         while dims[-1] < alg and k < d:
             k += 1
             Ak = Ak @ A
-            nb = _nullspace(Ak, tol_abs * max(1.0, np.linalg.norm(Ak, 2)))
-            null_bases.append(nb)
-            dims.append(nb.shape[1])
+            # One SVD gives both the norm for the threshold and the kernel.
+            _, sv, Vh = np.linalg.svd(Ak)
+            rank = int(np.sum(sv > tol_abs * max(1.0, sv[0])))
+            null_bases.append(Vh[rank:].conj().T)
+            dims.append(d - rank)
         kmax = k
         if dims[-1] != alg:
             raise ClusteringError(
@@ -195,7 +177,10 @@ def eigen_structure(M: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> EigenStr
         # chains_ge[k] = number of chains with length >= k.
         chains_ge = [dims[k] - dims[k - 1] for k in range(1, kmax + 1)]
 
-        lam_chains = _build_chains(A, null_bases, chains_ge, tol_abs)
+        if alg == 1:  # the chain is the kernel vector
+            lam_chains = [_chain_top(null_bases[0], tol_abs)[None, :]]
+        else:
+            lam_chains = _build_chains(A, null_bases, chains_ge, tol_abs)
         eigenvalues.append(lam)
         algebraic.append(alg)
         geometric.append(geo)
@@ -240,14 +225,7 @@ def _build_chains(A, null_bases, chains_ge, tol_abs):
         for _ in range(n_new):
             # Residuals of candidates after projecting out span(Q_used).
             R = cand - Q_used @ (Q_used.conj().T @ cand) if Q_used.shape[1] else cand
-            norms = np.linalg.norm(R, axis=0)
-            best = int(np.argmax(norms))
-            if norms[best] <= tol_abs:
-                raise ClusteringError(
-                    "failed to extend Jordan chain basis (rank deficiency "
-                    "inconsistent with kernel filtration)"
-                )
-            top = R[:, best] / norms[best]
+            top = _chain_top(R, tol_abs)
             chain = np.empty((k, d), dtype=complex)
             chain[k - 1] = top
             for j in range(k - 2, -1, -1):
@@ -255,6 +233,18 @@ def _build_chains(A, null_bases, chains_ge, tol_abs):
             chains.append(chain)
             Q_used, _ = np.linalg.qr(np.hstack([Q_used, top[:, None]]))
     return chains
+
+
+def _chain_top(R: np.ndarray, tol_abs: float) -> np.ndarray:
+    """Longest column of R (candidate chain tops, used span projected out), normalised."""
+    norms = np.linalg.norm(R, axis=0)
+    best = int(np.argmax(norms))
+    if norms[best] <= tol_abs:
+        raise ClusteringError(
+            "failed to extend Jordan chain basis (rank deficiency "
+            "inconsistent with kernel filtration)"
+        )
+    return R[:, best] / norms[best]
 
 
 def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:

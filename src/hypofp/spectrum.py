@@ -8,12 +8,13 @@ one eigenvalue per multi-index.  The independent cross-check represents the
 conjugated operator q -> lap_D q - x.K^{-1}CK.grad q on monomials of total
 degree <= m and diagonalizes that matrix; the two eigenvalue multisets must
 agree.  Monomials are ordered by total degree, then reverse-lexicographic
-within a degree (any order preserves eigenvalues).
+within a degree (any order preserves eigenvalues).  The multi-indices are
+generated directly in that order, so the cost is linear in the number of
+eigenvalues listed, and the matrix is assembled with array operations.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -44,16 +45,31 @@ class SpectrumSet:
         return np.array([e.value for e in self.entries])
 
 
+def _compositions(d: int, m: int):
+    """All alpha in N_0^d with |alpha| = m, in reverse-lexicographic order."""
+    if m == 0 or d == 1:
+        yield (0,) * (d - 1) + (m,)
+        return
+    for first in range(m, -1, -1):
+        for rest in _compositions(d - 1, m - first):
+            yield (first,) + rest
+
+
 def _multi_indices(d: int, m_max: int):
     """All alpha in N_0^d with |alpha| <= m_max, by degree then reverse-lex."""
     for m in range(m_max + 1):
-        degree = [
-            alpha
-            for alpha in itertools.product(range(m + 1), repeat=d)
-            if sum(alpha) == m
-        ]
-        degree.sort(reverse=True)
-        yield from degree
+        yield from _compositions(d, m)
+
+
+def _rank(A: np.ndarray, m_max: int) -> np.ndarray:
+    """Positions of the rows of A in the order of _multi_indices(d, m_max):
+    sum_i comb(T_i + d-1-i, d-i) with the tail sums T_i = a_i + ... + a_{d-1}.
+    Term i counts multi-indices of degree < T_i in d-i variables, so it stays
+    below comb(d + m_max, m_max) and cannot overflow."""
+    d = A.shape[1]
+    T = np.cumsum(A[:, ::-1], axis=1)[:, ::-1]
+    table = np.array([[comb(t + k, k + 1) for k in range(d)] for t in range(m_max + 1)])
+    return table[T, np.arange(d - 1, -1, -1)].sum(axis=1)
 
 
 def enumerate_spectrum(eig: linalg.EigenStructure, m_max: int) -> SpectrumSet:
@@ -96,38 +112,23 @@ def poly_operator_matrix(spec: SystemSpec, ss: SteadyState, m: int) -> PolyOpera
             f"monomial basis dimension {n} exceeds the cap {DIMENSION_CAP}"
         )
     basis = list(_multi_indices(d, m))
-    index = {alpha: i for i, alpha in enumerate(basis)}
+    B = np.array(basis).reshape(n, d)
     L = np.linalg.cholesky(ss.K)
     Linv = np.linalg.inv(L)
     G = Linv @ spec.C @ L  # drift matrix in y.G.grad
     D = Linv @ spec.D @ Linv.T
     M = np.zeros((n, n))
-    for col, alpha in enumerate(basis):
-        a = np.array(alpha)
-        # Drift: -x.G.grad x^a = -sum_{j,l} G[j,l] a_l x^{a - e_l + e_j}
-        for l in range(d):
-            if a[l] == 0:
-                continue
-            for j in range(d):
-                if G[j, l] == 0.0:
-                    continue
-                target = a.copy()
-                target[l] -= 1
-                target[j] += 1
-                M[index[tuple(target)], col] -= G[j, l] * a[l]
-        # Diffusion: sum_{j,l} D[j,l] d_j d_l x^a
-        for l in range(d):
-            if a[l] == 0:
-                continue
-            for j in range(d):
-                al = a.copy()
-                al[l] -= 1
-                if al[j] == 0 or D[j, l] == 0.0:
-                    continue
-                coeff = D[j, l] * a[l] * al[j]
-                target = al.copy()
-                target[j] -= 1
-                M[index[tuple(target)], col] += coeff
+    eye = np.eye(d, dtype=int)
+    # np.add.at sums the terms hitting one entry in (column, l, j) order.
+    # Drift: -x.G.grad x^a = -sum_{j,l} G[j,l] a_l x^{a - e_l + e_j}
+    col, l, j = np.nonzero((B[:, :, None] > 0) & (G.T != 0.0))
+    target = _rank(B[col] - eye[l] + eye[j], m)
+    np.add.at(M, (target, col), -(G[j, l] * B[col, l]))
+    # Diffusion: sum_{j,l} D[j,l] d_j d_l x^a
+    lowered = B[:, None, :] - eye  # [col, l, j] = (a - e_l)_j
+    col, l, j = np.nonzero((B[:, :, None] > 0) & (lowered > 0) & (D.T != 0.0))
+    target = _rank(lowered[col, l] - eye[j], m)
+    np.add.at(M, (target, col), D[j, l] * B[col, l] * lowered[col, l, j])
     return PolyOperatorMatrix(basis=tuple(basis), M=M)
 
 

@@ -285,6 +285,28 @@ def test_certificate_config_error_exit_code(tmp_path, capsys, subcommand, certif
     assert capsys.readouterr().err.startswith("error: certificate")
 
 
+@pytest.mark.parametrize("subcommand, section, key, value", [
+    pytest.param("evolve", "times", "t_end", "x", id="t_end-string"),
+    pytest.param("evolve", "times", "t_end", -1, id="t_end-negative"),
+    pytest.param("evolve", "times", "samples", "x", id="samples-string"),
+    pytest.param("evolve", "quadrature", "order", "x", id="order-string"),
+    pytest.param("evolve", "quadrature", "order", 0, id="order-zero"),
+    pytest.param("evolve", "entropy", "alpha", "x", id="alpha-string"),
+    pytest.param("evolve", "entropy", "beta", "x", id="beta-string"),
+    pytest.param("spectrum", "spectrum", "m_max", "x", id="m_max-string"),
+    pytest.param("spectrum", "spectrum", "m_max", -1, id="m_max-negative"),
+])
+def test_evolve_spectrum_config_error_exit_code(tmp_path, capsys, subcommand, section, key, value):
+    cfg = dict(FIG1B, entropy={"kind": "log"}, times={"t_end": 1.0, "samples": 3},
+               quadrature={"order": 8}, spectrum={"m_max": 1})
+    cfg["initial"] = {"components": [{"weight": 1.0, "mean": [0.5, 0.2]}]}
+    cfg[section] = dict(cfg[section], **{key: value})
+    cfgp = write_cfg(tmp_path, cfg)
+    assert run_cli([subcommand, "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_certificate_epsilon_accepted(tmp_path):
     cfgp = write_cfg(tmp_path, dict(DEFECTIVE, certificate={"epsilon": 0.1, "weights": None}))
     assert run_cli(["analyze", "--config", cfgp, "--output", tmp_path]) == 0

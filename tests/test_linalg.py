@@ -58,6 +58,64 @@ class TestEigenStructure:
             assert all(g <= a for g, a in zip(es.geometric, es.algebraic))
 
 
+def reference_clusters(w, tol_abs):
+    """Union-find single linkage over all pairs, clusters in order of their
+    smallest index."""
+    parent = list(range(len(w)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            if abs(w[i] - w[j]) <= tol_abs:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(w)):
+        groups.setdefault(find(i), []).append(i)
+    return [np.array(idx) for idx in groups.values()]
+
+
+class TestSimpleEigenvalues:
+    def test_chains_are_unit_kernel_vectors(self, rng):
+        for d in (2, 3, 5, 8, 10):
+            for _ in range(5):
+                M = rng.standard_normal((d, d))
+                es = linalg.eigen_structure(M)
+                assert es.algebraic == es.geometric == (1,) * d
+                tol_M = linalg.DEFAULT_CLUSTER_TOL * np.linalg.norm(M, 2)
+                for ch in es.chains:
+                    w = ch.vectors[0]
+                    assert ch.length == 1
+                    assert abs(np.linalg.norm(w) - 1.0) <= 1e-14
+                    assert np.linalg.norm(M @ w - ch.eigenvalue * w) <= tol_M
+
+    def test_clusters_match_pairwise_linkage(self, rng):
+        tol = 1e-3
+        # A chain of four points whose smallest index sits at one end.
+        got, _ = linalg._cluster_eigenvalues(np.array([0.0, 0.7e-3, 1.4e-3, 2.1e-3, 1.0]), tol)
+        assert [list(c) for c in got] == [[0, 1, 2, 3], [4]]
+        for _ in range(50):
+            # Points on a coarse grid plus jitter, so that chains of close
+            # points link clusters whose end points are far apart.
+            n = int(rng.integers(1, 12))
+            w = rng.integers(0, 6, n) * 0.7e-3 + 1j * rng.integers(0, 2, n) + rng.uniform(0, 1e-5, n)
+            try:
+                got, centers = linalg._cluster_eigenvalues(w, tol)
+            except linalg.ClusteringError:
+                continue
+            ref = reference_clusters(w, tol)
+            assert [list(c) for c in got] == [list(c) for c in ref]
+            assert list(centers) == [np.mean(w[c]) for c in ref]
+
+    def test_ambiguous_message_names_first_pair(self):
+        w = np.array([0.0, 3.0, 1.5e-8, 3.0 + 1.5e-8])
+        with pytest.raises(linalg.ClusteringError, match=r"centers 0 and 1\.5e-08 are within"):
+            linalg._cluster_eigenvalues(w, 1e-8)
+
+
 class TestMatrixExponential:
     def test_t_zero(self, rng):
         M = rng.standard_normal((3, 3))

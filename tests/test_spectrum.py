@@ -1,8 +1,12 @@
+import itertools
+import time
+from math import comb
+
 import numpy as np
 import pytest
 
 import hypofp as hp
-from hypofp import linalg
+from hypofp import linalg, spectrum
 from conftest import assert_multisets_close, make_random_system
 
 SEC8 = dict(D=np.diag([0.25, 1.0]), C=np.array([[0.25, -4.0], [4.0, 1.0]]))
@@ -11,6 +15,84 @@ FIG1B = dict(D=np.diag([1.0, 0.0]), C=np.array([[1.0, -1.0], [1.0, 0.0]]))
 
 def ou_spec(d):
     return hp.SystemSpec(D=np.eye(d), C=np.eye(d))
+
+
+def reference_multi_indices(d, m_max):
+    """The filtered tensor-product enumeration the direct generator replaced."""
+    for m in range(m_max + 1):
+        degree = [a for a in itertools.product(range(m + 1), repeat=d) if sum(a) == m]
+        yield from sorted(degree, reverse=True)
+
+
+def reference_poly_matrix(spec, ss, basis):
+    """Loop assembly of the generator on monomials, one term at a time."""
+    d, n = spec.d, len(basis)
+    index = {alpha: i for i, alpha in enumerate(basis)}
+    L = np.linalg.cholesky(ss.K)
+    Linv = np.linalg.inv(L)
+    G = Linv @ spec.C @ L
+    D = Linv @ spec.D @ Linv.T
+    M = np.zeros((n, n))
+    for col, alpha in enumerate(basis):
+        a = np.array(alpha)
+        for l in range(d):
+            if a[l] == 0:
+                continue
+            for j in range(d):
+                if G[j, l] == 0.0:
+                    continue
+                target = a.copy()
+                target[l] -= 1
+                target[j] += 1
+                M[index[tuple(target)], col] -= G[j, l] * a[l]
+        for l in range(d):
+            if a[l] == 0:
+                continue
+            for j in range(d):
+                al = a.copy()
+                al[l] -= 1
+                if al[j] == 0 or D[j, l] == 0.0:
+                    continue
+                target = al.copy()
+                target[j] -= 1
+                M[index[tuple(target)], col] += D[j, l] * a[l] * al[j]
+    return M
+
+
+def draw_spec(rng, d, rank):
+    """Random positively stable (D, C) with D of the given rank and a
+    steady state whose K has a Cholesky factor."""
+    while True:
+        C = rng.standard_normal((d, d))
+        C += (0.2 + rng.uniform() - np.linalg.eigvals(C).real.min()) * np.eye(d)
+        B = rng.standard_normal((d, rank))
+        spec = hp.SystemSpec(D=B @ B.T, C=C)
+        try:
+            ss = hp.steady_state(spec)
+            np.linalg.cholesky(ss.K)
+        except (ValueError, np.linalg.LinAlgError):
+            continue
+        return spec, ss
+
+
+class TestMultiIndices:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_reference_order(self, d):
+        for m in range(5):
+            got = list(spectrum._multi_indices(d, m))
+            assert got == list(reference_multi_indices(d, m))
+            assert len(got) == comb(d + m, m)
+
+    def test_cost_linear_in_output(self):
+        # The tensor-product scan would take 3**30 steps here.
+        t0 = time.perf_counter()
+        assert len(list(spectrum._multi_indices(30, 2))) == 496
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("d, m", [(1, 0), (1, 1999), (2, 5), (5, 4), (30, 2)])
+    def test_rank_inverts_enumeration(self, d, m):
+        basis = np.array(list(spectrum._multi_indices(d, m))).reshape(-1, d)
+        assert np.array_equal(spectrum._rank(basis, m), np.arange(len(basis)))
 
 
 class TestEnumerate:
@@ -97,6 +179,21 @@ class TestPolyOperatorMatrix:
                 brute = np.linalg.eigvals(hp.poly_operator_matrix(spec, ss, m).M)
                 scale = max(1.0, np.abs(enum).max())
                 assert_multisets_close(enum, brute, atol=1e-8 * scale)
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    @pytest.mark.parametrize("full_rank", [False, True], ids=["rank1", "full"])
+    def test_matches_loop_assembly(self, rng, d, full_rank):
+        spec, ss = draw_spec(rng, d, d if full_rank else 1)
+        for m in (1, 2, 3):
+            pm = hp.poly_operator_matrix(spec, ss, m)
+            assert pm.basis == tuple(reference_multi_indices(d, m))
+            assert np.array_equal(pm.M, reference_poly_matrix(spec, ss, pm.basis))
+
+    def test_d10_eigenvalues_match_enumeration(self, rng):
+        spec, ss = draw_spec(rng, 10, 10)
+        enum = hp.enumerate_spectrum(linalg.eigen_structure(spec.C), 2).values()
+        brute = hp.poly_operator_matrix(spec, ss, 2).eigenvalues()
+        assert_multisets_close(enum, brute, atol=1e-8 * max(1.0, np.abs(enum).max()))
 
     def test_spectral_gap_equals_mu(self, rng):
         for _ in range(5):
