@@ -39,7 +39,6 @@ from .flow import (
     entropy_log_cov,
     entropy_rate_shift,
     dissipation_log_shift,
-    dissipation_quad_affine,
     dissipation_log_cov,
     tangency_times,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "evolve_shift", "evolve_cov", "evolve_mixture", "run_trajectory",
     "sharpness_scenario", "zero_tangent_initial",
     "entropy_log_shift", "entropy_quad_affine", "entropy_log_cov",
-    "entropy_rate_shift", "dissipation_log_shift", "dissipation_quad_affine",
+    "entropy_rate_shift", "dissipation_log_shift",
     "dissipation_log_cov", "tangency_times",
     "KineticSpec", "assemble_linear", "kappa0", "build_P_kinetic",
     "kinetic_rate", "fd_simulate",

@@ -87,8 +87,7 @@ def build_P(
     if eig is None:
         eig = linalg.eigen_structure(ss.Q, tol=cluster_tol)
     mu = eig.mu
-    scale = max(np.linalg.norm(ss.Q, 2), 1.0)
-    re_tol = max(1e-8, cluster_tol) * scale
+    re_tol = max(linalg.MINIMAL_SET_TOL, cluster_tol) * linalg._scale(ss.Q)
 
     chains = eig.chains
     if any(ch.length > 1 for ch in eig.minimal_chains(re_tol)):
@@ -155,20 +154,23 @@ def verify_P(ss: SteadyState, P: np.ndarray, kappa: float) -> float:
     return linalg.min_sym_eigenvalue(Q @ P + P @ Q.T - 2.0 * kappa * P)
 
 
-def lambda_P(K: np.ndarray, P: np.ndarray) -> float:
-    """Largest c with K^{-1} >= c * P^{-1}, i.e. the smallest eigenvalue of
-    sqrt(P) K^{-1} sqrt(P)."""
-    S = linalg.sqrt_spd(P)
+def _inverse_ratio(K: np.ndarray, X: np.ndarray) -> float:
+    """Largest c with K^{-1} >= c * X^{-1}, i.e. the smallest eigenvalue of
+    sqrt(X) K^{-1} sqrt(X); raises unless X is SPD."""
+    S = linalg.sqrt_spd(X)
     Kinv = np.linalg.inv(np.asarray(K, dtype=float))
     return linalg.min_sym_eigenvalue(S @ Kinv @ S)
+
+
+def lambda_P(K: np.ndarray, P: np.ndarray) -> float:
+    """Largest c with K^{-1} >= c * P^{-1}."""
+    return _inverse_ratio(K, P)
 
 
 def lambda_K(D: np.ndarray, K: np.ndarray) -> float:
     """Classical (uniform-convexity) constant: largest lam with
     K^{-1} >= lam * D^{-1}.  Defined only for SPD D."""
-    S = linalg.sqrt_spd(D)  # raises for degenerate D
-    Kinv = np.linalg.inv(np.asarray(K, dtype=float))
-    return linalg.min_sym_eigenvalue(S @ Kinv @ S)
+    return _inverse_ratio(K, D)
 
 
 def compare_rates(
@@ -229,8 +231,7 @@ def optimize_weights(
         eig = linalg.eigen_structure(ss.Q)
     if grid is None:
         grid = np.logspace(-2, 2, 9)
-    scale = max(np.linalg.norm(ss.Q, 2), 1.0)
-    groups = eig.conjugate_groups(1e-8 * scale)
+    groups = eig.conjugate_groups(linalg.MINIMAL_SET_TOL * linalg._scale(ss.Q))
     best = None
     best_amp = np.inf
     for choice in itertools.product([1.0], *[grid] * (len(groups) - 1)):

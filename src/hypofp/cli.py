@@ -6,15 +6,19 @@
 Subcommands: analyze, evolve, spectrum, kinetic, compare.  The config is a
 single JSON document (matrices as nested arrays); results are written as
 JSON/CSV with 17 significant digits and optional self-contained SVG line
-plots.  Exit codes: 0 success, 2 config error, 3 structural-condition
-failure, 4 certificate failure, 5 I/O error, 6 undecidable at this
-conditioning (ambiguous eigenvalue clustering).
+plots.  Every config value is read by ``_read``: a missing or null key takes
+its default, numbers must be finite, integers are never truncated and
+arrays must have the expected shape; range rules are those of the library
+constructors.  Exit codes: 0 success, 2 config error (any rejected config
+value), 3 structural-condition failure, 4 certificate failure, 5 I/O error,
+6 undecidable at this conditioning (ambiguous eigenvalue clustering).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -73,8 +77,8 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]):
 
 
 def _svg_lines(path: str, t: np.ndarray, series: list[tuple[str, np.ndarray]],
-               title: str, logy: bool = True):
-    """Minimal self-contained SVG 1.1 line chart."""
+               title: str):
+    """Minimal self-contained SVG 1.1 line chart with a log-scale y axis."""
     W, H, ml, mr, mt, mb = 640, 420, 60, 20, 30, 40
     pw, ph = W - ml - mr, H - mt - mb
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
@@ -82,14 +86,11 @@ def _svg_lines(path: str, t: np.ndarray, series: list[tuple[str, np.ndarray]],
     ys = []
     for _, y in series:
         y = np.asarray(y, float)
-        ys.append(np.where(y > 0, y, np.nan) if logy else y)
+        ys.append(np.where(y > 0, y, np.nan))
     all_y = np.concatenate([y[np.isfinite(y)] for y in ys])
     if all_y.size == 0:
         all_y = np.array([1e-12, 1.0])
-    if logy:
-        lo, hi = np.log10(all_y.min()), np.log10(all_y.max())
-    else:
-        lo, hi = all_y.min(), all_y.max()
+    lo, hi = np.log10(all_y.min()), np.log10(all_y.max())
     if hi - lo < 1e-12:
         hi = lo + 1.0
     t0, t1 = float(t[0]), float(t[-1]) if t[-1] > t[0] else float(t[0]) + 1.0
@@ -98,8 +99,7 @@ def _svg_lines(path: str, t: np.ndarray, series: list[tuple[str, np.ndarray]],
         return ml + pw * (tv - t0) / (t1 - t0)
 
     def sy(yv):
-        val = np.log10(yv) if logy else yv
-        return mt + ph * (1.0 - (val - lo) / (hi - lo))
+        return mt + ph * (1.0 - (np.log10(yv) - lo) / (hi - lo))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -135,79 +135,101 @@ def _svg_lines(path: str, t: np.ndarray, series: list[tuple[str, np.ndarray]],
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config reading: every value goes through _read and one of the casts below.
+# Range rules stay with the library constructors (see run()).
+
+_REQUIRED = object()
 
 
-def _matrix(cfg, key) -> np.ndarray:
+def _read(sec: dict, where: str, key: str, cast, default=_REQUIRED):
+    """sec[key] converted by ``cast``; ``default`` when absent or null."""
+    value = sec.get(key)
+    name = f"{where}.{key}" if where else key
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{name}: required")
+        return default
     try:
-        M = np.array(cfg[key], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"missing or malformed matrix {key!r}") from exc
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ConfigError(f"matrix {key!r} must be square")
-    return M
+        return cast(value)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _system_from(cfg) -> system.SystemSpec:
-    sec = cfg.get("system")
-    if not isinstance(sec, dict):
-        raise ConfigError("config needs a 'system' section with D and C")
-    try:
-        return system.SystemSpec(D=_matrix(sec, "D"), C=_matrix(sec, "C"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _setting(cfg, section: str, key: str, default, cast, minimum):
-    """cfg[section][key] (or ``default``) converted by ``cast``; it must be
-    finite and at least ``minimum``."""
-    try:
-        value = cast(cfg.get(section, {}).get(key, default))
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from exc
-    if not (np.isfinite(value) and value >= minimum):
-        raise ConfigError(f"{section}.{key} must be a finite number >= {minimum}")
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
     return value
 
 
+def _section(cfg: dict, name: str, default=_REQUIRED) -> dict:
+    """The object under the dotted path ``name``; its last part is the key."""
+    where, _, key = name.rpartition(".")
+    return _read(cfg, where, key, _object, default)
+
+
+def _number(value) -> float:
+    """A finite number; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _int(value) -> int:
+    """An integral number; 2.0 reads as 2, 2.7 is an error (no truncation)."""
+    if not _number(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _array(*shape):
+    """Cast to a float array of ``shape`` (None: any length), all finite."""
+    def cast(value) -> np.ndarray:
+        a = np.array(value, dtype=float)
+        if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
+            want = ", ".join("n" if n is None else str(n) for n in shape)
+            raise ValueError(f"expected an array of shape ({want}), got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("array entries must be finite")
+        return a
+    return cast
+
+
+def _system_from(cfg) -> system.SystemSpec:
+    sec = _section(cfg, "system")
+    return system.SystemSpec(D=_read(sec, "system", "D", _array(None, None)),
+                             C=_read(sec, "system", "C", _array(None, None)))
+
+
 def _generator_from(cfg) -> entropy.EntropyGenerator:
-    sec = cfg.get("entropy", {"kind": "log"})
-    kind = sec.get("kind", "log")
-    try:
-        alpha = float(sec.get("alpha", 1.0))
-        beta = float(sec.get("beta", 0.0))
-        if kind in ("log", "logarithmic"):
-            return entropy.LogEntropy(alpha=alpha, beta=beta)
-        if kind in ("quadratic", "quad"):
-            return entropy.QuadraticEntropy(alpha=alpha)
-        if kind == "power":
-            return entropy.PowerEntropy(p=float(sec["p"]), alpha=alpha, beta=beta)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad entropy section: {exc}") from exc
-    raise ConfigError(f"unknown entropy kind {kind!r}")
+    sec = _section(cfg, "entropy", {})
+    kind = _read(sec, "entropy", "kind", str, "log")
+    alpha = _read(sec, "entropy", "alpha", _number, 1.0)
+    beta = _read(sec, "entropy", "beta", _number, 0.0)
+    if kind in ("log", "logarithmic"):
+        return entropy.LogEntropy(alpha=alpha, beta=beta)
+    if kind in ("quadratic", "quad"):
+        return entropy.QuadraticEntropy(alpha=alpha)
+    if kind == "power":
+        return entropy.PowerEntropy(p=_read(sec, "entropy", "p", _number), alpha=alpha, beta=beta)
+    raise ConfigError(f"entropy.kind: unknown kind {kind!r}")
 
 
 def _mixture_from(cfg, ss: system.SteadyState, gen) -> entropy.GaussianMixture:
-    sec = cfg.get("initial")
-    if not isinstance(sec, dict) or "components" not in sec:
-        raise ConfigError("config needs an 'initial' section with components")
+    sec = _section(cfg, "initial")
     comps = []
-    for c in sec["components"]:
-        try:
-            weight = float(c["weight"])
-            mean = np.array(c.get("mean", np.zeros(ss.d)), dtype=float)
-            cov = np.array(c.get("cov", ss.K), dtype=float)
-            affine = c.get("affine")
-            affine = None if affine is None else np.array(affine, dtype=float)
-            comps.append(entropy.GaussianComponent(weight, mean, cov, affine=affine))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad mixture component: {exc}") from exc
+    for i, c in enumerate(_read(sec, "initial", "components", lambda v: [_object(c) for c in v])):
+        where = f"initial.components[{i}]"
+        comps.append(entropy.GaussianComponent(
+            _read(c, where, "weight", _number),
+            _read(c, where, "mean", _array(ss.d), np.zeros(ss.d)),
+            _read(c, where, "cov", _array(ss.d, ss.d), ss.K),
+            affine=_read(c, where, "affine", _array(ss.d), None),
+        ))
     if any(c.weight < 0 for c in comps) and not isinstance(gen, entropy.QuadraticEntropy):
         raise ConfigError("negative weights require the quadratic entropy")
-    try:
-        return entropy.GaussianMixture(tuple(comps))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return entropy.GaussianMixture(tuple(comps))
 
 
 def _check_condition(spec) -> system.ConditionAReport:
@@ -227,18 +249,9 @@ def _check_condition(spec) -> system.ConditionAReport:
 
 def _certificate(cfg, ss) -> tuple[certificates.TransportMatrix, float]:
     """Transport matrix for the config's certificate section, re-verified."""
-    sec = cfg.get("certificate", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("certificate section must be an object")
-    weights, epsilon = sec.get("weights"), sec.get("epsilon")
-    try:
-        weights = None if weights is None else np.array(weights, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"certificate.weights: {exc}") from exc
-    if weights is not None and (weights.ndim != 1 or not np.all(np.isfinite(weights))):
-        raise ConfigError("certificate.weights must be a list of finite numbers")
-    if epsilon is not None and (type(epsilon) not in (int, float) or not np.isfinite(epsilon)):
-        raise ConfigError("certificate.epsilon must be a finite number or null")
+    sec = _section(cfg, "certificate", {})
+    weights = _read(sec, "certificate", "weights", _array(None), None)
+    epsilon = _read(sec, "certificate", "epsilon", _number, None)
     tm = certificates.build_P(ss, epsilon=epsilon, weights=weights)
     margin = certificates.verify_P(ss, tm.P, tm.kappa)
     if margin < -tm.margin_tolerance:
@@ -297,14 +310,16 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
     ss = system.steady_state(spec)
     gen = _generator_from(cfg)
     f0 = _mixture_from(cfg, ss, gen)
-    t_end = _setting(cfg, "times", "t_end", 8.0, float, 0.0)
-    samples = _setting(cfg, "times", "samples", 200, int, 2)
-    order = _setting(cfg, "quadrature", "order", 64, int, 2)
+    tsec = _section(cfg, "times", {})
+    t_end = _read(tsec, "times", "t_end", _number, 8.0)
+    samples = _read(tsec, "times", "samples", _int, 200)
+    if samples < 2:
+        raise ConfigError("times.samples: need at least 2 samples")
+    order = _read(_section(cfg, "quadrature", {}), "quadrature", "order", _int, 64)
     tm, _ = _certificate(cfg, ss)
     q = entropy.gauss_hermite_rule(ss.K, order=order)
     times = np.linspace(0.0, t_end, samples)
     rec = flow.run_trajectory(spec, ss, tm, f0, gen, times, q=q)
-    files = []
     if fmt == "json":
         path = os.path.join(outdir, "evolve.json")
         _write_json(path, {
@@ -315,14 +330,14 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
         path = os.path.join(outdir, "evolve.csv")
         _write_csv(path, ["t", "e_psi", "I_psi", "S_psi", "envelope"],
                    [rec.times, rec.entropy, rec.dissipation, rec.modified, rec.envelope])
-    files.append(path)
+    files = [path]
     if plot == "svg":
         spath = os.path.join(outdir, "evolve.svg")
         _svg_lines(spath, rec.times, [
             ("entropy", rec.entropy),
             ("envelope", rec.envelope),
             ("modified dissipation", rec.modified),
-        ], "entropy decay", logy=True)
+        ], "entropy decay")
         files.append(spath)
     return files
 
@@ -330,12 +345,8 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
 def _cmd_spectrum(cfg, outdir, fmt, plot) -> list[str]:
     spec = _system_from(cfg)
     report = _check_condition(spec)
-    m_max = _setting(cfg, "spectrum", "m_max", 4, int, 0)
+    m_max = _read(_section(cfg, "spectrum", {}), "spectrum", "m_max", _int, 4)
     sset = spectrum.enumerate_spectrum(report.eig, m_max)
-    re = np.array([e.value.real for e in sset.entries])
-    im = np.array([e.value.imag for e in sset.entries])
-    deg = np.array([float(e.degree) for e in sset.entries])
-    files = []
     if fmt == "json":
         path = os.path.join(outdir, "spectrum.json")
         _write_json(path, {"entries": [
@@ -343,91 +354,69 @@ def _cmd_spectrum(cfg, outdir, fmt, plot) -> list[str]:
              "alpha": list(e.alpha), "degree": e.degree}
             for e in sset.entries
         ]})
-        files.append(path)
-    else:
-        path = os.path.join(outdir, "spectrum.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("re,im,alpha,degree\n")
-            for e in sset.entries:
-                fh.write(
-                    f"{FLOAT_FMT % e.value.real},{FLOAT_FMT % e.value.imag},"
-                    f"\"{' '.join(map(str, e.alpha))}\",{e.degree}\n"
-                )
-        files.append(path)
-    return files
+        return [path]
+    path = os.path.join(outdir, "spectrum.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write("re,im,alpha,degree\n")
+        for e in sset.entries:
+            fh.write(
+                f"{FLOAT_FMT % e.value.real},{FLOAT_FMT % e.value.imag},"
+                f"\"{' '.join(map(str, e.alpha))}\",{e.degree}\n"
+            )
+    return [path]
 
 
 def _kinetic_spec(sec) -> kinetic.KineticSpec:
-    pot = sec.get("potential", {"kind": "quadratic"})
-    if not isinstance(pot, dict):
-        raise ConfigError("kinetic.potential must be an object")
-    kind = pot.get("kind", "quadratic")
-    try:
-        nu = float(sec["nu"])
-        sigma = float(sec["sigma"])
-        omega0 = float(sec["omega0"])
-        if kind == "quadratic":
-            return kinetic.KineticSpec(nu=nu, sigma=sigma, omega0=omega0)
-        if kind == "cosine":
-            epsp = float(pot.get("epsilon", 0.1))
-            return kinetic.KineticSpec(
-                nu=nu, sigma=sigma, omega0=omega0, vtilde_dd_bound=abs(epsp),
-                potential=lambda x, e=epsp, w=omega0: 0.5 * w * w * x * x + e * np.cos(x),
-                dpotential=lambda x, e=epsp, w=omega0: w * w * x - e * np.sin(x),
-            )
-        if kind == "polynomial":
-            poly = np.polynomial.Polynomial([float(c) for c in pot.get("coeffs", [])])
-            dpoly = poly.deriv()
-            return kinetic.KineticSpec(
-                nu=nu, sigma=sigma, omega0=omega0,
-                vtilde_dd_bound=float(sec.get("vtilde_dd_bound", 0.0)),
-                potential=lambda x, w=omega0: 0.5 * w * w * np.asarray(x) ** 2 + poly(x),
-                dpotential=lambda x, w=omega0: w * w * np.asarray(x) + dpoly(x),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad kinetic section: {exc}") from exc
-    raise ConfigError(f"unknown potential kind {kind!r}")
-
-
-def _kinetic_run(sec, ks):
-    """Grid, initial field, t_end and dt of the kinetic section's FD run."""
-    gsec = sec["grid"]
-    try:
-        grid = kinetic.PhaseGrid(
-            x_range=tuple(float(z) for z in gsec["x_range"]),
-            v_range=tuple(float(z) for z in gsec["v_range"]),
-            nx=int(gsec["nx"]), nv=int(gsec["nv"]),
+    nu = _read(sec, "kinetic", "nu", _number)
+    sigma = _read(sec, "kinetic", "sigma", _number)
+    omega0 = _read(sec, "kinetic", "omega0", _number)
+    pot = _section(sec, "kinetic.potential", {})
+    kind = _read(pot, "kinetic.potential", "kind", str, "quadratic")
+    if kind == "quadratic":
+        return kinetic.KineticSpec(nu=nu, sigma=sigma, omega0=omega0)
+    if kind == "cosine":
+        epsp = _read(pot, "kinetic.potential", "epsilon", _number, 0.1)
+        return kinetic.KineticSpec(
+            nu=nu, sigma=sigma, omega0=omega0, vtilde_dd_bound=abs(epsp),
+            potential=lambda x, e=epsp, w=omega0: 0.5 * w * w * x * x + e * np.cos(x),
+            dpotential=lambda x, e=epsp, w=omega0: w * w * x - e * np.sin(x),
         )
-        t_end = float(sec.get("t_end", 5.0))
-        dt = float(sec.get("dt", 2e-3))
-        kinetic.step_count(t_end, dt)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad kinetic grid: {exc}") from exc
-    init = sec.get("initial")
+    if kind == "polynomial":
+        poly = np.polynomial.Polynomial(_read(pot, "kinetic.potential", "coeffs", _array(None)))
+        dpoly = poly.deriv()
+        return kinetic.KineticSpec(
+            nu=nu, sigma=sigma, omega0=omega0,
+            vtilde_dd_bound=_read(sec, "kinetic", "vtilde_dd_bound", _number, 0.0),
+            potential=lambda x, w=omega0: 0.5 * w * w * np.asarray(x) ** 2 + poly(x),
+            dpotential=lambda x, w=omega0: w * w * np.asarray(x) + dpoly(x),
+        )
+    raise ConfigError(f"kinetic.potential.kind: unknown kind {kind!r}")
+
+
+def _kinetic_run(sec, gsec, ks):
+    """Grid, initial field, t_end and dt of the kinetic section's FD run."""
+    grid = kinetic.PhaseGrid(
+        x_range=tuple(_read(gsec, "kinetic.grid", "x_range", _array(2)).tolist()),
+        v_range=tuple(_read(gsec, "kinetic.grid", "v_range", _array(2)).tolist()),
+        nx=_read(gsec, "kinetic.grid", "nx", _int), nv=_read(gsec, "kinetic.grid", "nv", _int),
+    )
+    t_end = _read(sec, "kinetic", "t_end", _number, 5.0)
+    dt = _read(sec, "kinetic", "dt", _number, 2e-3)
+    init = _section(sec, "kinetic.initial", None)
     if init is None:
         return grid, kinetic.steady_state_grid(ks, grid), t_end, dt
-    try:
-        mean = np.array(init.get("mean", [0.0, 0.0]), dtype=float).reshape(2)
-        cov = np.array(init.get("cov", np.eye(2)), dtype=float).reshape(2, 2)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad kinetic initial state: {exc}") from exc
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))
-            and np.array_equal(cov, cov.T) and np.linalg.eigvalsh(cov)[0] > 0):
-        raise ConfigError("kinetic.initial needs a finite mean and a symmetric "
-                          "positive definite cov")
+    mean = _read(init, "kinetic.initial", "mean", _array(2), np.zeros(2))
+    cov = _read(init, "kinetic.initial", "cov", _array(2, 2), np.eye(2))
+    if not (np.array_equal(cov, cov.T) and np.linalg.eigvalsh(cov)[0] > 0):
+        raise ConfigError("kinetic.initial.cov: must be symmetric positive definite")
     f0 = kinetic.gaussian_on_grid(mean, cov, grid)
     return grid, f0 / (f0.sum() * grid.cell), t_end, dt
 
 
 def _cmd_kinetic(cfg, outdir, fmt, plot) -> list[str]:
-    sec = cfg.get("kinetic")
-    if not isinstance(sec, dict):
-        raise ConfigError("config needs a 'kinetic' section")
+    sec = _section(cfg, "kinetic")
     ks = _kinetic_spec(sec)
-    try:
-        cert = kinetic.kinetic_rate(ks)
-    except kinetic.InfeasibleError as exc:
-        raise certificates.CertificateError(str(exc)) from exc
+    cert = kinetic.kinetic_rate(ks)
     payload = {
         "kappa0": cert.kappa0, "P": cert.P, "lambda": cert.lam,
         "rate": cert.rate, "regime": cert.regime,
@@ -435,8 +424,9 @@ def _cmd_kinetic(cfg, outdir, fmt, plot) -> list[str]:
     path = os.path.join(outdir, "kinetic.json")
     files = [path]
 
-    if sec.get("grid") is not None:
-        grid, f0, t_end, dt = _kinetic_run(sec, ks)
+    gsec = _section(sec, "kinetic.grid", None)
+    if gsec is not None:
+        grid, f0, t_end, dt = _kinetic_run(sec, gsec, ks)
         series = kinetic.fd_simulate(ks, grid, f0, t_end, dt, P=cert.P)
         payload.update(cfl=series.cfl, mass_drift=series.mass_drift)
         cpath = os.path.join(outdir, "kinetic_series.csv")
@@ -449,7 +439,7 @@ def _cmd_kinetic(cfg, outdir, fmt, plot) -> list[str]:
             _svg_lines(spath, series.times, [
                 ("entropy", series.entropy),
                 ("modified dissipation", series.modified),
-            ], "kinetic entropy decay", logy=True)
+            ], "kinetic entropy decay")
             files.append(spath)
     _write_json(path, payload)
     return files
@@ -486,21 +476,18 @@ def run(subcommand: str, config_path: str, outdir: str, fmt: str, plot: str) -> 
     try:
         with open(config_path) as fh:
             cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ConfigError("top-level config must be a JSON object")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError("top-level config must be a JSON object")
         os.makedirs(outdir, exist_ok=True)
         files = COMMANDS[subcommand](cfg, outdir, fmt, plot)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConditionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONDITION
@@ -511,6 +498,11 @@ def run(subcommand: str, config_path: str, outdir: str, fmt: str, plot: str) -> 
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
+    # ConfigError, and the range checks of the library constructors; after
+    # the clauses above, whose exceptions are ValueError subclasses too.
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -192,7 +192,8 @@ class GaussianMixture:
         comps = tuple(self.components)
         object.__setattr__(self, "components", comps)
         total = sum(c.weight for c in comps)
-        if abs(total - 1.0) > 1e-12:
+        # Written so that a NaN or infinite weight (NaN or inf total) fails.
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
 
     @property
@@ -272,6 +273,11 @@ class QuadratureRule:
         return self.weights.shape[0]
 
 
+# Highest rule order: 2.1 M tensor nodes at d = 3, 16 384 Sobol points at
+# d >= 4.  hermgauss builds an order x order matrix before anything else.
+MAX_ORDER = 128
+
+
 @lru_cache(maxsize=32)
 def _hermite_1d(order: int):
     x, w = np.polynomial.hermite.hermgauss(order)
@@ -281,8 +287,8 @@ def _hermite_1d(order: int):
 def gauss_hermite_rule(K: np.ndarray, order: int = 64) -> QuadratureRule:
     K = np.asarray(K, dtype=float)
     d = K.shape[0]
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    if not 2 <= order <= MAX_ORDER:
+        raise ValueError(f"quadrature order must be in [2, {MAX_ORDER}], got {order}")
     sqrtK = linalg.sqrt_spd(K)
     if d <= 3:
         x1, w1 = _hermite_1d(order)
@@ -321,7 +327,7 @@ def functionals(
     """(e, I_M for each M in matrices) from one ``ratio_and_grad`` pass:
     e = int psi(r) f_inf dx and I_M = int psi''(r) grad r . M grad r f_inf dx
     with r = f/f_inf.  M = D gives the dissipation I, M = P gives S."""
-    if np.linalg.norm(q.K - ss.K, 2) > 1e-10 * max(np.linalg.norm(ss.K, 2), 1.0):
+    if np.linalg.norm(q.K - ss.K, 2) > 1e-10 * linalg._scale(ss.K):
         raise ValueError("quadrature reference covariance must equal the steady K")
     r, grad = ratio_and_grad(f, ss, q.points)
     _check_domain(gen, r)

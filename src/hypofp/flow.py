@@ -54,6 +54,8 @@ def evolve_mixture(
 ) -> GaussianMixture:
     """Componentwise exact evolution; affine factors (1 + a.x) on
     steady-shaped components become (1 + x.K^{-1} e^{-Ct} K a)."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     E = linalg.matrix_exponential(C, -t)
     Kinv = np.linalg.inv(K)
     comps = []
@@ -61,7 +63,7 @@ def evolve_mixture(
         if c.affine is not None:
             if (
                 np.linalg.norm(c.mean) > 1e-12
-                or np.linalg.norm(c.cov - K, 2) > 1e-10 * max(np.linalg.norm(K, 2), 1.0)
+                or np.linalg.norm(c.cov - K, 2) > 1e-10 * linalg._scale(K)
             ):
                 raise ValueError(
                     "affine factors are only supported on steady-shaped "
@@ -119,12 +121,6 @@ def dissipation_log_shift(v: np.ndarray, K: np.ndarray, M: np.ndarray) -> float:
     with logarithmic generator (alpha=1, beta=0): v.K^{-1} M K^{-1} v."""
     u = np.linalg.solve(K, np.asarray(v, dtype=float))
     return float(u @ M @ u)
-
-
-def dissipation_quad_affine(v: np.ndarray, K: np.ndarray, M: np.ndarray) -> float:
-    """Same for the affine state with quadratic generator (alpha=1):
-    2 v.K^{-1} M K^{-1} v (the w-gradient is the constant sqrt(2) K^{-1}v)."""
-    return 2.0 * dissipation_log_shift(v, K, M)
 
 
 def dissipation_log_cov(A: np.ndarray, K: np.ndarray, M: np.ndarray) -> float:
@@ -189,8 +185,8 @@ def sharpness_scenario(
     if eig is None:
         eig = linalg.eigen_structure(spec.C)
     mu = eig.mu
-    scale = max(np.linalg.norm(spec.C, 2), 1.0)
-    minimal = eig.minimal_chains(1e-8 * scale)
+    scale = linalg._scale(spec.C)
+    minimal = eig.minimal_chains(linalg.MINIMAL_SET_TOL * scale)
     Kinv = ss.K_inv
 
     if kind == "real-eig":
@@ -239,7 +235,7 @@ def zero_tangent_initial(
     shifted state then has vanishing time-derivative exactly at t*, while the
     entropy itself stays positive (non-convex decay)."""
     w = np.asarray(w, dtype=float)
-    if np.linalg.norm(spec.D @ w) > 1e-12 * max(np.linalg.norm(spec.D, 2), 1.0) * np.linalg.norm(w):
+    if np.linalg.norm(spec.D @ w) > 1e-12 * linalg._scale(spec.D) * np.linalg.norm(w):
         raise ValueError("w must lie in ker D")
     if t_star < 0:
         raise ValueError("t_star must be nonnegative")

@@ -19,6 +19,9 @@ class ClusteringError(ValueError):
 
 
 DEFAULT_CLUSTER_TOL = 1e-8
+# Minimal-set tolerance, relative to _scale(M): eigenvalues whose real part
+# is this close to the smallest form the minimal set (and pair as conjugates).
+MINIMAL_SET_TOL = 1e-8
 
 
 def _scale(M: np.ndarray) -> float:

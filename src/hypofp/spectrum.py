@@ -75,6 +75,8 @@ def _rank(A: np.ndarray, m_max: int) -> np.ndarray:
 def enumerate_spectrum(eig: linalg.EigenStructure, m_max: int) -> SpectrumSet:
     """All nu_alpha = -sum alpha_j lambda_j for |alpha| <= m_max; duplicates
     are kept with their multi-index labels."""
+    if m_max < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
     lams = eig.all_eigenvalues
     d = len(lams)
     entries = [

@@ -39,7 +39,7 @@ class SystemSpec:
             raise ValueError("D and C must be square matrices of equal size")
         if not (np.all(np.isfinite(D)) and np.all(np.isfinite(C))):
             raise ValueError("matrix entries must be finite")
-        nD = max(np.linalg.norm(D, 2), 1.0)
+        nD = linalg._scale(D)
         if np.linalg.norm(D - D.T, 2) > 1e-12 * nD:
             raise ValueError("D must be symmetric")
         if linalg.min_sym_eigenvalue(D) < -1e-12 * nD:
@@ -104,7 +104,7 @@ def normalize_diffusion(spec: SystemSpec) -> tuple[SystemSpec, np.ndarray]:
     d = spec.d
     k = spec.rank_D
     target = np.diag(np.concatenate([np.ones(k), np.zeros(d - k)]))
-    if np.linalg.norm(D - target, 2) <= 1e-12 * max(np.linalg.norm(D, 2), 1.0):
+    if np.linalg.norm(D - target, 2) <= 1e-12 * linalg._scale(D):
         return spec, np.eye(d)
     w, U = np.linalg.eigh(D)
     # Descending eigenvalues: positive ones first.
@@ -133,7 +133,7 @@ def hoermander_tau(spec: SystemSpec) -> tuple[int, float] | None:
     for tau in range(d - k + 1):
         acc = acc + Cj @ D @ Cj.T
         kappa = linalg.min_sym_eigenvalue(acc)
-        if kappa > RANK_TOL * max(np.linalg.norm(acc, 2), 1.0):
+        if kappa > RANK_TOL * linalg._scale(acc):
             return tau, kappa
         Cj = C @ Cj
     return None
@@ -154,7 +154,7 @@ def check_condition_A(
     tau, kappa = hr if hr is not None else (None, None)
 
     eig = linalg.eigen_structure(spec.C, tol=cluster_tol)
-    scale = max(np.linalg.norm(spec.C, 2), 1.0)
+    scale = linalg._scale(spec.C)
     details = []
     for lam, a, g in zip(eig.eigenvalues, eig.algebraic, eig.geometric):
         if g < a:
@@ -167,7 +167,7 @@ def check_condition_A(
         kappa=kappa,
         positively_stable=eig.mu > STABILITY_TOL,
         mu=eig.mu,
-        minimal_eigs_defective=any(ch.length > 1 for ch in eig.minimal_chains(1e-8 * scale)),
+        minimal_eigs_defective=any(ch.length > 1 for ch in eig.minimal_chains(linalg.MINIMAL_SET_TOL * scale)),
         defective_details=tuple(details),
         eig=eig,
     )

@@ -248,6 +248,7 @@ class TestKineticCommand:
         pytest.param({"initial": {"cov": [[1.0, 0.5], [0.0, 1.0]]}}, id="cov-asymmetric"),
         pytest.param({"initial": {"mean": [1.0]}}, id="mean-short"),
         pytest.param({"initial": {"mean": [float("nan"), 0.0]}}, id="mean-nan"),
+        pytest.param({"initial": "x"}, id="initial-not-object"),
     ])
     def test_config_error_exit_code(self, tmp_path, capsys, patch):
         sec = {"nu": 1.0, "sigma": 1.0, "omega0": 1.0,
@@ -295,12 +296,28 @@ def test_certificate_config_error_exit_code(tmp_path, capsys, subcommand, certif
     pytest.param("evolve", "entropy", "beta", "x", id="beta-string"),
     pytest.param("spectrum", "spectrum", "m_max", "x", id="m_max-string"),
     pytest.param("spectrum", "spectrum", "m_max", -1, id="m_max-negative"),
+    # key None replaces the whole section.
+    pytest.param("evolve", "entropy", None, "log", id="entropy-not-object"),
+    pytest.param("evolve", "initial", "components", 5, id="components-not-list"),
+    pytest.param("evolve", "initial", "components", [{"weight": 1.0, "mean": [0.5, 0.2, 0.1]}],
+                 id="mean-wrong-size"),
+    pytest.param("evolve", "initial", "components", [{"weight": 1.0, "cov": [[1.0]]}],
+                 id="cov-wrong-size"),
+    pytest.param("evolve", "initial", "components", [{"weight": 1.0, "affine": [0.1]}],
+                 id="affine-wrong-size"),
+    pytest.param("evolve", "initial", "components", [{"weight": float("nan")}], id="weight-nan"),
+    pytest.param("evolve", "initial", "components",
+                 [{"weight": 1.0, "mean": [0.5, 0.2], "affine": [0.1, 0.0]}],
+                 id="affine-not-steady-shaped"),
+    pytest.param("evolve", "times", "samples", 2.7, id="samples-fractional"),
+    pytest.param("evolve", "quadrature", "order", 100000, id="order-above-cap"),
+    pytest.param("evolve", "times", "t_end", 1e300, id="t_end-overflow"),
 ])
 def test_evolve_spectrum_config_error_exit_code(tmp_path, capsys, subcommand, section, key, value):
     cfg = dict(FIG1B, entropy={"kind": "log"}, times={"t_end": 1.0, "samples": 3},
                quadrature={"order": 8}, spectrum={"m_max": 1})
     cfg["initial"] = {"components": [{"weight": 1.0, "mean": [0.5, 0.2]}]}
-    cfg[section] = dict(cfg[section], **{key: value})
+    cfg[section] = value if key is None else dict(cfg[section], **{key: value})
     cfgp = write_cfg(tmp_path, cfg)
     assert run_cli([subcommand, "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -376,3 +393,79 @@ def test_spectral_work_per_subcommand(tmp_path, monkeypatch, subcommand, tau_cal
     cfgp = write_cfg(tmp_path, cfg)
     assert run_cli([subcommand, "--config", cfgp, "--output", tmp_path]) == 0
     assert (calls["tau"], calls["eig"]) == (tau_calls, eig_calls)
+
+
+# One valid config per subcommand (two for evolve and kinetic), kept small so
+# that every mutation below finishes quickly.
+_MUTATION_BASES = {
+    "analyze": dict(DEFECTIVE, certificate={"epsilon": 0.1, "weights": [1.0]}),
+    "evolve": dict(
+        FIG1B, entropy={"kind": "log", "alpha": 1.0, "beta": 0.0},
+        initial={"components": [{"weight": 1.0, "mean": [0.5, 0.2],
+                                 "cov": [[1.0, 0.0], [0.0, 1.0]]}]},
+        times={"t_end": 1.0, "samples": 3}, quadrature={"order": 8},
+        certificate={"weights": [1.0, 1.0]},
+    ),
+    "evolve-affine": dict(
+        SEC8, entropy={"kind": "quadratic", "alpha": 2.0},
+        initial={"components": [{"weight": 1.0, "affine": [0.3, -0.2]}]},
+        times={"t_end": 1.0, "samples": 3}, quadrature={"order": 8},
+    ),
+    "spectrum": dict(SEC8, spectrum={"m_max": 2}),
+    "compare": SEC8,
+    "kinetic": {"kinetic": {
+        "nu": 1.0, "sigma": 1.0, "omega0": 1.0, "vtilde_dd_bound": 0.1,
+        "potential": {"kind": "cosine", "epsilon": 0.1},
+        "grid": {"x_range": [-6, 6], "v_range": [-6, 6], "nx": 16, "nv": 16},
+        "t_end": 0.1, "dt": 0.01,
+        "initial": {"mean": [1.0, 0.0], "cov": [[0.8, 0.0], [0.0, 0.8]]},
+    }},
+    "kinetic-polynomial": {"kinetic": {
+        "nu": 1.0, "sigma": 1.0, "omega0": 1.0,
+        "potential": {"kind": "polynomial", "coeffs": [0.0, 0.1]},
+        "grid": {"x_range": [-6, 6], "v_range": [-6, 6], "nx": 16, "nv": 16},
+        "t_end": 0.1, "dt": 0.01,
+    }},
+}
+
+
+def _paths(node, prefix=()):
+    """Every path to a value below ``node`` (dict values and list items)."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _replaced(node, path, value):
+    node = json.loads(json.dumps(node))
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node
+
+
+@pytest.mark.parametrize("base", sorted(_MUTATION_BASES))
+def test_mutated_config_never_raises(tmp_path, capsys, base):
+    # Values are bounded on purpose: a huge kinetic t_end or spectrum.m_max
+    # is valid and would simply run for a very long time.
+    cfg = _MUTATION_BASES[base]
+    subcommand = base.split("-")[0]
+    allowed = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CONDITION,
+               cli.EXIT_CERTIFICATE, cli.EXIT_UNDECIDABLE}
+    cfgp = tmp_path / "config.json"
+    bad = []
+    for path in _paths(cfg):
+        for value in ("x", None, -1, [], {}, True):
+            cfgp.write_text(json.dumps(_replaced(cfg, path, value)))
+            try:
+                rc = cli.run(subcommand, str(cfgp), str(tmp_path / "out"), "csv", "none")
+            except Exception as exc:  # noqa: BLE001 - the point of the test
+                bad.append((path, value, repr(exc)))
+                continue
+            err = capsys.readouterr().err
+            if rc not in allowed or (rc != cli.EXIT_OK and err.count("\n") != 1):
+                bad.append((path, value, rc, err))
+    assert not bad

@@ -196,6 +196,35 @@ class TestMixtureValidation:
         with pytest.raises(ValueError):
             hp.GaussianMixture((ent.GaussianComponent(0.5, np.zeros(2), np.eye(2)),))
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_weights_must_be_finite(self, weight):
+        comps = (ent.GaussianComponent(weight, np.zeros(2), np.eye(2)),
+                 ent.GaussianComponent(1.0, np.ones(2), np.eye(2)))
+        with pytest.raises(ValueError, match="expected 1"):
+            hp.GaussianMixture(comps)
+
     def test_cov_must_be_spd(self):
         with pytest.raises(ValueError):
             ent.GaussianComponent(1.0, np.zeros(2), np.diag([1.0, 0.0]))
+
+
+def test_rule_order_above_cap_raises_before_allocating(monkeypatch):
+    import tracemalloc
+
+    # The cap itself is accepted, one above it is not.
+    assert hp.gauss_hermite_rule(np.eye(1), order=ent.MAX_ORDER).n == ent.MAX_ORDER
+    with pytest.raises(ValueError):
+        hp.gauss_hermite_rule(np.eye(1), order=ent.MAX_ORDER + 1)
+
+    def no_hermgauss(order):
+        raise AssertionError("hermgauss must not run for a rejected order")
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", no_hermgauss)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="order"):
+            hp.gauss_hermite_rule(np.eye(3), order=100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
