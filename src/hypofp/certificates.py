@@ -78,11 +78,12 @@ def build_P(
 ) -> TransportMatrix:
     """Assemble the transport matrix from the eigenstructure of Q.
 
-    ``weights`` are optional per-chain scale factors b_j > 0 (arbitrary in
-    the non-defective construction; complex-conjugate chains must receive
-    equal weights).  ``epsilon`` is required (and must be positive) exactly
-    when a minimal-real-part eigenvalue of Q is defective; it trades rate
-    (kappa = mu - epsilon) for existence of the certificate.
+    ``weights`` are optional per-chain scale factors b_j > 0, one per chain
+    (else ValueError; arbitrary in the non-defective construction; unequal
+    weights on complex-conjugate chains are a CertificateError).  ``epsilon``
+    is required (and must be positive) exactly when a minimal-real-part
+    eigenvalue of Q is defective; it trades rate (kappa = mu - epsilon) for
+    existence of the certificate.
     """
     if eig is None:
         eig = linalg.eigen_structure(ss.Q, tol=cluster_tol)
@@ -106,9 +107,7 @@ def build_P(
     else:
         w_arr = np.asarray(weights, dtype=float)
         if w_arr.shape != (len(chains),) or np.any(w_arr <= 0):
-            raise CertificateError(
-                f"need one positive weight per Jordan chain ({len(chains)})"
-            )
+            raise ValueError(f"need one positive weight per Jordan chain ({len(chains)})")
         for grp in eig.conjugate_groups(re_tol):
             lo, hi = w_arr[grp].min(), w_arr[grp].max()
             if hi - lo > 1e-12 * max(1.0, lo):

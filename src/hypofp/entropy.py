@@ -6,15 +6,16 @@ psi(1) = psi'(1) = 0.  Three closed-form families are provided (logarithmic,
 quadratic, power-p).  States live in the flow-invariant class of Gaussian
 mixtures, optionally carrying an affine polynomial factor (1 + a.x) on
 steady-shaped components; ratios f/f_inf and their gradients are then
-analytic, and all integrals reduce to Gauss-Hermite sums in whitened
-coordinates where the weight is exactly f_inf.  ``functionals`` gets e, I
-and S of a state from one evaluation of the ratio and its gradient.
+analytic.  Integrals are sums over a rule in whitened coordinates x =
+sqrtK y, where the weight is exactly f_inf; its node set depends only on
+(d, order) and is built once.  ``functionals`` gets e, I and S of a state
+in one pass over fixed node blocks, each component folded into one matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import math
 
@@ -54,7 +55,7 @@ class LogEntropy:
     def psi(self, s, order: int = 0):
         s = np.asarray(s, dtype=float)
         a, b = self.alpha, self.beta
-        if np.any(s <= -b) and order != 0:
+        if order != 0 and np.any(s <= -b):
             raise DomainError("ratio at or below -beta")
         if order == 0:
             # s -> -beta limit is finite; guard the log argument.
@@ -196,10 +197,6 @@ class GaussianMixture:
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
 
-    @property
-    def d(self) -> int:
-        return self.components[0].mean.shape[0]
-
 
 def shifted_steady(ss: SteadyState, v0: np.ndarray) -> GaussianMixture:
     """f_inf(. - v0): single Gaussian at mean v0 with covariance K."""
@@ -212,43 +209,6 @@ def affine_steady(ss: SteadyState, v0: np.ndarray) -> GaussianMixture:
     return GaussianMixture((GaussianComponent(1.0, np.zeros(ss.d), ss.K, affine=a),))
 
 
-def ratio_and_grad(f: GaussianMixture, ss: SteadyState, X: np.ndarray):
-    """r = f/f_inf and grad r at points X (n, d), both analytic.
-
-    Each plain Gaussian component contributes
-        rho(x) = w (cA/cK) exp(x.Kinv.x/2 - (x-v).Ainv.(x-v)/2),
-        grad rho = rho * (Kinv x - Ainv (x-v)),
-    and an affine factor (1 + a.x) multiplies rho and adds a*rho to the
-    gradient by the product rule.  X Kinv and (X-v) Ainv serve both the
-    exponents and the gradient.
-    """
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    logdetK = float(np.linalg.slogdet(ss.K)[1])
-    XK = X @ ss.K_inv  # rows: Kinv x (Kinv is symmetric)
-    q_ref = 0.5 * np.einsum("ni,ni->n", XK, X)
-
-    r = np.zeros(n)
-    grad = np.zeros((n, d))
-    for comp in f.components:
-        Ainv = np.linalg.inv(comp.cov)
-        Ainv = 0.5 * (Ainv + Ainv.T)
-        logdetA = float(np.linalg.slogdet(comp.cov)[1])
-        Xc = X - comp.mean
-        XcA = Xc @ Ainv  # rows: Ainv (x - v)
-        q = 0.5 * np.einsum("ni,ni->n", XcA, Xc)
-        rho = comp.weight * np.exp(0.5 * (logdetK - logdetA) + q_ref - q)
-        drift = XK - XcA
-        if comp.affine is None:
-            r += rho
-            grad += rho[:, None] * drift
-        else:
-            lin = 1.0 + X @ comp.affine
-            r += rho * lin
-            grad += (rho * lin)[:, None] * drift + rho[:, None] * comp.affine
-    return r, grad
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 
@@ -257,14 +217,17 @@ def ratio_and_grad(f: GaussianMixture, ss: SteadyState, X: np.ndarray):
 class QuadratureRule:
     """Nodes/weights integrating int g(x) f_inf(x) dx for f_inf = N(0, K).
 
-    Tensor Gauss-Hermite in whitened coordinates x = sqrt(K) y for d <= 3;
-    one scrambled-Sobol quasi-Monte Carlo point set (fixed seed, equal
-    weights) for d >= 4.  No error estimate is attached to either rule.
+    Tensor Gauss-Hermite for d <= 3; one scrambled-Sobol quasi-Monte Carlo
+    point set (fixed seed, equal weights) for d >= 4; no error estimate.
+    ``nodes`` is whitened and nodes-last, (d+1, n) with columns (y, 1): the
+    physical node is sqrtK y.  Nodes and weights depend only on (d, order),
+    and all rules of one shape share one read-only copy.
     """
 
-    points: np.ndarray
+    nodes: np.ndarray
     weights: np.ndarray
     K: np.ndarray
+    sqrtK: np.ndarray
     kind: str
     order: int
 
@@ -276,36 +239,83 @@ class QuadratureRule:
 # Highest rule order: 2.1 M tensor nodes at d = 3, 16 384 Sobol points at
 # d >= 4.  hermgauss builds an order x order matrix before anything else.
 MAX_ORDER = 128
+# Nodes per block in ``functionals``: its temporaries stay in cache.
+_BLOCK = 8192
 
 
-@lru_cache(maxsize=32)
-def _hermite_1d(order: int):
-    x, w = np.polynomial.hermite.hermgauss(order)
-    return x, w / math.sqrt(math.pi)
+@lru_cache(maxsize=4)
+def _grid(d: int, order: int):
+    """Whitened nodes (d+1, n) with a last row of ones, and their weights."""
+    if d <= 3:
+        x1, w1 = np.polynomial.hermite.hermgauss(order)
+        nodes = np.ones((d + 1, order ** d))
+        grid = nodes[:d].reshape((d,) + (order,) * d)
+        for k in range(d):
+            # Axis 0 varies slowest, as in an "ij" meshgrid.
+            grid[k] = math.sqrt(2.0) * x1.reshape([order if i == k else 1 for i in range(d)])
+        weights = reduce(np.multiply.outer, [w1 / math.sqrt(math.pi)] * d).reshape(-1)
+    else:
+        # Curse of dimensionality: QMC fallback.
+        m = max(12, int(math.ceil(math.log2(order ** 2))))
+        U = qmc.Sobol(d, scramble=True, seed=20260824).random_base2(m)
+        nodes = np.ones((d + 1, U.shape[0]))
+        nodes[:d] = norm.ppf(np.clip(U, 1e-15, 1.0 - 1e-15)).T
+        weights = np.full(U.shape[0], 1.0 / U.shape[0])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def gauss_hermite_rule(K: np.ndarray, order: int = 64) -> QuadratureRule:
     K = np.asarray(K, dtype=float)
-    d = K.shape[0]
     if not 2 <= order <= MAX_ORDER:
         raise ValueError(f"quadrature order must be in [2, {MAX_ORDER}], got {order}")
-    sqrtK = linalg.sqrt_spd(K)
-    if d <= 3:
-        x1, w1 = _hermite_1d(order)
-        grids = np.meshgrid(*([x1] * d), indexing="ij")
-        Y = math.sqrt(2.0) * np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*([w1] * d), indexing="ij")
-        W = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-        return QuadratureRule(points=Y @ sqrtK.T, weights=W, K=K, kind="gauss-hermite", order=order)
-    # Curse of dimensionality: QMC fallback.
-    m = max(12, int(math.ceil(math.log2(order ** 2))))
-    sob = qmc.Sobol(d, scramble=True, seed=20260824)
-    U = sob.random_base2(m)
-    Y = norm.ppf(np.clip(U, 1e-15, 1.0 - 1e-15))
-    n = Y.shape[0]
-    return QuadratureRule(
-        points=Y @ sqrtK.T, weights=np.full(n, 1.0 / n), K=K, kind="qmc-sobol", order=order
-    )
+    kind = "gauss-hermite" if len(K) <= 3 else "qmc-sobol"
+    return QuadratureRule(*_grid(len(K), order), K, linalg.sqrt_spd(K), kind, order)
+
+
+# ---------------------------------------------------------------------------
+# Functionals
+
+
+def _fold(f: GaussianMixture, q: QuadratureRule):
+    """The state in the rule's whitened frame x = S y, S = sqrtK.
+
+    With yt = (y, 1), a component w N(v, A) has ratio w exp(yt.H yt / 2) and
+    S grad_x of it is that ratio times (H yt)[:d], where
+        H = [[G, b], [b^T, logdet K - logdet A - v.Ainv v]],
+        G = I - S Ainv S,  b = S Ainv v.
+    Returns the stacked H (m(d+1), d+1), the weights, and (c, S a) for
+    each component c with an affine factor (1 + a.x)."""
+    S = q.sqrtK
+    d = S.shape[0]
+    logdetK = float(np.linalg.slogdet(q.K)[1])
+    H = np.empty((len(f.components), d + 1, d + 1))
+    for c, comp in enumerate(f.components):
+        AinvS = np.linalg.solve(comp.cov, np.column_stack([S, comp.mean]))
+        G = np.eye(d) - S @ AinvS[:, :d]
+        H[c, :d, :d] = 0.5 * (G + G.T)
+        H[c, :d, d] = H[c, d, :d] = S @ AinvS[:, d]
+        H[c, d, d] = logdetK - float(np.linalg.slogdet(comp.cov)[1]) - comp.mean @ AinvS[:, d]
+    affine = [(c, S @ comp.affine) for c, comp in enumerate(f.components) if comp.affine is not None]
+    return H.reshape(-1, d + 1), np.array([c.weight for c in f.components]), affine
+
+
+def ratio_and_grad(f, X: np.ndarray):
+    """r = f/f_inf and h = S grad_x r at a block X (nb, d+1) of whitened
+    nodes, rows (y, 1), for a state ``f`` folded by ``_fold``.  One matmul
+    gives every component's exponent and gradient; an affine factor
+    (1 + at.y) scales its rho and adds rho at to h (product rule)."""
+    H, w, affine = f
+    Y = X.T
+    d = Y.shape[0] - 1
+    Z = (H @ Y).reshape(len(w), d + 1, -1)
+    rho = np.exp(0.5 * np.einsum("cin,in->cn", Z, Y))
+    rho *= w[:, None]
+    h = 0.0
+    for c, at in affine:
+        h = h + np.multiply.outer(at, rho[c])
+        rho[c] *= 1.0 + at @ Y[:d]
+    return rho.sum(axis=0), h + np.einsum("cn,cin->in", rho, Z[:, :d])
 
 
 def _check_domain(gen: EntropyGenerator, r: np.ndarray):
@@ -317,59 +327,50 @@ def _check_domain(gen: EntropyGenerator, r: np.ndarray):
         )
 
 
-def functionals(
-    f: GaussianMixture,
-    ss: SteadyState,
-    gen: EntropyGenerator,
-    q: QuadratureRule,
-    matrices=(),
-) -> tuple[float, ...]:
-    """(e, I_M for each M in matrices) from one ``ratio_and_grad`` pass:
+def functionals(f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator,
+                q: QuadratureRule, matrices=()) -> tuple[float, ...]:
+    """(e, I_M for each M in matrices) from one blocked pass over the rule:
     e = int psi(r) f_inf dx and I_M = int psi''(r) grad r . M grad r f_inf dx
-    with r = f/f_inf.  M = D gives the dissipation I, M = P gives S."""
+    with r = f/f_inf.  M = D gives the dissipation I, M = P gives S.  With h
+    from ``ratio_and_grad``, grad r . M grad r = h . (S^-1 M S^-1) h; each
+    block of _BLOCK nodes is domain-checked and added to the sums."""
     if np.linalg.norm(q.K - ss.K, 2) > 1e-10 * linalg._scale(ss.K):
         raise ValueError("quadrature reference covariance must equal the steady K")
-    r, grad = ratio_and_grad(f, ss, q.points)
-    _check_domain(gen, r)
-    out = [float(q.weights @ gen.psi(r, 0))]
-    if matrices:
-        lo = gen.domain_min
-        if lo > -np.inf:
-            # psi'' has a pole at the domain edge; clamp roundoff-negative ratios.
-            r = np.maximum(r, lo + 1e-300)
-        psi2 = gen.psi(r, 2)
-        for M in matrices:
-            quad = np.einsum("ni,ni->n", grad @ np.asarray(M, float), grad)
-            out.append(float(q.weights @ (psi2 * quad)))
-    return tuple(out)
+    fold = _fold(f, q)
+    Sinv = np.linalg.inv(q.sqrtK)
+    k, d = len(matrices), len(Sinv)
+    Mw = np.array([Sinv @ np.asarray(M, float) @ Sinv for M in matrices]).reshape(-1, d)
+    lo = gen.domain_min
+    sums = np.zeros(1 + k)
+    for start in range(0, q.n, _BLOCK):
+        w = q.weights[start:start + _BLOCK]
+        r, h = ratio_and_grad(fold, q.nodes[:, start:start + _BLOCK].T)
+        _check_domain(gen, r)
+        sums[0] += w @ gen.psi(r, 0)
+        if k:
+            if lo > -np.inf:
+                # psi'' has a pole at the domain edge; clamp roundoff-negative ratios.
+                r = np.maximum(r, lo + 1e-300)
+            quad = np.einsum("kin,in->kn", (Mw @ h).reshape(k, d, -1), h)
+            sums[1:] += quad @ (w * gen.psi(r, 2))
+    return tuple(float(s) for s in sums)
 
 
-def relative_entropy(
-    f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator, q: QuadratureRule
-) -> float:
+def relative_entropy(f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator,
+                     q: QuadratureRule) -> float:
     """e(f) = int psi(f/f_inf) f_inf dx by quadrature."""
     return functionals(f, ss, gen, q)[0]
 
 
-def entropy_dissipation_I(
-    f: GaussianMixture,
-    ss: SteadyState,
-    spec: SystemSpec,
-    gen: EntropyGenerator,
-    q: QuadratureRule,
-) -> float:
+def entropy_dissipation_I(f: GaussianMixture, ss: SteadyState, spec: SystemSpec,
+                          gen: EntropyGenerator, q: QuadratureRule) -> float:
     """I(f) = int psi''(f/f_inf) grad(f/f_inf) . D grad(f/f_inf) f_inf dx,
     the (nonnegative) entropy dissipation."""
     return functionals(f, ss, gen, q, (spec.D,))[1]
 
 
-def modified_dissipation_S(
-    f: GaussianMixture,
-    ss: SteadyState,
-    P: np.ndarray,
-    gen: EntropyGenerator,
-    q: QuadratureRule,
-) -> float:
+def modified_dissipation_S(f: GaussianMixture, ss: SteadyState, P: np.ndarray,
+                           gen: EntropyGenerator, q: QuadratureRule) -> float:
     """S(f): the dissipation functional with D replaced by the SPD transport
     matrix P; the engine of the hypocoercive decay estimates."""
     return functionals(f, ss, gen, q, (P,))[1]

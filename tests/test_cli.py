@@ -286,6 +286,14 @@ def test_certificate_config_error_exit_code(tmp_path, capsys, subcommand, certif
     assert capsys.readouterr().err.startswith("error: certificate")
 
 
+@pytest.mark.parametrize("weights", [[1.0], [1.0, -1.0]], ids=["wrong-length", "negative"])
+def test_malformed_certificate_weights_exit_config(tmp_path, capsys, weights):
+    # FIG1B's Q has two chains (a conjugate pair): these lists cannot match.
+    cfgp = write_cfg(tmp_path, dict(FIG1B, certificate={"weights": weights}))
+    assert run_cli(["analyze", "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: need one positive weight per Jordan chain (2)\n"
+
+
 @pytest.mark.parametrize("subcommand, section, key, value", [
     pytest.param("evolve", "times", "t_end", "x", id="t_end-string"),
     pytest.param("evolve", "times", "t_end", -1, id="t_end-negative"),

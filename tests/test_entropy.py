@@ -228,3 +228,119 @@ def test_rule_order_above_cap_raises_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# The blocked whitened-frame pass against the row-major pass it replaced
+
+
+def _row_major_functionals(f, ss, gen, q, matrices):
+    """e and I_M from physical nodes x = sqrtK y held as one (n, d) array:
+    the exponent x.Kinv.x/2 - (x-v).Ainv.(x-v)/2 and the gradient
+    Kinv x - Ainv (x-v) per component, then weighted sums over all nodes."""
+    X = q.nodes[:-1].T @ q.sqrtK.T
+    logdetK = float(np.linalg.slogdet(ss.K)[1])
+    XK = X @ ss.K_inv
+    q_ref = 0.5 * np.einsum("ni,ni->n", XK, X)
+    r, grad = np.zeros(len(X)), np.zeros(X.shape)
+    for comp in f.components:
+        Ainv = np.linalg.inv(comp.cov)
+        Ainv = 0.5 * (Ainv + Ainv.T)
+        Xc = X - comp.mean
+        XcA = Xc @ Ainv
+        rho = comp.weight * np.exp(0.5 * (logdetK - float(np.linalg.slogdet(comp.cov)[1]))
+                                   + q_ref - 0.5 * np.einsum("ni,ni->n", XcA, Xc))
+        lin = 1.0 if comp.affine is None else 1.0 + X @ comp.affine
+        r += rho * lin
+        grad += (rho * lin)[:, None] * (XK - XcA)
+        if comp.affine is not None:
+            grad += rho[:, None] * comp.affine
+    psi2 = gen.psi(np.maximum(r, gen.domain_min + 1e-300), 2)
+    return [q.weights @ gen.psi(r, 0)] + [
+        q.weights @ (psi2 * np.einsum("ni,ni->n", grad @ M, grad)) for M in matrices]
+
+
+def _component(rng, L, weight):
+    """weight * N(L z, L V diag(lam) V^T L^T), lam in [0.5, 1.2]: a state
+    whose ratio to f_inf has finite moments of every order needed here."""
+    d = len(L)
+    _, V = np.linalg.eigh(rng.standard_normal((d, d)) + np.eye(d))
+    A = L @ (V * rng.uniform(0.5, 1.2, d)) @ V.T @ L.T
+    return ent.GaussianComponent(weight, L @ (0.6 * rng.standard_normal(d)), 0.5 * (A + A.T))
+
+
+@pytest.mark.parametrize("d, order, kind", [
+    (1, 40, "gauss-hermite"),
+    (2, 48, "gauss-hermite"),
+    (3, 33, "gauss-hermite"),  # 35 937 nodes: the last block is partial
+    (4, 16, "qmc-sobol"),
+    (6, 16, "qmc-sobol"),
+])
+def test_blocked_pass_matches_row_major(rng, d, order, kind):
+    # The two passes differ by roundoff of order cond(K) * eps: the row-major
+    # one multiplies by K^-1, the whitened one never forms it.  Rank-1 D at
+    # d >= 4 gives cond K up to ~1e6, hence full-rank D there.
+    spec, _ = make_random_system(rng, d, rank=1 if d <= 3 else d)
+    ss = hp.steady_state(spec)
+    q = hp.gauss_hermite_rule(ss.K, order)
+    assert q.kind == kind
+    L = np.linalg.cholesky(ss.K)
+    P = hp.build_P(ss).P
+    a = ent.affine_steady(ss, L @ (0.4 * rng.standard_normal(d))).components[0]
+    cases = [
+        (hp.GaussianMixture((_component(rng, L, 0.6), _component(rng, L, 0.4))), gen)
+        for gen in (ent.LogEntropy(), ent.QuadraticEntropy(0.7), ent.PowerEntropy(p=1.5, beta=0.1))
+    ] + [
+        (hp.GaussianMixture((_component(rng, L, 1.3), _component(rng, L, -0.3))),
+         ent.QuadraticEntropy()),
+        (hp.GaussianMixture((_component(rng, L, 1.2), _component(rng, L, 0.1),
+                             _component(rng, L, -0.3))), ent.QuadraticEntropy()),
+        (hp.GaussianMixture((a,)), ent.QuadraticEntropy()),
+        (hp.GaussianMixture((ent.GaussianComponent(0.5, a.mean, a.cov, a.affine),
+                             _component(rng, L, 0.5))), ent.QuadraticEntropy(2.0)),
+    ]
+    for f, gen in cases:
+        got = ent.functionals(f, ss, gen, q, (spec.D, P))
+        want = _row_major_functionals(f, ss, gen, q, (spec.D, P))
+        assert np.allclose(got, want, rtol=1e-12, atol=0), (gen, got, want)
+
+
+def test_domain_checked_in_the_last_partial_block():
+    # K = I.  f = (1+eps) f_inf - eps f_inf(. - e_0): its ratio is negative
+    # only where y_0 > 8.8, the two largest of the 33 Gauss-Hermite nodes,
+    # which all lie in the last block.
+    spec = hp.SystemSpec(D=np.eye(3), C=np.eye(3))
+    ss = hp.steady_state(spec)
+    q = hp.gauss_hermite_rule(ss.K, 33)
+    eps = 2.5e-4
+    f = hp.GaussianMixture((ent.GaussianComponent(1.0 + eps, np.zeros(3), ss.K),
+                            ent.GaussianComponent(-eps, np.array([1.0, 0.0, 0.0]), ss.K)))
+    last = (q.n - 1) // ent._BLOCK * ent._BLOCK
+    assert q.n % ent._BLOCK and last > 0
+    r = (1.0 + eps) - eps * np.exp(q.nodes[0] - 0.5)
+    negative = np.flatnonzero(r < -1e-3)
+    assert len(negative) and negative.min() >= last and np.all(r[:last] > 0)
+    with pytest.raises(ent.DomainError):
+        hp.relative_entropy(f, ss, ent.LogEntropy(), q)
+    with pytest.raises(ent.DomainError):
+        hp.modified_dissipation_S(f, ss, np.eye(3), ent.PowerEntropy(p=1.5), q)
+    assert np.isfinite(hp.relative_entropy(f, ss, ent.QuadraticEntropy(), q))
+
+
+def test_functionals_allocate_block_sized_buffers(rng):
+    import tracemalloc
+
+    spec, _ = make_random_system(rng, 3, rank=1)
+    ss = hp.steady_state(spec)
+    q = hp.gauss_hermite_rule(ss.K, 64)
+    L = np.linalg.cholesky(ss.K)
+    f = hp.GaussianMixture((_component(rng, L, 0.6), _component(rng, L, 0.4)))
+    P = hp.build_P(ss).P
+    tracemalloc.start()
+    try:
+        ent.functionals(f, ss, ent.LogEntropy(), q, (spec.D, P))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One (n, 3) float array of the 262 144-node grid alone is 6 MiB.
+    assert q.n == 64 ** 3 and peak <= 8 * 2 ** 20
