@@ -87,8 +87,11 @@ def build_P(
     """
     if eig is None:
         eig = linalg.eigen_structure(ss.Q, tol=cluster_tol)
+        scale = eig.scale
+    else:
+        scale = linalg._scale(ss.Q)
     mu = eig.mu
-    re_tol = max(linalg.MINIMAL_SET_TOL, cluster_tol) * linalg._scale(ss.Q)
+    re_tol = max(linalg.MINIMAL_SET_TOL, cluster_tol) * scale
 
     chains = eig.chains
     if any(ch.length > 1 for ch in eig.minimal_chains(re_tol)):
@@ -177,11 +180,11 @@ def compare_rates(
 ) -> DecayCertificate:
     """Sandwich comparison lam_K <= mu <= cond(A~)^2 * lam_K for SPD D,
     where A~ diagonalizes D^{-1/2} C D^{1/2}.  The upper bound is omitted
-    when C is defective.  ``eig`` is the eigenstructure of C, computed here
+    when C is defective.  ``eig`` is the eigenstructure of C, ``spec.eig``
     when not given."""
     lamK = lambda_K(spec.D, ss.K)
     if eig is None:
-        eig = linalg.eigen_structure(spec.C)
+        eig = spec.eig
     mu = eig.mu
     if lamK > mu + 1e-10:
         raise CertificateError(f"lambda_K = {lamK} exceeds mu = {mu}")

@@ -20,7 +20,6 @@ from functools import lru_cache, reduce
 import math
 
 import numpy as np
-from scipy.stats import qmc, norm
 
 from . import linalg
 from .system import SteadyState, SystemSpec
@@ -255,7 +254,8 @@ def _grid(d: int, order: int):
             grid[k] = math.sqrt(2.0) * x1.reshape([order if i == k else 1 for i in range(d)])
         weights = reduce(np.multiply.outer, [w1 / math.sqrt(math.pi)] * d).reshape(-1)
     else:
-        # Curse of dimensionality: QMC fallback.
+        # Curse of dimensionality: QMC fallback.  scipy.stats is slow to import.
+        from scipy.stats import norm, qmc
         m = max(12, int(math.ceil(math.log2(order ** 2))))
         U = qmc.Sobol(d, scramble=True, seed=20260824).random_base2(m)
         nodes = np.ones((d + 1, U.shape[0]))
@@ -267,8 +267,8 @@ def _grid(d: int, order: int):
 
 def gauss_hermite_rule(K: np.ndarray, order: int = 64) -> QuadratureRule:
     K = np.asarray(K, dtype=float)
-    if not 2 <= order <= MAX_ORDER:
-        raise ValueError(f"quadrature order must be in [2, {MAX_ORDER}], got {order}")
+    if not isinstance(order, (int, np.integer)) or not 2 <= order <= MAX_ORDER:
+        raise ValueError(f"quadrature order must be an integer in [2, {MAX_ORDER}], got {order!r}")
     kind = "gauss-hermite" if len(K) <= 3 else "qmc-sobol"
     return QuadratureRule(*_grid(len(K), order), K, linalg.sqrt_spd(K), kind, order)
 

@@ -183,7 +183,7 @@ def sharpness_scenario(
       v(t) = e^{-mu t}(h - t w) and e(t) e^{2 mu t} is a quadratic in t.
     """
     if eig is None:
-        eig = linalg.eigen_structure(spec.C)
+        eig = spec.eig
     mu = eig.mu
     scale = linalg._scale(spec.C)
     minimal = eig.minimal_chains(linalg.MINIMAL_SET_TOL * scale)

@@ -56,6 +56,8 @@ class EigenStructure:
     algebraic: tuple[int, ...]
     geometric: tuple[int, ...]
     chains: tuple[JordanChain, ...] = field(repr=False)
+    # _scale of the matrix; the clustering tolerance was relative to it.
+    scale: float | None = field(default=None, repr=False, compare=False)
 
     @property
     def all_eigenvalues(self) -> np.ndarray:
@@ -103,15 +105,20 @@ def _cluster_eigenvalues(w: np.ndarray, tol_abs: float):
     clusters end up closer than 2*tol_abs (the defective/non-defective call
     would be unstable there).
     """
-    near = np.abs(w[:, None] - w[None, :]) <= tol_abs
-    # Each point takes the smallest label among its neighbours until the
-    # labels settle: then every cluster carries its smallest index.
-    labels, prev = np.arange(len(w)), None
-    while not np.array_equal(labels, prev):
-        labels, prev = np.where(near, labels, len(w)).min(axis=1), labels
-    clusters = [np.flatnonzero(labels == lab) for lab in np.unique(labels)]
-    centers = np.array([np.mean(w[idx]) for idx in clusters])
-    a, b = np.nonzero(np.triu(np.abs(centers[:, None] - centers[None, :]) <= 2.0 * tol_abs, 1))
+    dist = np.abs(w[:, None] - w[None, :])
+    near = dist <= tol_abs
+    if np.count_nonzero(near) == len(w):  # singletons; np.mean of one point is w + 0.0
+        clusters, centers = list(np.arange(len(w))[:, None]), w + 0.0
+    else:
+        # Each point takes the smallest label among its neighbours until the
+        # labels settle: then every cluster carries its smallest index.
+        labels, prev = np.arange(len(w)), None
+        while not np.array_equal(labels, prev):
+            labels, prev = np.where(near, labels, len(w)).min(axis=1), labels
+        clusters = [np.flatnonzero(labels == lab) for lab in np.unique(labels)]
+        centers = np.array([np.mean(w[idx]) for idx in clusters])
+        dist = np.abs(centers[:, None] - centers[None, :])
+    a, b = np.nonzero(np.triu(dist <= 2.0 * tol_abs, 1))
     if len(a):
         raise ClusteringError(
             "ambiguous eigenvalue clustering: centers "
@@ -136,66 +143,55 @@ def eigen_structure(M: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> EigenStr
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    tol_abs = tol * _scale(M)
+    scale = _scale(M)
+    tol_abs = tol * scale
     clusters, centers = _cluster_eigenvalues(np.linalg.eigvals(M), tol_abs)
     # Deterministic order: by (real part, imaginary part) of the center.
     by_center = sorted(zip(centers, clusters), key=lambda cc: (cc[0].real, cc[0].imag))
+    # Snap tiny imaginary parts so real eigenvalues stay real.
+    lams = [complex(c.real, 0.0) if abs(c.imag) <= tol_abs else complex(c) for c, _ in by_center]
+    eigenvalues, algebraic, geometric, chains = [], [], [], []
 
-    eigenvalues: list[complex] = []
-    algebraic: list[int] = []
-    geometric: list[int] = []
-    chains: list[JordanChain] = []
-
-    Mc = M.astype(complex)
-    for center, idx in by_center:
-        lam = complex(center)
-        # Snap tiny imaginary parts so real eigenvalues stay real.
-        if abs(lam.imag) <= tol_abs:
-            lam = complex(lam.real, 0.0)
-        alg = len(idx)
-        A = Mc - lam * np.eye(d)
-
-        # Kernel filtration N_k = ker A^k until the full generalized
-        # eigenspace (dimension = alg) is captured.
-        null_bases = []
-        Ak = np.eye(d, dtype=complex)
-        dims = [0]
-        k = 0
-        while dims[-1] < alg and k < d:
+    # Kernel filtration N_k = ker A^k, A = M - lam*I, until the full
+    # generalized eigenspace (dimension = alg) is captured; one SVD per step
+    # gives the norm for the threshold and the kernel.  Step 1 of all clusters
+    # is one stacked SVD of A^1 = I @ A (the product turns -0.0 into 0.0).
+    A = M.astype(complex) - np.array(lams)[:, None, None] * np.eye(d)
+    A1 = np.eye(d, dtype=complex) @ A
+    _, sv1, Vh1 = np.linalg.svd(A1)
+    ranks1 = np.sum(sv1 > tol_abs * np.maximum(1.0, sv1[:, :1]), axis=1)
+    for c, ((_, idx), lam) in enumerate(zip(by_center, lams)):
+        alg, rank = len(idx), int(ranks1[c])
+        null_bases = [Vh1[c, rank:].conj().T]
+        dims = [0, d - rank]
+        Ak, k = A1[c], 1
+        while dims[-1] < alg and k < d:  # only defective or rank-deficient steps
             k += 1
-            Ak = Ak @ A
-            # One SVD gives both the norm for the threshold and the kernel.
+            Ak = Ak @ A[c]
             _, sv, Vh = np.linalg.svd(Ak)
             rank = int(np.sum(sv > tol_abs * max(1.0, sv[0])))
             null_bases.append(Vh[rank:].conj().T)
             dims.append(d - rank)
-        kmax = k
         if dims[-1] != alg:
             raise ClusteringError(
                 f"generalized eigenspace of {lam:.6g} has numerical dimension "
                 f"{dims[-1]} != algebraic multiplicity {alg}"
             )
-        geo = dims[1]
-
-        # chains_ge[k] = number of chains with length >= k.
-        chains_ge = [dims[k] - dims[k - 1] for k in range(1, kmax + 1)]
 
         if alg == 1:  # the chain is the kernel vector
             lam_chains = [_chain_top(null_bases[0], tol_abs)[None, :]]
         else:
-            lam_chains = _build_chains(A, null_bases, chains_ge, tol_abs)
+            # chains_ge[k] = number of chains with length >= k.
+            chains_ge = [dims[k] - dims[k - 1] for k in range(1, len(dims))]
+            lam_chains = _build_chains(A[c], null_bases, chains_ge, tol_abs)
         eigenvalues.append(lam)
         algebraic.append(alg)
-        geometric.append(geo)
+        geometric.append(dims[1])
         chains.extend(JordanChain(lam, ch) for ch in lam_chains)
 
     assert sum(algebraic) == d
-    return EigenStructure(
-        eigenvalues=tuple(eigenvalues),
-        algebraic=tuple(algebraic),
-        geometric=tuple(geometric),
-        chains=tuple(chains),
-    )
+    return EigenStructure(tuple(eigenvalues), tuple(algebraic), tuple(geometric),
+                          tuple(chains), scale)
 
 
 def _build_chains(A, null_bases, chains_ge, tol_abs):
@@ -280,8 +276,10 @@ def solve_lyapunov(C: np.ndarray, D: np.ndarray) -> np.ndarray:
         ) from exc
     K = vecK.reshape((d, d), order="F")
     K = 0.5 * (K + K.T)
-    resid = np.linalg.norm(2.0 * D - C @ K - K @ C.T, 2)
-    bound = 1e-10 * (np.linalg.norm(C, 2) * np.linalg.norm(K, 2) + np.linalg.norm(D, 2) + 1e-300)
+    # The 2-norms of the residual, C, K and D from one stacked SVD.
+    resid, nC, nK, nD = np.linalg.svd(
+        np.stack([2.0 * D - C @ K - K @ C.T, C, K, D]), compute_uv=False)[:, 0]
+    bound = 1e-10 * (nC * nK + nD + 1e-300)
     if resid > max(bound, 1e-300):
         raise np.linalg.LinAlgError(
             f"Lyapunov residual {resid:.3e} exceeds tolerance {bound:.3e}; "

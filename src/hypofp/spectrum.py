@@ -16,6 +16,7 @@ eigenvalues listed, and the matrix is assembled with array operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -55,10 +56,10 @@ def _compositions(d: int, m: int):
             yield (first,) + rest
 
 
-def _multi_indices(d: int, m_max: int):
+@lru_cache(maxsize=8)
+def _multi_indices(d: int, m_max: int) -> tuple[tuple[int, ...], ...]:
     """All alpha in N_0^d with |alpha| <= m_max, by degree then reverse-lex."""
-    for m in range(m_max + 1):
-        yield from _compositions(d, m)
+    return tuple(alpha for m in range(m_max + 1) for alpha in _compositions(d, m))
 
 
 def _rank(A: np.ndarray, m_max: int) -> np.ndarray:
@@ -113,7 +114,7 @@ def poly_operator_matrix(spec: SystemSpec, ss: SteadyState, m: int) -> PolyOpera
         raise ValueError(
             f"monomial basis dimension {n} exceeds the cap {DIMENSION_CAP}"
         )
-    basis = list(_multi_indices(d, m))
+    basis = _multi_indices(d, m)
     B = np.array(basis).reshape(n, d)
     L = np.linalg.cholesky(ss.K)
     Linv = np.linalg.inv(L)
@@ -131,7 +132,7 @@ def poly_operator_matrix(spec: SystemSpec, ss: SteadyState, m: int) -> PolyOpera
     col, l, j = np.nonzero((B[:, :, None] > 0) & (lowered > 0) & (D.T != 0.0))
     target = _rank(lowered[col, l] - eye[j], m)
     np.add.at(M, (target, col), D[j, l] * B[col, l] * lowered[col, l, j])
-    return PolyOperatorMatrix(basis=tuple(basis), M=M)
+    return PolyOperatorMatrix(basis=basis, M=M)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,24 +28,29 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """The pair (D, C); D must be symmetric PSD."""
+    """The pair (D, C); D must be symmetric PSD.  The spec owns read-only
+    copies of both, so ``eig`` (computed on first use) cannot go stale."""
 
     D: np.ndarray
     C: np.ndarray
 
     def __post_init__(self):
         D = np.asarray(self.D, dtype=float)
-        C = np.asarray(self.C, dtype=float)
+        C = np.array(self.C, dtype=float)
         if D.ndim != 2 or D.shape[0] != D.shape[1] or C.shape != D.shape:
             raise ValueError("D and C must be square matrices of equal size")
         if not (np.all(np.isfinite(D)) and np.all(np.isfinite(C))):
             raise ValueError("matrix entries must be finite")
-        nD = linalg._scale(D)
-        if np.linalg.norm(D - D.T, 2) > 1e-12 * nD:
+        # ||D||_2 and ||D - D^T||_2 from one stacked SVD.
+        nD, asym = np.linalg.svd(np.stack([D, D - D.T]), compute_uv=False)[:, 0]
+        nD = max(float(nD), 1.0)  # linalg._scale(D)
+        if asym > 1e-12 * nD:
             raise ValueError("D must be symmetric")
         if linalg.min_sym_eigenvalue(D) < -1e-12 * nD:
             raise ValueError("D must be positive semidefinite")
-        object.__setattr__(self, "D", 0.5 * (D + D.T))
+        D = 0.5 * (D + D.T)
+        D.flags.writeable = C.flags.writeable = False
+        object.__setattr__(self, "D", D)
         object.__setattr__(self, "C", C)
 
     @property
@@ -55,6 +61,11 @@ class SystemSpec:
     def rank_D(self) -> int:
         w = np.linalg.eigvalsh(self.D)
         return int(np.sum(w > RANK_TOL * max(w.max(initial=0.0), 1e-300)))
+
+    @cached_property
+    def eig(self) -> linalg.EigenStructure:
+        """Eigenstructure of C at the default cluster tolerance."""
+        return linalg.eigen_structure(self.C)
 
 
 @dataclass(frozen=True)
@@ -153,8 +164,9 @@ def check_condition_A(
     hypoelliptic = hr is not None
     tau, kappa = hr if hr is not None else (None, None)
 
-    eig = linalg.eigen_structure(spec.C, tol=cluster_tol)
-    scale = linalg._scale(spec.C)
+    default = cluster_tol == linalg.DEFAULT_CLUSTER_TOL
+    eig = spec.eig if default else linalg.eigen_structure(spec.C, tol=cluster_tol)
+    scale = eig.scale
     details = []
     for lam, a, g in zip(eig.eigenvalues, eig.algebraic, eig.geometric):
         if g < a:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -228,6 +232,25 @@ def test_rule_order_above_cap_raises_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("order", [8.5, 8.0])
+def test_rule_order_must_be_an_integer(d, order):
+    with pytest.raises(ValueError, match="integer"):
+        hp.gauss_hermite_rule(np.eye(d), order=order)
+    assert hp.gauss_hermite_rule(np.eye(d), order=np.int64(8)).order == 8
+
+
+def test_import_and_d3_rule_leave_scipy_stats_unloaded():
+    # Only the d >= 4 Sobol rule needs scipy.stats, the slowest import.
+    code = ("import sys, numpy as np, hypofp; hypofp.gauss_hermite_rule(np.eye(3), 8); "
+            "print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hp.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,136 @@ class TestSimpleEigenvalues:
             linalg._cluster_eigenvalues(w, 1e-8)
 
 
+# ---------------------------------------------------------------------------
+# The stacked first kernel step against the per-cluster loop it replaced
+
+
+def _per_cluster_eigen_structure(M, tol):
+    """Clustering by labels and means for every cluster, then one SVD of
+    (M - lam I)^k per cluster and step; returns (eigenvalues, algebraic,
+    geometric, chains) as eigen_structure builds them."""
+    M = np.asarray(M, dtype=float)
+    d = M.shape[0]
+    tol_abs = tol * linalg._scale(M)
+    w = np.linalg.eigvals(M)
+    near = np.abs(w[:, None] - w[None, :]) <= tol_abs
+    labels, prev = np.arange(len(w)), None
+    while not np.array_equal(labels, prev):
+        labels, prev = np.where(near, labels, len(w)).min(axis=1), labels
+    clusters = [np.flatnonzero(labels == lab) for lab in np.unique(labels)]
+    centers = np.array([np.mean(w[idx]) for idx in clusters])
+    a, b = np.nonzero(np.triu(np.abs(centers[:, None] - centers[None, :]) <= 2.0 * tol_abs, 1))
+    if len(a):
+        raise linalg.ClusteringError(
+            "ambiguous eigenvalue clustering: centers "
+            f"{centers[a[0]]:.6g} and {centers[b[0]]:.6g} are within "
+            f"2*tol = {2 * tol_abs:.3g}"
+        )
+    out = ([], [], [], [])
+    Mc = M.astype(complex)
+    for center, idx in sorted(zip(centers, clusters), key=lambda cc: (cc[0].real, cc[0].imag)):
+        lam = complex(center)
+        if abs(lam.imag) <= tol_abs:
+            lam = complex(lam.real, 0.0)
+        alg = len(idx)
+        A = Mc - lam * np.eye(d)
+        null_bases, Ak, dims, k = [], np.eye(d, dtype=complex), [0], 0
+        while dims[-1] < alg and k < d:
+            k += 1
+            Ak = Ak @ A
+            _, sv, Vh = np.linalg.svd(Ak)
+            rank = int(np.sum(sv > tol_abs * max(1.0, sv[0])))
+            null_bases.append(Vh[rank:].conj().T)
+            dims.append(d - rank)
+        if dims[-1] != alg:
+            raise linalg.ClusteringError(
+                f"generalized eigenspace of {lam:.6g} has numerical dimension "
+                f"{dims[-1]} != algebraic multiplicity {alg}"
+            )
+        chains_ge = [dims[j] - dims[j - 1] for j in range(1, k + 1)]
+        if alg == 1:
+            lam_chains = [linalg._chain_top(null_bases[0], tol_abs)[None, :]]
+        else:
+            lam_chains = linalg._build_chains(A, null_bases, chains_ge, tol_abs)
+        for part, value in zip(out, (lam, alg, dims[1])):
+            part.append(value)
+        out[3].extend(linalg.JordanChain(lam, ch) for ch in lam_chains)
+    return out
+
+
+def _bits(x):
+    """Exact fingerprint: bytes of every float, the sign of zero included."""
+    if isinstance(x, linalg.ClusteringError):
+        return ("error", str(x))
+    if isinstance(x, linalg.EigenStructure):
+        x = (x.eigenvalues, x.algebraic, x.geometric, x.chains)
+    eigenvalues, algebraic, geometric, chains = x
+    return (np.array(eigenvalues, complex).tobytes(), tuple(algebraic), tuple(geometric),
+            [(complex(ch.eigenvalue), ch.vectors.tobytes()) for ch in chains])
+
+
+def _outcome(fn, M, tol):
+    try:
+        return _bits(fn(M, tol))
+    except linalg.ClusteringError as exc:
+        return _bits(exc)
+
+
+def _jordan(lam, sizes):
+    J = lam * np.eye(sum(sizes))
+    start = 0
+    for s in sizes:
+        J[np.arange(start, start + s - 1), np.arange(start + 1, start + s)] = 1.0
+        start += s
+    return J
+
+
+def test_batched_kernel_step_matches_per_cluster_loop(rng):
+    cases = []
+    for d in range(2, 11):
+        cases += [(rng.standard_normal((d, d)), 1e-8) for _ in range(12)]
+        # Exact zeros of both signs, repeated and conjugate eigenvalues.
+        Z = rng.integers(-1, 2, (d, d)).astype(float)
+        cases.append((np.where(Z == 0, -0.0, Z), 1e-8))
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        rot = np.zeros((d, d))
+        for i in range(0, d - 1, 2):
+            a, b = rng.uniform(0.1, 2.0, 2)
+            rot[i:i + 2, i:i + 2] = [[a, b], [-b, a]]
+        rot[-1, -1] = rot[-1, -1] or 0.5
+        cases += [(rot, 1e-8), (Q @ rot @ Q.T, 1e-8)]
+        semisimple = np.diag(rng.integers(1, 3, d).astype(float))
+        cases += [(semisimple, 1e-8), (Q @ semisimple @ Q.T, 1e-8)]
+    S = rng.standard_normal((6, 6)) + 2.0 * np.eye(6)
+    for lam in (0.5, -1.0):
+        for sizes in ((3, 2, 1), (2, 2), (4, 1, 1)):
+            J = _jordan(lam, sizes)
+            n = len(J)
+            cases += [(J, 1e-8), (S[:n, :n] @ J @ np.linalg.inv(S[:n, :n]), 1e-6)]
+    # ||M|| < 1: the rank threshold is tol_abs * max(1, s_0), not tol_abs * s_0.
+    cases.append((np.diag([0.0, 1e-9, 1e-2]), 1e-8))
+    errors = [
+        (np.diag([1.0, 1.0 + 1.5e-8]), 1e-8),  # ambiguous clustering
+        # Simple eigenvalue 0 (others 1e-6, 3e-6) whose M - 0 I has two
+        # singular values below tol: numerical dimension 2.
+        (np.array([[0.0, 0.0, 0.0], [0.0, 1e-6, 1.0], [0.0, 0.0, 3e-6]]), 1e-8),
+    ]
+    for M, tol in cases + errors:
+        want = _outcome(_per_cluster_eigen_structure, M, tol)
+        assert _outcome(linalg.eigen_structure, M, tol) == want, (M, tol)
+    messages = [_outcome(linalg.eigen_structure, M, tol) for M, tol in errors]
+    assert messages[0][1].startswith("ambiguous eigenvalue clustering")
+    assert "numerical dimension 2 != algebraic multiplicity 1" in messages[1][1]
+    jordan = linalg.eigen_structure(_jordan(0.5, (3, 2, 1)))
+    assert sorted(ch.length for ch in jordan.chains) == [1, 2, 3]
+
+
+def test_eigen_structure_records_its_scale(rng):
+    M = 5.0 * rng.standard_normal((4, 4))
+    assert linalg.eigen_structure(M).scale == linalg._scale(M)
+    assert linalg.eigen_structure(1e-3 * np.eye(2)).scale == 1.0
+
+
 class TestMatrixExponential:
     def test_t_zero(self, rng):
         M = rng.standard_normal((3, 3))

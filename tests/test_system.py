@@ -46,6 +46,43 @@ class TestNormalizeDiffusion:
                 assert t0[0] == t1[0]
 
 
+class TestSpecOwnsItsData:
+    def test_caller_mutation_does_not_reach_spec(self):
+        D, C = FIG1B["D"].copy(), FIG1B["C"].copy()
+        spec = hp.SystemSpec(D=D, C=C)
+        eig = spec.eig
+        C[0, 0], D[1, 1] = 5.0, 3.0
+        assert np.array_equal(spec.C, FIG1B["C"]) and np.array_equal(spec.D, FIG1B["D"])
+        assert spec.eig is eig
+        assert spec.eig.eigenvalues == linalg.eigen_structure(FIG1B["C"]).eigenvalues
+        with pytest.raises(ValueError, match="read-only"):
+            spec.C[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.D[1, 1] = 3.0
+
+    def test_one_eigen_structure_of_C_per_spec(self, monkeypatch):
+        calls = []
+        eigen_structure = linalg.eigen_structure
+
+        def counting(M, tol=linalg.DEFAULT_CLUSTER_TOL):
+            calls.append((np.array(M), tol))
+            return eigen_structure(M, tol)
+
+        monkeypatch.setattr(linalg, "eigen_structure", counting)
+        spec = hp.SystemSpec(**SEC8)
+        report = hp.check_condition_A(spec)
+        ss = hp.steady_state(spec)
+        cert = hp.compare_rates(spec, ss)
+        of_C = [tol for M, tol in calls if np.array_equal(M, spec.C)]
+        assert of_C == [linalg.DEFAULT_CLUSTER_TOL]
+        assert report.eig is spec.eig and cert.mu == report.mu
+        # A non-default clustering tolerance computes its own.
+        coarse = hp.check_condition_A(spec, cluster_tol=1e-6)
+        of_C = [tol for M, tol in calls if np.array_equal(M, spec.C)]
+        assert of_C == [linalg.DEFAULT_CLUSTER_TOL, 1e-6]
+        assert coarse.eig is not spec.eig
+
+
 class TestHoermanderTau:
     def test_four_dim_pairs(self):
         # Two rank-2 diffusion pairs whose minimal rank index differs.
