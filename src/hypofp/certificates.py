@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import EigenStructure
+from .linalg import TOL, EigenStructure
 from .system import SteadyState, SystemSpec, check_condition_A  # noqa: F401 (bench/selftest.py)
 
-MARGIN_TOL = 1e-8
 DEFAULT_EPSILON_FACTOR = 1e-2
 
 
@@ -44,7 +43,7 @@ class TransportMatrix:
 
     @property
     def margin_tolerance(self) -> float:
-        return MARGIN_TOL * float(np.linalg.norm(self.P, 2))
+        return TOL.margin * float(np.linalg.norm(self.P, 2))
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ def build_P(
     eig: EigenStructure | None = None,
     epsilon: float | None = None,
     weights: np.ndarray | None = None,
-    cluster_tol: float = linalg.DEFAULT_CLUSTER_TOL,
+    cluster_tol: float = TOL.cluster,
 ) -> TransportMatrix:
     """Assemble the transport matrix from the eigenstructure of Q.
 
@@ -91,7 +90,7 @@ def build_P(
     else:
         scale = linalg._scale(ss.Q)
     mu = eig.mu
-    re_tol = max(linalg.MINIMAL_SET_TOL, cluster_tol) * scale
+    re_tol = max(TOL.minimal, cluster_tol) * scale
 
     chains = eig.chains
     if any(ch.length > 1 for ch in eig.minimal_chains(re_tol)):
@@ -113,7 +112,7 @@ def build_P(
             raise ValueError(f"need one positive weight per Jordan chain ({len(chains)})")
         for grp in eig.conjugate_groups(re_tol):
             lo, hi = w_arr[grp].min(), w_arr[grp].max()
-            if hi - lo > 1e-12 * max(1.0, lo):
+            if hi - lo > TOL.exact * max(1.0, lo):
                 raise CertificateError(
                     "complex-conjugate eigenvector pairs must get equal weights"
                 )
@@ -148,7 +147,7 @@ def build_P(
 
 def verify_P(ss: SteadyState, P: np.ndarray, kappa: float) -> float:
     """PSD margin of the certificate inequality: smallest eigenvalue of
-    Q P + P Q^T - 2 kappa P.  Valid iff >= -1e-8 * ||P||."""
+    Q P + P Q^T - 2 kappa P.  Valid iff >= -TOL.margin * ||P||."""
     P = np.asarray(P, dtype=float)
     if linalg.min_sym_eigenvalue(P) <= 0:
         raise CertificateError("P must be SPD")
@@ -183,10 +182,9 @@ def compare_rates(
     when C is defective.  ``eig`` is the eigenstructure of C, ``spec.eig``
     when not given."""
     lamK = lambda_K(spec.D, ss.K)
-    if eig is None:
-        eig = spec.eig
+    eig = spec.eig if eig is None else eig
     mu = eig.mu
-    if lamK > mu + 1e-10:
+    if lamK > mu + TOL.lambda_K_slack:
         raise CertificateError(f"lambda_K = {lamK} exceeds mu = {mu}")
     cond_sq_bound = None
     if all(ch.length == 1 for ch in eig.chains):
@@ -195,7 +193,7 @@ def compare_rates(
         _, V = np.linalg.eig(Ct)
         condA = np.linalg.norm(V, 2) * np.linalg.norm(np.linalg.inv(V), 2)
         cond_sq_bound = float(condA ** 2 * lamK)
-        if mu > cond_sq_bound + 1e-9:
+        if mu > cond_sq_bound + TOL.bound_slack:
             raise CertificateError(
                 f"mu = {mu} exceeds the conditioning bound {cond_sq_bound}"
             )
@@ -220,23 +218,19 @@ def optimize_weights(
     S0_of_P,
     eig: EigenStructure | None = None,
     epsilon: float | None = None,
-    grid: np.ndarray | None = None,
 ) -> TransportMatrix:
     """Grid search over per-chain weights minimizing amplitude = S0/(2 lam_P)
     for a caller-supplied functional S0_of_P(P) (the weights are arbitrary
-    in the construction, so they are free parameters to tune per f0).
+    in the construction, so they are free parameters to tune per f0); each
+    weight runs over 9 log-spaced values in [1e-2, 1e2].
 
     Conjugate chains share a weight; the overall scale is fixed by leaving
     the first group at 1 (the amplitude is scale-invariant anyway).
     """
-    if eig is None:
-        eig = linalg.eigen_structure(ss.Q)
-    if grid is None:
-        grid = np.logspace(-2, 2, 9)
-    groups = eig.conjugate_groups(linalg.MINIMAL_SET_TOL * linalg._scale(ss.Q))
-    best = None
-    best_amp = np.inf
-    for choice in itertools.product([1.0], *[grid] * (len(groups) - 1)):
+    eig = linalg.eigen_structure(ss.Q) if eig is None else eig
+    groups = eig.conjugate_groups(TOL.minimal * linalg._scale(ss.Q))
+    best, best_amp = None, np.inf
+    for choice in itertools.product([1.0], *[np.logspace(-2, 2, 9)] * (len(groups) - 1)):
         w = np.ones(len(eig.chains))
         for grp, g in zip(groups, choice):
             w[grp] = g

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from . import linalg
+from .linalg import TOL
 from .system import SteadyState, SystemSpec
 
 
@@ -193,7 +194,7 @@ class GaussianMixture:
         object.__setattr__(self, "components", comps)
         total = sum(c.weight for c in comps)
         # Written so that a NaN or infinite weight (NaN or inf total) fails.
-        if not abs(total - 1.0) <= 1e-12:
+        if not abs(total - 1.0) <= TOL.exact:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
 
 
@@ -320,7 +321,7 @@ def ratio_and_grad(f, X: np.ndarray):
 
 def _check_domain(gen: EntropyGenerator, r: np.ndarray):
     lo = gen.domain_min
-    if lo > -np.inf and np.any(r < lo - 1e-13):
+    if lo > -np.inf and np.any(r < lo - TOL.domain):
         raise DomainError(
             f"density ratio fell below {lo} at a quadrature node; signed "
             "mixtures are admissible only with the quadratic generator"
@@ -334,7 +335,7 @@ def functionals(f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator,
     with r = f/f_inf.  M = D gives the dissipation I, M = P gives S.  With h
     from ``ratio_and_grad``, grad r . M grad r = h . (S^-1 M S^-1) h; each
     block of _BLOCK nodes is domain-checked and added to the sums."""
-    if np.linalg.norm(q.K - ss.K, 2) > 1e-10 * linalg._scale(ss.K):
+    if np.linalg.norm(q.K - ss.K, 2) > TOL.steady * linalg._scale(ss.K):
         raise ValueError("quadrature reference covariance must equal the steady K")
     fold = _fold(f, q)
     Sinv = np.linalg.inv(q.sqrtK)

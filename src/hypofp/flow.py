@@ -13,12 +13,14 @@ too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import entropy as ent
 from . import linalg
+from .linalg import TOL
 from .certificates import TransportMatrix
 from .entropy import (
     EntropyGenerator,
@@ -29,19 +31,20 @@ from .entropy import (
 from .system import SteadyState, SystemSpec
 
 
+def _time(t: float, name: str = "t") -> float:
+    """``t``, checked to be a finite time >= 0 (NaN fails the comparison)."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {t!r}")
+    return t
+
+
 def evolve_shift(v0: np.ndarray, t: float, C: np.ndarray) -> np.ndarray:
     """Mean evolution v(t) = e^{-Ct} v0."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return linalg.matrix_exponential(C, -t) @ np.asarray(v0, dtype=float)
+    return linalg.matrix_exponential(C, -_time(t)) @ np.asarray(v0, dtype=float)
 
 
-def evolve_cov(A0: np.ndarray, t: float, C: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Covariance evolution A(t) = K + e^{-Ct}(A0 - K)e^{-C^T t}; stays SPD
-    for SPD A0 (it interpolates toward K)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    E = linalg.matrix_exponential(C, -t)
+def _flow_cov(A0: np.ndarray, E: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """K + E (A0 - K) E^T for E = e^{-Ct}, checked SPD."""
     A = K + E @ (np.asarray(A0, dtype=float) - K) @ E.T
     A = 0.5 * (A + A.T)
     if linalg.min_sym_eigenvalue(A) <= 0:
@@ -49,32 +52,32 @@ def evolve_cov(A0: np.ndarray, t: float, C: np.ndarray, K: np.ndarray) -> np.nda
     return A
 
 
+def evolve_cov(A0: np.ndarray, t: float, C: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Covariance evolution A(t) = K + e^{-Ct}(A0 - K)e^{-C^T t}; stays SPD
+    for SPD A0 (it interpolates toward K)."""
+    return _flow_cov(A0, linalg.matrix_exponential(C, -_time(t)), K)
+
+
 def evolve_mixture(
     m0: GaussianMixture, t: float, C: np.ndarray, K: np.ndarray
 ) -> GaussianMixture:
-    """Componentwise exact evolution; affine factors (1 + a.x) on
-    steady-shaped components become (1 + x.K^{-1} e^{-Ct} K a)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    E = linalg.matrix_exponential(C, -t)
-    Kinv = np.linalg.inv(K)
+    """Componentwise exact evolution, one matrix exponential for all
+    components; affine factors (1 + a.x) on steady-shaped components become
+    (1 + x.K^{-1} e^{-Ct} K a)."""
+    E = linalg.matrix_exponential(C, -_time(t))
     comps = []
     for c in m0.components:
-        if c.affine is not None:
-            if (
-                np.linalg.norm(c.mean) > 1e-12
-                or np.linalg.norm(c.cov - K, 2) > 1e-10 * linalg._scale(K)
-            ):
-                raise ValueError(
-                    "affine factors are only supported on steady-shaped "
-                    "components (mean 0, covariance K)"
-                )
-            a_t = Kinv @ (E @ (K @ c.affine))
-            comps.append(GaussianComponent(c.weight, c.mean, c.cov, affine=a_t))
-        else:
-            comps.append(
-                GaussianComponent(c.weight, E @ c.mean, evolve_cov(c.cov, t, C, K))
+        if c.affine is None:
+            comps.append(GaussianComponent(c.weight, E @ c.mean, _flow_cov(c.cov, E, K)))
+            continue
+        if (np.linalg.norm(c.mean) > TOL.exact
+                or np.linalg.norm(c.cov - K, 2) > TOL.steady * linalg._scale(K)):
+            raise ValueError(
+                "affine factors are only supported on steady-shaped "
+                "components (mean 0, covariance K)"
             )
+        a_t = np.linalg.inv(K) @ (E @ (K @ c.affine))
+        comps.append(GaussianComponent(c.weight, c.mean, c.cov, affine=a_t))
     return GaussianMixture(tuple(comps))
 
 
@@ -92,14 +95,12 @@ def entropy_log_shift(v: np.ndarray, K: np.ndarray) -> float:
 def entropy_quad_affine(v: np.ndarray, K: np.ndarray) -> float:
     """Quadratic entropy of the linear-perturbation state
     (1 + x.K^{-1}v) f_inf: v.K^{-1}v."""
-    v = np.asarray(v, dtype=float)
-    return float(v @ np.linalg.solve(K, v))
+    return 2.0 * entropy_log_shift(v, K)
 
 
 def entropy_log_cov(A: np.ndarray, K: np.ndarray) -> float:
     """Logarithmic entropy of the centered Gaussian with covariance A:
     Tr(B)/2 - Tr(ln B)/2 - d/2 with B = sqrt(K^{-1}) A sqrt(K^{-1})."""
-    d = A.shape[0]
     Si = np.linalg.inv(linalg.sqrt_spd(K))
     B = Si @ np.asarray(A, dtype=float) @ Si
     w = np.linalg.eigvalsh(0.5 * (B + B.T))
@@ -112,8 +113,7 @@ def entropy_rate_shift(v: np.ndarray, K: np.ndarray, D: np.ndarray) -> float:
     """d/dt [v.K^{-1}v] along v' = -Cv equals -2 v.K^{-1} D K^{-1} v; this is
     (minus twice) the dissipation of the shifted state and vanishes exactly
     when K^{-1}v lies in ker D."""
-    u = np.linalg.solve(K, np.asarray(v, dtype=float))
-    return -2.0 * float(u @ D @ u)
+    return -2.0 * dissipation_log_shift(v, K, D)
 
 
 def dissipation_log_shift(v: np.ndarray, K: np.ndarray, M: np.ndarray) -> float:
@@ -161,12 +161,10 @@ class SharpnessScenario:
         """Complex-pair case: e_1(t) = q(t) e^{-2mu t} with the periodic
         q(t) = |cos(wt) v0 + sin(wt) v1|_{K^{-1}}^2 / 2."""
         t = np.asarray(t, dtype=float)
-        Kinv = np.linalg.inv(K)
-        out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            v = np.cos(self.omega * ti) * self.v0 + np.sin(self.omega * ti) * self.v1
-            out[i] = 0.5 * float(v @ Kinv @ v)
-        return out * np.exp(-2.0 * self.mu * t)
+        wt = self.omega * t
+        V = np.multiply.outer(np.cos(wt), self.v0) + np.multiply.outer(np.sin(wt), self.v1)
+        q = 0.5 * np.einsum("...i,ij,...j->...", V, np.linalg.inv(K), V)
+        return q * np.exp(-2.0 * self.mu * t)
 
 
 def sharpness_scenario(
@@ -182,16 +180,15 @@ def sharpness_scenario(
     - "defective":    v0 = h with Cw = mu w, Ch = mu h + w, so
       v(t) = e^{-mu t}(h - t w) and e(t) e^{2 mu t} is a quadratic in t.
     """
-    if eig is None:
-        eig = spec.eig
+    eig = spec.eig if eig is None else eig
     mu = eig.mu
     scale = linalg._scale(spec.C)
-    minimal = eig.minimal_chains(linalg.MINIMAL_SET_TOL * scale)
+    minimal = eig.minimal_chains(TOL.minimal * scale)
     Kinv = ss.K_inv
 
     if kind == "real-eig":
         for ch in minimal:
-            if abs(ch.eigenvalue.imag) <= 1e-10 * scale and ch.length == 1:
+            if abs(ch.eigenvalue.imag) <= TOL.imag * scale and ch.length == 1:
                 v0 = np.real(ch.vectors[0])
                 v0 = v0 / np.linalg.norm(v0)
                 return SharpnessScenario(
@@ -201,7 +198,7 @@ def sharpness_scenario(
 
     if kind == "complex-pair":
         for ch in minimal:
-            if ch.eigenvalue.imag > 1e-10 * scale and ch.length == 1:
+            if ch.eigenvalue.imag > TOL.imag * scale and ch.length == 1:
                 w = ch.vectors[0]
                 v0 = np.real(w + w.conj())
                 v1 = np.real(1j * (w.conj() - w))
@@ -214,7 +211,7 @@ def sharpness_scenario(
 
     if kind == "defective":
         for ch in minimal:
-            if ch.length >= 2 and abs(ch.eigenvalue.imag) <= 1e-10 * scale:
+            if ch.length >= 2 and abs(ch.eigenvalue.imag) <= TOL.imag * scale:
                 w = np.real(ch.vectors[0])
                 h = np.real(ch.vectors[1])
                 c0 = 0.5 * float(h @ Kinv @ h)
@@ -235,11 +232,9 @@ def zero_tangent_initial(
     shifted state then has vanishing time-derivative exactly at t*, while the
     entropy itself stays positive (non-convex decay)."""
     w = np.asarray(w, dtype=float)
-    if np.linalg.norm(spec.D @ w) > 1e-12 * linalg._scale(spec.D) * np.linalg.norm(w):
+    if np.linalg.norm(spec.D @ w) > TOL.exact * linalg._scale(spec.D) * np.linalg.norm(w):
         raise ValueError("w must lie in ker D")
-    if t_star < 0:
-        raise ValueError("t_star must be nonnegative")
-    return linalg.matrix_exponential(spec.C, t_star) @ (ss.K @ w)
+    return linalg.matrix_exponential(spec.C, _time(t_star, "t_star")) @ (ss.K @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +259,6 @@ def run_trajectory(
     gen: EntropyGenerator,
     times: np.ndarray,
     q: QuadratureRule | None = None,
-    lam_P: float | None = None,
 ) -> TrajectoryRecord:
     """Exact states at the requested times with quadrature entropy series
     e(t), I(t), S(t) and the certificate envelope S(f0)/(2 lambda_P)
@@ -273,26 +267,21 @@ def run_trajectory(
     from .certificates import lambda_P as _lambda_P
 
     times = np.asarray(times, dtype=float)
-    if q is None:
-        q = ent.gauss_hermite_rule(ss.K)
-    if lam_P is None:
-        lam_P = _lambda_P(ss.K, cert.P)
+    q = ent.gauss_hermite_rule(ss.K) if q is None else q
+    lam_P = _lambda_P(ss.K, cert.P)
 
     states = tuple(evolve_mixture(f0, float(t), spec.C, ss.K) for t in times)
     e, i, s = np.array(
         [ent.functionals(ft, ss, gen, q, (spec.D, cert.P)) for ft in states]
     ).reshape(-1, 3).T
-    if len(times) and times[0] == 0.0:
-        S0 = s[0]
-    else:
-        S0 = ent.functionals(f0, ss, gen, q, (cert.P,))[1]
+    S0 = s[0] if len(times) and times[0] == 0.0 else ent.functionals(f0, ss, gen, q, (cert.P,))[1]
     return TrajectoryRecord(
         times=times, states=states, entropy=e, dissipation=i, modified=s,
         envelope=S0 / (2.0 * lam_P) * np.exp(-2.0 * cert.kappa * times),
     )
 
 
-def refine_maximum(fun, a: float, b: float, tol: float = 1e-12) -> float:
+def refine_maximum(fun, a: float, b: float, tol: float = TOL.bracket) -> float:
     """Golden-section refinement of a local maximum of fun on [a, b]."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - phi * (b - a)

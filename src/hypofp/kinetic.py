@@ -28,10 +28,9 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
+from .linalg import TOL
 from .entropy import EntropyGenerator, LogEntropy
 from .system import SystemSpec
-
-BOUNDARY_TOL = 1e-12
 
 
 class KineticError(ValueError):
@@ -95,7 +94,7 @@ def assemble_linear(ks: KineticSpec) -> SystemSpec:
 
 def _regime(nu: float, omega0: float) -> str:
     disc = nu * nu - 4.0 * omega0 * omega0
-    if abs(disc) <= BOUNDARY_TOL * max(nu * nu, 4.0 * omega0 * omega0):
+    if abs(disc) <= TOL.boundary * max(nu * nu, 4.0 * omega0 * omega0):
         raise KineticError(
             "defective boundary 4*omega0^2 = nu^2 is excluded (no simple "
             "eigenbasis; perturb the parameters)"
@@ -335,19 +334,13 @@ class _CrankNicolson:
         return scipy.linalg.solve_banded((1, 1), self.ab, out.T, overwrite_b=True).T
 
 
-def _grid_gradients(r: np.ndarray, grid: PhaseGrid):
-    gx = np.gradient(r, grid.dx, axis=0)
-    gv = np.gradient(r, grid.dv, axis=1)
-    return gx, gv
-
-
 def _series_point(f, f_inf, ks, grid, gen, P):
     r = f / f_inf
     lo = gen.domain_min
     if lo > -np.inf:
-        r = np.maximum(r, lo + 1e-14)
+        r = np.maximum(r, lo + TOL.ratio_floor)
     e = float(np.sum(gen.psi(r, 0) * f_inf) * grid.cell)
-    gx, gv = _grid_gradients(r, grid)
+    gx, gv = np.gradient(r, grid.dx, axis=0), np.gradient(r, grid.dv, axis=1)
     psi2 = gen.psi(r, 2)
     i_val = float(np.sum(psi2 * ks.sigma * gv * gv * f_inf) * grid.cell)
     s_val = float(
@@ -405,10 +398,10 @@ def fd_simulate(
     edge_mass = (
         f_inf[0, :].sum() + f_inf[-1, :].sum() + f_inf[:, 0].sum() + f_inf[:, -1].sum()
     ) * grid.cell
-    if edge_mass > 1e-6:
+    if edge_mass > TOL.edge_mass:
         raise KineticError(
             f"steady-state mass on the domain boundary is {edge_mass:.2e} "
-            "(> 1e-6): enlarge the domain"
+            f"(> {TOL.edge_mass:g}): enlarge the domain"
         )
     vmax = max(abs(grid.v[0]), abs(grid.v[-1]))
     amax = float(np.max(np.abs(ks.Vp(grid.x))))
@@ -439,8 +432,8 @@ def fd_simulate(
 
     times, es, iss, ss_, ms = np.array(rows).T
     drift = abs(ms[-1] - ms[0]) / max(t_end, 1.0)
-    if not drift <= 1e-8:
-        raise KineticError(f"mass drift {drift:.2e} per unit time exceeds 1e-8")
+    if not drift <= TOL.mass_drift:
+        raise KineticError(f"mass drift {drift:.2e} per unit time exceeds {TOL.mass_drift:g}")
     return KineticSeries(times=times, entropy=es, dissipation=iss, modified=ss_, mass=ms,
                          f_final=f, grid=grid, cfl=cfl, mass_drift=drift)
 

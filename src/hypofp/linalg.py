@@ -18,10 +18,43 @@ class ClusteringError(ValueError):
     """Eigenvalue clustering is ambiguous at the requested tolerance."""
 
 
-DEFAULT_CLUSTER_TOL = 1e-8
-# Minimal-set tolerance, relative to _scale(M): eigenvalues whose real part
-# is this close to the smallest form the minimal set (and pair as conjugates).
-MINIMAL_SET_TOL = 1e-8
+@dataclass(frozen=True)
+class Tolerances:
+    """Every decision threshold of the package, with what it is relative to
+    and what it decides.  ``TOL`` is the one instance; the ``tol`` and
+    ``cluster_tol`` arguments default to its fields."""
+
+    # Eigenvalue clustering gap, |Im| snapped to 0 and shortest chain top, times
+    # _scale(M).  A kernel step of A = (M - lam I)^k counts singular values above
+    # cluster * _scale(M) * max(1, ||A||_2) as rank, which grows with ||M||^2.
+    cluster: float = 1e-8
+    minimal: float = 1e-8  # |Re lam - mu| <= minimal * _scale(M): lam is minimal; pairs conjugates
+    imag: float = 1e-10  # |Im lam| <= imag * _scale(C): a minimal eigenvalue is real
+    # A PSD matrix is singular when lambda_min <= rank * its size: lambda_max
+    # (rank D), _scale (Hoermander sum), max(1, lambda_max) (steady K).
+    rank: float = 1e-10
+    stability: float = 1e-10  # min Re eig(C) > stability (absolute): C is positively stable
+    # Identities that hold up to roundoff, times max(1, size): D = D^T, D >= 0,
+    # D w = 0, D in normal form, weights summing to 1, equal conjugate weights
+    # (size: the smaller one), an affine component's zero mean.
+    exact: float = 1e-12
+    # Backward residual over the size of its terms: ||C|| ||K|| + ||D|| for
+    # 2D = CK + KC^T; max(1, ||C||) ||w|| for Cw = lam w (2-norms).
+    residual: float = 1e-10
+    margin: float = 1e-8  # certificate margin >= -margin * ||P||_2: P is valid
+    steady: float = 1e-10  # ||A - K||_2 <= steady * _scale(K): A is the steady K
+    domain: float = 1e-13  # density ratios may undershoot the entropy's domain by this (absolute)
+    lambda_K_slack: float = 1e-10  # compare_rates: lambda_K <= mu + lambda_K_slack (absolute)
+    bound_slack: float = 1e-9  # compare_rates: mu <= cond^2 lambda_K + bound_slack (absolute)
+    # |nu^2 - 4 omega0^2| <= boundary * max(nu^2, 4 omega0^2): excluded defective case.
+    boundary: float = 1e-12
+    edge_mass: float = 1e-6  # kinetic FD: steady mass in the outermost cells (of total 1)
+    mass_drift: float = 1e-8  # kinetic FD: |mass(t_end) - mass(0)| / max(t_end, 1)
+    ratio_floor: float = 1e-14  # kinetic FD: density ratio floor above the domain edge (absolute)
+    bracket: float = 1e-12  # golden-section search stops at width bracket * max(1, |a| + |b|)
+
+
+TOL = Tolerances()
 
 
 def _scale(M: np.ndarray) -> float:
@@ -128,7 +161,7 @@ def _cluster_eigenvalues(w: np.ndarray, tol_abs: float):
     return clusters, centers
 
 
-def eigen_structure(M: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> EigenStructure:
+def eigen_structure(M: np.ndarray, tol: float = TOL.cluster) -> EigenStructure:
     """Eigenvalues of M clustered at relative tolerance ``tol``, with
     geometric multiplicities and Jordan chains from rank-revealing kernels
     of (M - lam*I)^k.
@@ -279,7 +312,7 @@ def solve_lyapunov(C: np.ndarray, D: np.ndarray) -> np.ndarray:
     # The 2-norms of the residual, C, K and D from one stacked SVD.
     resid, nC, nK, nD = np.linalg.svd(
         np.stack([2.0 * D - C @ K - K @ C.T, C, K, D]), compute_uv=False)[:, 0]
-    bound = 1e-10 * (nC * nK + nD + 1e-300)
+    bound = TOL.residual * (nC * nK + nD + 1e-300)
     if resid > max(bound, 1e-300):
         raise np.linalg.LinAlgError(
             f"Lyapunov residual {resid:.3e} exceeds tolerance {bound:.3e}; "

@@ -22,7 +22,8 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .entropy import GaussianComponent, GaussianMixture
+from .linalg import TOL
+from .entropy import GaussianMixture, affine_steady
 from .system import SteadyState, SystemSpec
 
 DIMENSION_CAP = 2000
@@ -154,10 +155,6 @@ def degree_one_eigenfunction(ss: SteadyState, w: np.ndarray) -> AffineEigenfunct
     nw = np.linalg.norm(w)
     lam = float(w @ Cw) / float(w @ w)
     resid = np.linalg.norm(Cw - lam * w)
-    if resid > 1e-10 * max(1.0, np.linalg.norm(C, 2)) * nw:
+    if resid > TOL.residual * max(1.0, np.linalg.norm(C, 2)) * nw:
         raise ValueError(f"w is not an eigenvector of C (residual {resid:.3e})")
-    a = ss.K_inv @ w
-    state = GaussianMixture(
-        (GaussianComponent(1.0, np.zeros(ss.d), ss.K, affine=a),)
-    )
-    return AffineEigenfunction(eigenvalue=complex(-lam), w=w, state=state)
+    return AffineEigenfunction(eigenvalue=complex(-lam), w=w, state=affine_steady(ss, w))

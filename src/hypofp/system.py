@@ -21,9 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-
-STABILITY_TOL = 1e-10
-RANK_TOL = 1e-10
+from .linalg import TOL
 
 
 @dataclass(frozen=True)
@@ -44,9 +42,9 @@ class SystemSpec:
         # ||D||_2 and ||D - D^T||_2 from one stacked SVD.
         nD, asym = np.linalg.svd(np.stack([D, D - D.T]), compute_uv=False)[:, 0]
         nD = max(float(nD), 1.0)  # linalg._scale(D)
-        if asym > 1e-12 * nD:
+        if asym > TOL.exact * nD:
             raise ValueError("D must be symmetric")
-        if linalg.min_sym_eigenvalue(D) < -1e-12 * nD:
+        if linalg.min_sym_eigenvalue(D) < -TOL.exact * nD:
             raise ValueError("D must be positive semidefinite")
         D = 0.5 * (D + D.T)
         D.flags.writeable = C.flags.writeable = False
@@ -60,7 +58,7 @@ class SystemSpec:
     @property
     def rank_D(self) -> int:
         w = np.linalg.eigvalsh(self.D)
-        return int(np.sum(w > RANK_TOL * max(w.max(initial=0.0), 1e-300)))
+        return int(np.sum(w > TOL.rank * max(w.max(initial=0.0), 1e-300)))
 
     @cached_property
     def eig(self) -> linalg.EigenStructure:
@@ -111,11 +109,9 @@ def normalize_diffusion(spec: SystemSpec) -> tuple[SystemSpec, np.ndarray]:
     eigenvalues of C are preserved.  If D already has the target form, T is
     the identity.
     """
-    D, C = spec.D, spec.C
-    d = spec.d
-    k = spec.rank_D
+    D, C, d, k = spec.D, spec.C, spec.d, spec.rank_D
     target = np.diag(np.concatenate([np.ones(k), np.zeros(d - k)]))
-    if np.linalg.norm(D - target, 2) <= 1e-12 * linalg._scale(D):
+    if np.linalg.norm(D - target, 2) <= TOL.exact * linalg._scale(D):
         return spec, np.eye(d)
     w, U = np.linalg.eigh(D)
     # Descending eigenvalues: positive ones first.
@@ -126,7 +122,7 @@ def normalize_diffusion(spec: SystemSpec) -> tuple[SystemSpec, np.ndarray]:
     T_inv = np.linalg.inv(T)
     D_new = T_inv @ D @ T_inv.T
     # Snap to the exact defect identity (eigh roundoff only).
-    D_new = np.where(np.abs(D_new - target) < 1e-12, target, D_new)
+    D_new = np.where(np.abs(D_new - target) < TOL.exact, target, D_new)
     C_new = T_inv @ C @ T
     return SystemSpec(D=D_new, C=C_new), T
 
@@ -144,14 +140,14 @@ def hoermander_tau(spec: SystemSpec) -> tuple[int, float] | None:
     for tau in range(d - k + 1):
         acc = acc + Cj @ D @ Cj.T
         kappa = linalg.min_sym_eigenvalue(acc)
-        if kappa > RANK_TOL * linalg._scale(acc):
+        if kappa > TOL.rank * linalg._scale(acc):
             return tau, kappa
         Cj = C @ Cj
     return None
 
 
 def check_condition_A(
-    spec: SystemSpec, cluster_tol: float = linalg.DEFAULT_CLUSTER_TOL
+    spec: SystemSpec, cluster_tol: float = TOL.cluster
 ) -> ConditionAReport:
     """Hypoellipticity (rank condition) + positive stability of C, with the
     defectiveness of the minimal-real-part eigenvalues flagged (that flag
@@ -164,23 +160,19 @@ def check_condition_A(
     hypoelliptic = hr is not None
     tau, kappa = hr if hr is not None else (None, None)
 
-    default = cluster_tol == linalg.DEFAULT_CLUSTER_TOL
-    eig = spec.eig if default else linalg.eigen_structure(spec.C, tol=cluster_tol)
-    scale = eig.scale
-    details = []
-    for lam, a, g in zip(eig.eigenvalues, eig.algebraic, eig.geometric):
-        if g < a:
-            # Longest chain length for this eigenvalue.
-            block = max(ch.length for ch in eig.chains if abs(ch.eigenvalue - lam) <= 1e-12 * scale)
-            details.append((lam, block))
+    eig = spec.eig if cluster_tol == TOL.cluster else linalg.eigen_structure(spec.C, cluster_tol)
+    # (eigenvalue, longest chain) of each defective eigenvalue.
+    details = tuple((lam, max(ch.length for ch in eig.chains if ch.eigenvalue == lam))
+                    for lam, a, g in zip(eig.eigenvalues, eig.algebraic, eig.geometric) if g < a)
     return ConditionAReport(
         hypoelliptic=hypoelliptic,
         tau=tau,
         kappa=kappa,
-        positively_stable=eig.mu > STABILITY_TOL,
+        positively_stable=eig.mu > TOL.stability,
         mu=eig.mu,
-        minimal_eigs_defective=any(ch.length > 1 for ch in eig.minimal_chains(linalg.MINIMAL_SET_TOL * scale)),
-        defective_details=tuple(details),
+        minimal_eigs_defective=any(
+            ch.length > 1 for ch in eig.minimal_chains(TOL.minimal * eig.scale)),
+        defective_details=details,
         eig=eig,
     )
 
@@ -192,44 +184,41 @@ def steady_state(spec: SystemSpec) -> SteadyState:
     A non-SPD K signals a violated structural condition (an eigenvector of
     C^T inside ker D makes K singular).
     """
-    d = spec.d
     K = linalg.solve_lyapunov(spec.C, spec.D)
     w = np.linalg.eigvalsh(K)
-    if w[0] <= RANK_TOL * max(abs(w).max(), 1.0):
+    if w[0] <= TOL.rank * max(abs(w).max(), 1.0):
         raise np.linalg.LinAlgError(
             f"steady-state covariance is singular (min eigenvalue {w[0]:.3e}); "
             "an eigenvector of C^T lies in ker D"
         )
-    cK = (2.0 * math.pi) ** (-d / 2.0) / math.sqrt(float(np.linalg.det(K)))
+    cK = (2.0 * math.pi) ** (-spec.d / 2.0) / math.sqrt(float(np.linalg.det(K)))
     M = spec.C @ K - K @ spec.C.T  # antisymmetric up to roundoff
     R = 0.25 * (M - M.T)  # exactly antisymmetric (CK - KC^T)/2
-    K_inv = np.linalg.inv(K)
-    Q = K @ spec.C.T @ K_inv
+    Q = K @ spec.C.T @ np.linalg.inv(K)
     return SteadyState(K=K, cK=float(cK), R=R, Q=Q)
 
 
 def green_covariance(spec: SystemSpec, t: float) -> np.ndarray:
-    """Covariance W(t) = int_0^t e^{C(s-t)} D e^{C^T(s-t)} ds of the
-    fundamental solution, by composite Gauss-Legendre quadrature.
+    """Covariance W(t) = int_0^t e^{-Cs} D e^{-C^T s} ds of the fundamental
+    solution, exactly (Van Loan, IEEE TAC 23, 1978).
 
-    The integrand is smooth; the panel count grows with t*||C|| so the
-    8-point rule per panel stays in its superconvergent regime.  W(t) is
-    symmetric PSD and positive definite for t > 0 (hypoelliptic systems).
+    With s = t/2^k and s||C||_2 <= 1, one exponential of [[-C, D], [0, C^T]] s
+    holds E = e^{-Cs} (top left) and W(s) E^{-T} (top right).  Doubling
+    W(2s) = W(s) + E W(s) E^T, E <- E^2 sums PSD terms only, so W(t) stays
+    symmetric PSD at every t; it is positive definite for t > 0 exactly when
+    the system is hypoelliptic.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    d = spec.d
-    if t == 0:
-        return np.zeros((d, d))
-    nC = np.linalg.norm(spec.C, 2)
-    panels = max(16, int(math.ceil(4.0 * t * nC)))
-    xg, wg = np.polynomial.legendre.leggauss(8)
-    W = np.zeros((d, d))
-    edges = np.linspace(0.0, t, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for xi, wi in zip(xg, wg):
-            s = mid + half * xi
-            E = linalg.matrix_exponential(spec.C, s - t)
-            W += (wi * half) * (E @ spec.D @ E.T)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    d, k = spec.d, 0
+    nC = float(np.linalg.norm(spec.C, 2))
+    while t * nC > 2.0 ** k:
+        k += 1
+    F = linalg.matrix_exponential(
+        np.block([[-spec.C, spec.D], [np.zeros((d, d)), spec.C.T]]), t / 2.0 ** k)
+    E = F[:d, :d]
+    W = F[:d, d:] @ E.T
+    for _ in range(k):
+        W = W + E @ W @ E.T
+        E = E @ E
     return 0.5 * (W + W.T)

@@ -46,6 +46,20 @@ class TestEvolution:
         with pytest.raises(ValueError):
             hp.evolve_cov(ss.K, -0.1, spec.C, ss.K)
 
+    @pytest.mark.parametrize("t", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda spec, ss, t: hp.evolve_shift(np.ones(2), t, spec.C), id="evolve_shift"),
+        pytest.param(lambda spec, ss, t: hp.evolve_cov(ss.K, t, spec.C, ss.K), id="evolve_cov"),
+        pytest.param(lambda spec, ss, t: hp.evolve_mixture(ent.shifted_steady(ss, np.ones(2)), t,
+                                                           spec.C, ss.K), id="evolve_mixture"),
+        pytest.param(lambda spec, ss, t: hp.zero_tangent_initial(t, np.array([0.0, 1.0]), ss, spec),
+                     id="zero_tangent_initial"),
+        pytest.param(lambda spec, ss, t: hp.green_covariance(spec, t), id="green_covariance"),
+    ])
+    def test_time_must_be_finite_and_nonnegative(self, fig1b, call, t):
+        with pytest.raises(ValueError, match=r"t(_star)? must be finite and nonnegative"):
+            call(*fig1b, t)
+
     def test_mixture_components(self, fig1b):
         spec, ss = fig1b
         m0 = hp.GaussianMixture((

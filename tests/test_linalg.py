@@ -85,7 +85,7 @@ class TestSimpleEigenvalues:
                 M = rng.standard_normal((d, d))
                 es = linalg.eigen_structure(M)
                 assert es.algebraic == es.geometric == (1,) * d
-                tol_M = linalg.DEFAULT_CLUSTER_TOL * np.linalg.norm(M, 2)
+                tol_M = linalg.TOL.cluster * np.linalg.norm(M, 2)
                 for ch in es.chains:
                     w = ch.vectors[0]
                     assert ch.length == 1

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hypofp as hp
 from hypofp import linalg
@@ -64,7 +67,7 @@ class TestSpecOwnsItsData:
         calls = []
         eigen_structure = linalg.eigen_structure
 
-        def counting(M, tol=linalg.DEFAULT_CLUSTER_TOL):
+        def counting(M, tol=linalg.TOL.cluster):
             calls.append((np.array(M), tol))
             return eigen_structure(M, tol)
 
@@ -74,12 +77,12 @@ class TestSpecOwnsItsData:
         ss = hp.steady_state(spec)
         cert = hp.compare_rates(spec, ss)
         of_C = [tol for M, tol in calls if np.array_equal(M, spec.C)]
-        assert of_C == [linalg.DEFAULT_CLUSTER_TOL]
+        assert of_C == [linalg.TOL.cluster]
         assert report.eig is spec.eig and cert.mu == report.mu
         # A non-default clustering tolerance computes its own.
         coarse = hp.check_condition_A(spec, cluster_tol=1e-6)
         of_C = [tol for M, tol in calls if np.array_equal(M, spec.C)]
-        assert of_C == [linalg.DEFAULT_CLUSTER_TOL, 1e-6]
+        assert of_C == [linalg.TOL.cluster, 1e-6]
         assert coarse.eig is not spec.eig
 
 
@@ -192,3 +195,59 @@ class TestGreenCovariance:
         for t in (0.01, 0.1, 1.0, 5.0):
             W = hp.green_covariance(spec, t)
             assert linalg.min_sym_eigenvalue(W) > 0
+
+
+def panel_rule(spec, t):
+    """W(t) by the composite 8-point Gauss-Legendre rule on
+    max(16, ceil(4 t ||C||_2)) equal panels that green_covariance used to
+    apply.  Summed panel by panel: with width h, F = e^{-Ch} and V the
+    one-panel sum over u in [0, h], W = sum_m F^m V F^mT; these are the same
+    nodes and weights as the per-node exponentials (5e-15 apart on the
+    cases below) at a fraction of the cost."""
+    panels = max(16, math.ceil(4.0 * t * np.linalg.norm(spec.C, 2)))
+    h = t / panels
+    x, w = np.polynomial.legendre.leggauss(8)
+    G = scipy.linalg.expm(-0.5 * h * (1.0 - x)[:, None, None] * spec.C)
+    V = np.einsum("n,nij,jk,nlk->il", 0.5 * h * w, G, spec.D, G)
+    F = scipy.linalg.expm(-h * spec.C)
+    W = V
+    for _ in range(panels - 1):
+        W = V + F @ W @ F.T
+    return 0.5 * (W + W.T)
+
+
+def seeded_system(d, rank, seed):
+    """Positively stable C (min Re eig in [0.2, 1.2]) and D = B B^T, B d x rank."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((d, d))
+    C = G + (0.2 + rng.uniform() - np.linalg.eigvals(G).real.min()) * np.eye(d)
+    B = rng.standard_normal((d, rank))
+    return hp.SystemSpec(D=B @ B.T, C=C)
+
+
+GREEN_SYSTEMS = [pytest.param(lambda: hp.SystemSpec(**FIG1B), id="fig1b")] + [
+    pytest.param(lambda d=d, r=r: seeded_system(d, r, 100 * d + r), id=f"d{d}-rank{r}")
+    for d in (3, 4, 6, 10) for r in (1, d)
+]
+
+
+@pytest.mark.parametrize("make", GREEN_SYSTEMS)
+def test_green_covariance_matches_panel_rule(make):
+    spec = make()
+    for t in (1e-5, 1e-3, 0.1, 1.0, 5.0, 30.0, 100.0):
+        W, ref = hp.green_covariance(spec, t), panel_rule(spec, t)
+        assert np.linalg.norm(W - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2), t
+
+
+def test_green_covariance_small_time_eigenvalue():
+    # W(t) ~ [[t, -t^2/2], [-t^2/2, t^3/3]] for FIG1B: smallest eigenvalue t^3/12.
+    t = 1e-5
+    lam = np.linalg.eigvalsh(hp.green_covariance(hp.SystemSpec(**FIG1B), t))[0]
+    assert lam == pytest.approx(t ** 3 / 12.0, rel=1e-4)
+
+
+def test_green_covariance_without_drift_is_tD():
+    D = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    for t in (0.0, 0.3, 7.0):
+        W = hp.green_covariance(hp.SystemSpec(D=D, C=np.zeros((3, 3))), t)
+        assert np.allclose(W, t * D, rtol=1e-15, atol=0.0)
