@@ -8,8 +8,8 @@ mixtures, optionally carrying an affine polynomial factor (1 + a.x) on
 steady-shaped components; ratios f/f_inf and their gradients are then
 analytic.  Integrals are sums over a rule in whitened coordinates x =
 sqrtK y, where the weight is exactly f_inf; its node set depends only on
-(d, order) and is built once.  ``functionals`` gets e, I and S of a state
-in one pass over fixed node blocks, each component folded into one matrix.
+(d, order) and is built once.  ``functionals`` gets e, I and S of a state,
+or of a stack of T states (a trajectory), in one blocked pass.
 """
 
 from __future__ import annotations
@@ -58,11 +58,16 @@ class LogEntropy:
         if order != 0 and np.any(s <= -b):
             raise DomainError("ratio at or below -beta")
         if order == 0:
-            # s -> -beta limit is finite; guard the log argument.
-            sb = np.maximum(s + b, 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = a * sb * np.log(sb / (1.0 + b)) - a * (s - 1.0)
-            return np.where(sb == 0.0, a * (1.0 + b), val)
+            # In place: (a sb) ln(sb/(1+b)) - a(s-1), s clamped to -b; there sb is
+            # 0, its log argument is floored at tiny, and psi is the limit a(1+b).
+            s = np.maximum(s, -b)
+            sb = s + b
+            val = np.maximum(sb, np.finfo(float).tiny) / (1.0 + b)
+            val = np.log(val, out=val if val.ndim else None)
+            val *= sb if a == 1.0 else a * sb
+            s -= 1.0
+            val -= s if a == 1.0 else a * s
+            return val
         if order == 1:
             return a * np.log((s + b) / (1.0 + b))
         if order == 2:
@@ -209,6 +214,24 @@ def affine_steady(ss: SteadyState, v0: np.ndarray) -> GaussianMixture:
     return GaussianMixture((GaussianComponent(1.0, np.zeros(ss.d), ss.K, affine=a),))
 
 
+@dataclass(frozen=True)
+class MixtureStack:
+    """T states with one mixture's weights (m,): means (T, m, d), covs
+    (T, m, d, d), and (c, a) with a (T, d) per component c with (1 + a.x)."""
+
+    weights: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    affine: tuple
+
+    @classmethod
+    def of(cls, f: GaussianMixture) -> MixtureStack:  # T = 1
+        c = f.components
+        return cls(np.array([x.weight for x in c]), np.array([[x.mean for x in c]]),
+                   np.array([[x.cov for x in c]]),
+                   tuple((i, x.affine[None]) for i, x in enumerate(c) if x.affine is not None))
+
+
 # ---------------------------------------------------------------------------
 # Quadrature
 
@@ -278,83 +301,80 @@ def gauss_hermite_rule(K: np.ndarray, order: int = 64) -> QuadratureRule:
 # Functionals
 
 
-def _fold(f: GaussianMixture, q: QuadratureRule):
-    """The state in the rule's whitened frame x = S y, S = sqrtK.
+def _fold(f: MixtureStack, q: QuadratureRule):
+    """The states in the rule's whitened frame x = S y, S = sqrtK.
 
     With yt = (y, 1), a component w N(v, A) has ratio w exp(yt.H yt / 2) and
     S grad_x of it is that ratio times (H yt)[:d], where
         H = [[G, b], [b^T, logdet K - logdet A - v.Ainv v]],
         G = I - S Ainv S,  b = S Ainv v.
-    Returns the stacked H (m(d+1), d+1), the weights, and (c, S a) for
-    each component c with an affine factor (1 + a.x)."""
+    Returns H (T, m, d+1, d+1) from one stacked solve and slogdet, the
+    weights, and (c, S a) for each affine component c."""
     S = q.sqrtK
-    d = S.shape[0]
-    logdetK = float(np.linalg.slogdet(q.K)[1])
-    H = np.empty((len(f.components), d + 1, d + 1))
-    for c, comp in enumerate(f.components):
-        AinvS = np.linalg.solve(comp.cov, np.column_stack([S, comp.mean]))
-        G = np.eye(d) - S @ AinvS[:, :d]
-        H[c, :d, :d] = 0.5 * (G + G.T)
-        H[c, :d, d] = H[c, d, :d] = S @ AinvS[:, d]
-        H[c, d, d] = logdetK - float(np.linalg.slogdet(comp.cov)[1]) - comp.mean @ AinvS[:, d]
-    affine = [(c, S @ comp.affine) for c, comp in enumerate(f.components) if comp.affine is not None]
-    return H.reshape(-1, d + 1), np.array([c.weight for c in f.components]), affine
+    d = len(S)
+    AinvS = np.linalg.solve(f.covs, np.concatenate(
+        [np.broadcast_to(S, f.covs.shape), f.means[..., None]], axis=-1))
+    G = np.eye(d) - S @ AinvS[..., :d]
+    H = np.empty(f.means.shape[:2] + (d + 1, d + 1))
+    H[..., :d, :d] = 0.5 * (G + np.swapaxes(G, -1, -2))
+    H[..., :d, d] = H[..., d, :d] = (S @ AinvS[..., d:])[..., 0]
+    H[..., d, d] = (float(np.linalg.slogdet(q.K)[1]) - np.linalg.slogdet(f.covs)[1]
+                    - np.einsum("tci,tci->tc", f.means, AinvS[..., d]))
+    return H, f.weights, [(c, a @ S.T) for c, a in f.affine]
 
 
 def ratio_and_grad(f, X: np.ndarray):
-    """r = f/f_inf and h = S grad_x r at a block X (nb, d+1) of whitened
-    nodes, rows (y, 1), for a state ``f`` folded by ``_fold``.  One matmul
-    gives every component's exponent and gradient; an affine factor
-    (1 + at.y) scales its rho and adds rho at to h (product rule)."""
+    """r = f/f_inf (g, nb) and h = S grad_x r (g, d, nb) at a block X
+    (nb, d+1) of whitened nodes, rows (y, 1), for g states folded by
+    ``_fold``.  One matmul gives every exponent and gradient; an affine
+    factor (1 + at.y) scales its rho and adds rho at to h (product rule)."""
     H, w, affine = f
-    Y = X.T
-    d = Y.shape[0] - 1
-    Z = (H @ Y).reshape(len(w), d + 1, -1)
-    rho = np.exp(0.5 * np.einsum("cin,in->cn", Z, Y))
+    Y, d = X.T, X.shape[1] - 1
+    Z = (H.reshape(-1, d + 1) @ Y).reshape(H.shape[:3] + (-1,))
+    rho = np.exp(0.5 * np.einsum("gcin,in->gcn", Z, Y))
     rho *= w[:, None]
     h = 0.0
     for c, at in affine:
-        h = h + np.multiply.outer(at, rho[c])
-        rho[c] *= 1.0 + at @ Y[:d]
-    return rho.sum(axis=0), h + np.einsum("cn,cin->in", rho, Z[:, :d])
+        h = h + at[:, :, None] * rho[:, c, None]
+        rho[:, c] *= 1.0 + at @ Y[:d]
+    return rho.sum(axis=1), h + np.einsum("gcn,gcin->gin", rho, Z[:, :, :d])
 
 
-def _check_domain(gen: EntropyGenerator, r: np.ndarray):
-    lo = gen.domain_min
-    if lo > -np.inf and np.any(r < lo - TOL.domain):
-        raise DomainError(
-            f"density ratio fell below {lo} at a quadrature node; signed "
-            "mixtures are admissible only with the quadratic generator"
-        )
-
-
-def functionals(f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator,
-                q: QuadratureRule, matrices=()) -> tuple[float, ...]:
+def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: EntropyGenerator,
+                q: QuadratureRule, matrices=()):
     """(e, I_M for each M in matrices) from one blocked pass over the rule:
     e = int psi(r) f_inf dx and I_M = int psi''(r) grad r . M grad r f_inf dx
     with r = f/f_inf.  M = D gives the dissipation I, M = P gives S.  With h
     from ``ratio_and_grad``, grad r . M grad r = h . (S^-1 M S^-1) h; each
-    block of _BLOCK nodes is domain-checked and added to the sums."""
+    block of _BLOCK nodes, or of _BLOCK // n states on n < _BLOCK nodes, is
+    domain-checked and summed.  A stack gives (T, 1 + k), a mixture a tuple."""
     if np.linalg.norm(q.K - ss.K, 2) > TOL.steady * linalg._scale(ss.K):
         raise ValueError("quadrature reference covariance must equal the steady K")
-    fold = _fold(f, q)
+    H, w, affine = _fold(f if isinstance(f, MixtureStack) else MixtureStack.of(f), q)
     Sinv = np.linalg.inv(q.sqrtK)
     k, d = len(matrices), len(Sinv)
     Mw = np.array([Sinv @ np.asarray(M, float) @ Sinv for M in matrices]).reshape(-1, d)
     lo = gen.domain_min
-    sums = np.zeros(1 + k)
-    for start in range(0, q.n, _BLOCK):
-        w = q.weights[start:start + _BLOCK]
-        r, h = ratio_and_grad(fold, q.nodes[:, start:start + _BLOCK].T)
-        _check_domain(gen, r)
-        sums[0] += w @ gen.psi(r, 0)
-        if k:
-            if lo > -np.inf:
-                # psi'' has a pole at the domain edge; clamp roundoff-negative ratios.
-                r = np.maximum(r, lo + 1e-300)
-            quad = np.einsum("kin,in->kn", (Mw @ h).reshape(k, d, -1), h)
-            sums[1:] += quad @ (w * gen.psi(r, 2))
-    return tuple(float(s) for s in sums)
+    nb = min(q.n, _BLOCK)
+    g = _BLOCK // nb
+    sums = np.zeros((len(H), 1 + k))
+    for t in range(0, len(H), g):
+        fold = (H[t:t + g], w, [(c, a[t:t + g]) for c, a in affine])
+        out = sums[t:t + g]
+        for start in range(0, q.n, nb):
+            wq = q.weights[start:start + nb]
+            r, h = ratio_and_grad(fold, q.nodes[:, start:start + nb].T)
+            if lo > -np.inf and np.any(r < lo - TOL.domain):
+                raise DomainError(f"density ratio fell below {lo} at a quadrature node; signed "
+                                  "mixtures are admissible only with the quadratic generator")
+            out[:, 0] += gen.psi(r, 0) @ wq
+            if k:
+                if lo > -np.inf:
+                    # psi'' has a pole at the domain edge; clamp roundoff-negative ratios.
+                    r = np.maximum(r, lo + 1e-300)
+                quad = np.einsum("gkin,gin->gkn", (Mw @ h).reshape(len(r), k, d, -1), h)
+                out[:, 1:] += np.einsum("gkn,gn->gk", quad, wq * gen.psi(r, 2))
+    return sums if isinstance(f, MixtureStack) else tuple(float(v) for v in sums[0])
 
 
 def relative_entropy(f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator,

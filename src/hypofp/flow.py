@@ -3,8 +3,9 @@
 The semi-flow preserves the class of Gaussian mixtures: each component's
 mean follows v(t) = e^{-Ct} v0, each covariance follows
 A(t) = K + e^{-Ct}(A0 - K)e^{-C^T t}, and an affine factor (1 + x.K^{-1}v)
-on a steady-shaped component keeps its form with the same v(t).  That makes
-trajectories exact at every output time; no time-stepping is involved.
+on a steady-shaped component keeps its form with the same v(t).  Every
+output time is exact, with no time-stepping, and a trajectory is one stack:
+one matrix exponential for all times, one fold, one quadrature pass.
 
 Closed-form entropies for the basic state families and the three sharpness
 scenarios (real minimal eigenvalue, complex pair, defective pair) live here
@@ -21,13 +22,8 @@ import numpy as np
 from . import entropy as ent
 from . import linalg
 from .linalg import TOL
-from .certificates import TransportMatrix
-from .entropy import (
-    EntropyGenerator,
-    GaussianComponent,
-    GaussianMixture,
-    QuadratureRule,
-)
+from .certificates import TransportMatrix, lambda_P
+from .entropy import EntropyGenerator, GaussianComponent, GaussianMixture, MixtureStack, QuadratureRule
 from .system import SteadyState, SystemSpec
 
 
@@ -44,9 +40,9 @@ def evolve_shift(v0: np.ndarray, t: float, C: np.ndarray) -> np.ndarray:
 
 
 def _flow_cov(A0: np.ndarray, E: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """K + E (A0 - K) E^T for E = e^{-Ct}, checked SPD."""
-    A = K + E @ (np.asarray(A0, dtype=float) - K) @ E.T
-    A = 0.5 * (A + A.T)
+    """K + E (A0 - K) E^T for E = e^{-Ct} (or a stack), checked SPD."""
+    A = K + E @ (np.asarray(A0, dtype=float) - K) @ np.swapaxes(E, -1, -2)
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
     if linalg.min_sym_eigenvalue(A) <= 0:
         raise np.linalg.LinAlgError("evolved covariance lost positive definiteness")
     return A
@@ -58,27 +54,28 @@ def evolve_cov(A0: np.ndarray, t: float, C: np.ndarray, K: np.ndarray) -> np.nda
     return _flow_cov(A0, linalg.matrix_exponential(C, -_time(t)), K)
 
 
-def evolve_mixture(
-    m0: GaussianMixture, t: float, C: np.ndarray, K: np.ndarray
-) -> GaussianMixture:
-    """Componentwise exact evolution, one matrix exponential for all
-    components; affine factors (1 + a.x) on steady-shaped components become
-    (1 + x.K^{-1} e^{-Ct} K a)."""
-    E = linalg.matrix_exponential(C, -_time(t))
-    comps = []
-    for c in m0.components:
-        if c.affine is None:
-            comps.append(GaussianComponent(c.weight, E @ c.mean, _flow_cov(c.cov, E, K)))
-            continue
-        if (np.linalg.norm(c.mean) > TOL.exact
-                or np.linalg.norm(c.cov - K, 2) > TOL.steady * linalg._scale(K)):
-            raise ValueError(
-                "affine factors are only supported on steady-shaped "
-                "components (mean 0, covariance K)"
-            )
-        a_t = np.linalg.inv(K) @ (E @ (K @ c.affine))
-        comps.append(GaussianComponent(c.weight, c.mean, c.cov, affine=a_t))
-    return GaussianMixture(tuple(comps))
+def _evolve(m0: GaussianMixture, times, C: np.ndarray, K: np.ndarray) -> MixtureStack:
+    """m0 at every time as one stack, from one matrix exponential; an affine
+    factor (1 + a.x) on a steady-shaped component becomes (1 + x.K^-1 E K a)."""
+    E = linalg.matrix_exponential(C, -np.array([_time(float(t)) for t in times]))
+    f = MixtureStack.of(m0)
+    means, covs = f.means @ np.swapaxes(E, -1, -2), _flow_cov(f.covs[0], E[:, None], K)
+    for c, _ in f.affine:
+        if (np.linalg.norm(f.means[0, c]) > TOL.exact
+                or np.linalg.norm(f.covs[0, c] - K, 2) > TOL.steady * linalg._scale(K)):
+            raise ValueError("affine factors are only supported on steady-shaped "
+                             "components (mean 0, covariance K)")
+        means[:, c], covs[:, c] = f.means[0, c], f.covs[0, c]
+    return MixtureStack(f.weights, means, covs, tuple(
+        (c, (E @ (K @ a[0])) @ np.linalg.inv(K).T) for c, a in f.affine))
+
+
+def evolve_mixture(m0: GaussianMixture, t: float, C: np.ndarray, K: np.ndarray) -> GaussianMixture:
+    """Componentwise exact evolution: the T = 1 case of the stacked flow."""
+    f = _evolve(m0, [t], C, K)
+    affine = {c: a[0] for c, a in f.affine}
+    return GaussianMixture(tuple(GaussianComponent(w, f.means[0, c], f.covs[0, c], affine.get(c))
+                                 for c, w in enumerate(f.weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +141,6 @@ class SharpnessScenario:
     v1: np.ndarray | None = None  # complex-pair second direction
     poly: tuple[float, float, float] | None = None  # defective: e*e^{2mu t} coeffs
     e0: float | None = None  # initial log-entropy (real-eig case)
-    chain_w: np.ndarray | None = None  # defective case eigenvector
 
     def predicted_entropy(self, t: np.ndarray) -> np.ndarray:
         """Closed-form log-entropy e_1(t) of the shifted state."""
@@ -212,14 +208,11 @@ def sharpness_scenario(
     if kind == "defective":
         for ch in minimal:
             if ch.length >= 2 and abs(ch.eigenvalue.imag) <= TOL.imag * scale:
-                w = np.real(ch.vectors[0])
-                h = np.real(ch.vectors[1])
+                w, h = np.real(ch.vectors[:2])
                 c0 = 0.5 * float(h @ Kinv @ h)
                 c1 = -float(h @ Kinv @ w)
                 c2 = 0.5 * float(w @ Kinv @ w)
-                return SharpnessScenario(
-                    kind=kind, v0=h, mu=mu, poly=(c0, c1, c2), chain_w=w
-                )
+                return SharpnessScenario(kind=kind, v0=h, mu=mu, poly=(c0, c1, c2))
         raise ValueError("no defective real minimal eigenvalue available")
 
     raise ValueError(f"unknown scenario kind {kind!r}")
@@ -244,41 +237,26 @@ def zero_tangent_initial(
 @dataclass(frozen=True)
 class TrajectoryRecord:
     times: np.ndarray
-    states: tuple[GaussianMixture, ...]
     entropy: np.ndarray
     dissipation: np.ndarray
     modified: np.ndarray
     envelope: np.ndarray
 
 
-def run_trajectory(
-    spec: SystemSpec,
-    ss: SteadyState,
-    cert: TransportMatrix,
-    f0: GaussianMixture,
-    gen: EntropyGenerator,
-    times: np.ndarray,
-    q: QuadratureRule | None = None,
-) -> TrajectoryRecord:
-    """Exact states at the requested times with quadrature entropy series
-    e(t), I(t), S(t) and the certificate envelope S(f0)/(2 lambda_P)
-    e^{-2 kappa t}.  Each sample costs one quadrature pass; S(f0) comes from
-    the t = 0 sample when the grid starts there."""
-    from .certificates import lambda_P as _lambda_P
-
+def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0: GaussianMixture,
+                   gen: EntropyGenerator, times: np.ndarray,
+                   q: QuadratureRule | None = None) -> TrajectoryRecord:
+    """Quadrature entropy series e(t), I(t), S(t) of the exact states at the
+    requested times and the certificate envelope S(f0)/(2 lambda_P)
+    e^{-2 kappa t}.  All samples, and f0 when the grid starts after t = 0,
+    are one stack: one matrix exponential, one fold, one blocked pass."""
     times = np.asarray(times, dtype=float)
     q = ent.gauss_hermite_rule(ss.K) if q is None else q
-    lam_P = _lambda_P(ss.K, cert.P)
-
-    states = tuple(evolve_mixture(f0, float(t), spec.C, ss.K) for t in times)
-    e, i, s = np.array(
-        [ent.functionals(ft, ss, gen, q, (spec.D, cert.P)) for ft in states]
-    ).reshape(-1, 3).T
-    S0 = s[0] if len(times) and times[0] == 0.0 else ent.functionals(f0, ss, gen, q, (cert.P,))[1]
-    return TrajectoryRecord(
-        times=times, states=states, entropy=e, dissipation=i, modified=s,
-        envelope=S0 / (2.0 * lam_P) * np.exp(-2.0 * cert.kappa * times),
-    )
+    grid = times if len(times) and times[0] == 0.0 else np.concatenate(([0.0], times))
+    vals = ent.functionals(_evolve(f0, grid, spec.C, ss.K), ss, gen, q, (spec.D, cert.P))
+    e, i, s = vals[len(grid) - len(times):].T
+    envelope = vals[0, 2] / (2.0 * lambda_P(ss.K, cert.P)) * np.exp(-2.0 * cert.kappa * times)
+    return TrajectoryRecord(times=times, entropy=e, dissipation=i, modified=s, envelope=envelope)
 
 
 def refine_maximum(fun, a: float, b: float, tol: float = TOL.bracket) -> float:

@@ -279,10 +279,11 @@ def _chain_top(R: np.ndarray, tol_abs: float) -> np.ndarray:
     return R[:, best] / norms[best]
 
 
-def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t*M) by scaling-and-squaring (Pade), via scipy.linalg.expm."""
+def matrix_exponential(M: np.ndarray, t=1.0) -> np.ndarray:
+    """exp(t*M) by scaling-and-squaring (Pade), via scipy.linalg.expm; for
+    an array of times the (T, d, d) stack from one call."""
     M = np.asarray(M, dtype=float)
-    out = scipy.linalg.expm(t * M)
+    out = scipy.linalg.expm(np.multiply.outer(t, M))
     if not np.all(np.isfinite(out)):
         raise OverflowError("matrix exponential overflowed; ||tM|| too large")
     return out
@@ -322,12 +323,12 @@ def solve_lyapunov(C: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def min_sym_eigenvalue(M: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part (M + M^T)/2."""
+    """Smallest eigenvalue of the symmetric part (M + M^T)/2, over a stack too."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("non-finite input")
-    S = 0.5 * (M + M.T)
-    return float(np.linalg.eigvalsh(S)[0])
+    w = np.linalg.eigvalsh(0.5 * (M + M.swapaxes(-1, -2)))
+    return float(w[0] if w.ndim == 1 else w[..., 0].min())
 
 
 def sqrt_spd(M: np.ndarray) -> np.ndarray:

@@ -77,6 +77,32 @@ class TestGenerators:
             num = (gen.w(r + h) - gen.w(r - h)) / (2 * h)
             assert np.allclose(num, np.sqrt(gen.psi(r, 2)), rtol=1e-6)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.7, 2.5])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_log_psi_matches_unfused_formula(self, alpha, beta):
+        # The unfused formula the in-place evaluation replaced: same operations
+        # in the same order, so the same bits.
+        def unfused(s):
+            s = np.asarray(s, dtype=float)
+            sb = np.maximum(s + beta, 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = alpha * sb * np.log(sb / (1.0 + beta)) - alpha * (s - 1.0)
+            return np.where(sb == 0.0, alpha * (1.0 + beta), val)
+
+        gen = ent.LogEntropy(alpha, beta)
+        edge = [-beta, -beta - 1e-14, -beta + 1e-300, -beta + 1e-14, -beta - 1.0]
+        s = np.array(edge + [0.0, -1e-14, 1e-300, 1e-14, 0.5, 1.0, 1.0 + 1e-9, 2.0,
+                             1e8, 1e200, 1e300])
+        got = gen.psi(s, 0)
+        np.testing.assert_array_equal(got, unfused(s))
+        # At and below the domain edge psi is its limit alpha (1 + beta).
+        assert np.all(got[[0, 1, 4]] == alpha * (1.0 + beta))
+        for x in s:
+            np.testing.assert_array_equal(gen.psi(x, 0), unfused(x))
+        block = np.random.default_rng(3).lognormal(0.0, 2.0, 8192) - beta
+        np.testing.assert_array_equal(gen.psi(block, 0), unfused(block))
+        np.testing.assert_array_equal(gen.psi(block.reshape(4, -1), 0), unfused(block).reshape(4, -1))
+
     def test_ordering_log_below_quadratic(self):
         # alpha-matched comparison on ratios bounded by 2.
         s = np.linspace(0.0, 2.0, 500)

@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.linalg
 import pytest
 
 import hypofp as hp
@@ -283,3 +284,266 @@ class TestTrajectory:
     def test_refine_maximum(self):
         t = flow.refine_maximum(lambda x: -(x - 1.234) ** 2, 0.0, 3.0)
         assert t == pytest.approx(1.234, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The stacked trajectory pass against the per-sample loop it replaced
+
+
+def _per_sample_functionals(comps, ss, gen, q, matrices):
+    """One state's (e, I_M...) as the per-sample pass computed them: one
+    solve and slogdet per component, then the blocked node loop."""
+    S = q.sqrtK
+    d = len(S)
+    logdetK = float(np.linalg.slogdet(q.K)[1])
+    H = np.empty((len(comps), d + 1, d + 1))
+    for c, comp in enumerate(comps):
+        AinvS = np.linalg.solve(comp.cov, np.column_stack([S, comp.mean]))
+        G = np.eye(d) - S @ AinvS[:, :d]
+        H[c, :d, :d] = 0.5 * (G + G.T)
+        H[c, :d, d] = H[c, d, :d] = S @ AinvS[:, d]
+        H[c, d, d] = logdetK - float(np.linalg.slogdet(comp.cov)[1]) - comp.mean @ AinvS[:, d]
+    H = H.reshape(-1, d + 1)
+    w = np.array([c.weight for c in comps])
+    affine = [(c, S @ comp.affine) for c, comp in enumerate(comps) if comp.affine is not None]
+    Sinv = np.linalg.inv(S)
+    Mw = np.array([Sinv @ M @ Sinv for M in matrices]).reshape(-1, d)
+    lo = gen.domain_min
+    sums = np.zeros(1 + len(matrices))
+    for start in range(0, q.n, ent._BLOCK):
+        Y = q.nodes[:, start:start + ent._BLOCK]
+        wq = q.weights[start:start + ent._BLOCK]
+        Z = (H @ Y).reshape(len(w), d + 1, -1)
+        rho = w[:, None] * np.exp(0.5 * np.einsum("cin,in->cn", Z, Y))
+        h = 0.0
+        for c, at in affine:
+            h = h + np.multiply.outer(at, rho[c])
+            rho[c] *= 1.0 + at @ Y[:d]
+        r, h = rho.sum(axis=0), h + np.einsum("cn,cin->in", rho, Z[:, :d])
+        if lo > -np.inf and np.any(r < lo - linalg.TOL.domain):
+            raise ent.DomainError("density ratio fell below the domain")
+        sums[0] += wq @ gen.psi(r, 0)
+        r = np.maximum(r, lo + 1e-300) if lo > -np.inf else r
+        quad = np.einsum("kin,in->kn", (Mw @ h).reshape(len(matrices), d, -1), h)
+        sums[1:] += quad @ (wq * gen.psi(r, 2))
+    return sums
+
+
+def _per_sample_trajectory(spec, ss, cert, f0, gen, times, q):
+    """(e, I, S) rows and the envelope from one matrix exponential and one
+    functionals pass per time sample, each component flowed on its own."""
+    Kinv = np.linalg.inv(ss.K)
+    rows = []
+    for t in times:
+        E = scipy.linalg.expm(-t * spec.C)
+        comps = []
+        for c in f0.components:
+            if c.affine is None:
+                A = ss.K + E @ (c.cov - ss.K) @ E.T
+                comps.append(ent.GaussianComponent(c.weight, E @ c.mean, 0.5 * (A + A.T)))
+            else:
+                comps.append(ent.GaussianComponent(c.weight, c.mean, c.cov,
+                                                   affine=Kinv @ (E @ (ss.K @ c.affine))))
+        rows.append(_per_sample_functionals(comps, ss, gen, q, (spec.D, cert.P)))
+    rows = np.array(rows).reshape(-1, 3)
+    S0 = rows[0, 2] if len(times) and times[0] == 0.0 else _per_sample_functionals(
+        f0.components, ss, gen, q, (cert.P,))[1]
+    envelope = S0 / (2.0 * hp.lambda_P(ss.K, cert.P)) * np.exp(-2.0 * cert.kappa * np.asarray(times))
+    return rows, envelope
+
+
+def _mixture(rng, L, weights, affine=None):
+    """Components N(L z, L V diag(lam) V^T L^T), lam in [0.6, 1.1], with the
+    given weights; ``affine`` replaces the first by a steady-shaped one."""
+    d = len(L)
+    comps = []
+    for w in weights:
+        _, V = np.linalg.eigh(rng.standard_normal((d, d)) + np.eye(d))
+        A = L @ (V * rng.uniform(0.6, 1.1, d)) @ V.T @ L.T
+        comps.append(ent.GaussianComponent(w, L @ (0.5 * rng.standard_normal(d)), 0.5 * (A + A.T)))
+    if affine is not None:
+        comps[0] = ent.GaussianComponent(weights[0], np.zeros(d), L @ L.T, affine=affine)
+    return hp.GaussianMixture(tuple(comps))
+
+
+# (d, rank D, order, generator, weights, affine, times).  Rules with fewer
+# than _BLOCK nodes put several samples in one block: 256 nodes (32 per
+# block), 4 096 Sobol points (2 per block); 13 824 nodes take two blocks per
+# sample, the last one partial.
+STACK_CASES = {
+    "log": (2, 1, 16, ent.LogEntropy(), (0.6, 0.4), False, np.linspace(0.0, 3.0, 25)),
+    "log-alpha-beta": (3, 1, 24, ent.LogEntropy(1.5, 0.25), (0.7, 0.3), False, np.linspace(0.0, 2.0, 5)),
+    "power": (3, 3, 24, ent.PowerEntropy(p=1.5, beta=0.1), (0.5, 0.5), False, np.linspace(0.0, 2.0, 5)),
+    "quadratic-signed": (4, 4, 16, ent.QuadraticEntropy(0.7), (1.2, 0.1, -0.3), False,
+                         np.linspace(0.0, 4.0, 9)),
+    "affine": (2, 2, 16, ent.QuadraticEntropy(), (0.5, 0.5), True, np.linspace(0.0, 3.0, 13)),
+    "late-start": (2, 1, 16, ent.LogEntropy(), (0.6, 0.4), False, np.linspace(0.5, 3.0, 11)),
+    "late-start-affine": (3, 2, 12, ent.QuadraticEntropy(), (0.8, 0.2), True, np.linspace(0.25, 2.0, 8)),
+    "single-time": (2, 1, 16, ent.PowerEntropy(p=1.3), (0.6, 0.4), False, np.array([1.3])),
+    "single-time-zero": (4, 2, 16, ent.QuadraticEntropy(), (1.1, -0.1), False, np.array([0.0])),
+    "T200": (2, 2, 16, ent.LogEntropy(), (0.5, 0.3, 0.2), False, np.linspace(0.0, 8.0, 200)),
+}
+
+
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_stacked_trajectory_matches_per_sample_loop(rng, case):
+    d, rank, order, gen, weights, affine, times = STACK_CASES[case]
+    spec, _ = make_random_system(rng, d, rank=rank)
+    ss = hp.steady_state(spec)
+    tm = hp.build_P(ss)
+    q = hp.gauss_hermite_rule(ss.K, order)
+    L = np.linalg.cholesky(ss.K)
+    f0 = _mixture(rng, L, weights, affine=0.4 * rng.standard_normal(d) if affine else None)
+    rec = flow.run_trajectory(spec, ss, tm, f0, gen, times, q=q)
+    rows, envelope = _per_sample_trajectory(spec, ss, tm, f0, gen, times, q)
+    assert not hasattr(rec, "states")
+    got = np.column_stack([rec.entropy, rec.dissipation, rec.modified])
+    assert got.shape == rows.shape == (len(times), 3)
+    np.testing.assert_allclose(got, rows, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rec.envelope, envelope, rtol=1e-12, atol=0)
+
+
+def test_evolve_mixture_matches_per_component_flow(rng):
+    spec, _ = make_random_system(rng, 3, rank=1)
+    ss = hp.steady_state(spec)
+    L = np.linalg.cholesky(ss.K)
+    f0 = _mixture(rng, L, (0.5, 0.7, -0.2), affine=0.3 * rng.standard_normal(3))
+    ft = hp.evolve_mixture(f0, 0.7, spec.C, ss.K)
+    E = scipy.linalg.expm(-0.7 * spec.C)
+    for c0, ct in zip(f0.components, ft.components):
+        assert ct.weight == c0.weight
+        if c0.affine is None:
+            assert ct.affine is None
+            np.testing.assert_allclose(ct.mean, E @ c0.mean, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(ct.cov, ss.K + E @ (c0.cov - ss.K) @ E.T, rtol=1e-13)
+        else:
+            assert np.array_equal(ct.mean, c0.mean) and np.array_equal(ct.cov, c0.cov)
+            np.testing.assert_allclose(ct.affine, np.linalg.solve(ss.K, E @ ss.K @ c0.affine),
+                                       rtol=1e-12)
+
+
+def _rotating_signed_state():
+    """K = I, C = I + 20 J: shifts shrink like e^{-t} and turn at rate 20.
+    f0 = (1 + eps) f_inf - eps f_inf(. - e_0) is negative where
+    v(t).y - |v(t)|^2/2 > log((1 + eps)/eps) = 4.4.  On the order-8 grid
+    (largest node 4.14 per axis) the left side peaks at 3.6 at t = 0, at 4.2
+    at t = 0.008, and at 5.2 at the corner nodes at t = pi/80, when v(t)
+    points along a diagonal."""
+    C = np.array([[1.0, -20.0], [20.0, 1.0]])
+    spec = hp.SystemSpec(D=np.eye(2), C=C)
+    ss = hp.steady_state(spec)
+    eps = 0.0124
+    f0 = hp.GaussianMixture((ent.GaussianComponent(1.0 + eps, np.zeros(2), ss.K),
+                             ent.GaussianComponent(-eps, np.array([1.0, 0.0]), ss.K)))
+    return spec, ss, f0, hp.gauss_hermite_rule(ss.K, 8)
+
+
+@pytest.mark.parametrize("samples", [5, 301])
+def test_domain_error_in_a_middle_sample(samples):
+    # 64 nodes: 128 samples per block, so sample 150 of 301 is in the second.
+    spec, ss, f0, q = _rotating_signed_state()
+    tm = hp.build_P(ss)
+    gen = ent.LogEntropy()
+    times = np.linspace(0.0, 0.008, samples)
+    t_bad = times[samples // 2] = np.pi / 80.0
+    for t in (0.0, times[-1]):
+        assert np.isfinite(hp.relative_entropy(hp.evolve_mixture(f0, t, spec.C, ss.K), ss, gen, q))
+    with pytest.raises(ent.DomainError):
+        hp.relative_entropy(hp.evolve_mixture(f0, t_bad, spec.C, ss.K), ss, gen, q)
+    with pytest.raises(ent.DomainError):
+        flow.run_trajectory(spec, ss, tm, f0, gen, times, q=q)
+    # The quadratic generator takes signed states: the same grid runs.
+    rec = flow.run_trajectory(spec, ss, tm, f0, ent.QuadraticEntropy(), times, q=q)
+    assert np.all(np.isfinite(rec.entropy))
+
+
+@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+def test_trajectory_rejects_bad_times(traj, t):
+    spec, ss, tm, _ = traj
+    f0 = ent.shifted_steady(ss, TRAJ_V0)
+    for times in ([0.0, 1.0, t, 2.0], [t], [t, 0.0]):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), np.array(times))
+
+
+def test_trajectory_raises_when_a_covariance_loses_definiteness(traj):
+    # With the drift reversed e^{-Ct} grows and K + E (A0 - K) E^T turns
+    # indefinite for A0 < K; far enough out the exponential overflows.
+    spec, ss, tm, _ = traj
+    wrong = hp.SystemSpec(D=spec.D, C=-spec.C)
+    f0 = hp.GaussianMixture((ent.GaussianComponent(1.0, np.zeros(2), 0.5 * ss.K),))
+    with pytest.raises(np.linalg.LinAlgError, match="lost positive definiteness"):
+        flow.run_trajectory(wrong, ss, tm, f0, ent.LogEntropy(), np.linspace(0.0, 3.0, 7))
+    with pytest.raises(OverflowError), np.errstate(over="ignore", invalid="ignore"):
+        flow.run_trajectory(wrong, ss, tm, f0, ent.LogEntropy(), np.array([0.0, 1e4]))
+    bad = hp.GaussianMixture((ent.GaussianComponent(1.0, np.ones(2), ss.K, affine=np.ones(2)),))
+    with pytest.raises(ValueError, match="steady-shaped"):
+        flow.run_trajectory(spec, ss, tm, bad, ent.QuadraticEntropy(), np.linspace(0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("times", [np.array([0.0]), np.linspace(0.0, 2.0, 7),
+                                   np.linspace(0.5, 2.0, 200)])
+def test_one_exponential_and_one_fold_per_trajectory(traj, monkeypatch, times):
+    spec, ss, tm, _ = traj
+    calls = {"matrix_exponential": 0, "expm": 0, "_fold": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(linalg, "matrix_exponential")
+    counted(scipy.linalg, "expm")
+    counted(ent, "_fold")
+    q = hp.gauss_hermite_rule(ss.K, 16)
+    f0 = hp.GaussianMixture((ent.GaussianComponent(0.7, TRAJ_V0, ss.K),
+                             ent.GaussianComponent(0.3, -TRAJ_V0, 0.8 * ss.K)))
+    rec = flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), times, q=q)
+    assert len(rec.entropy) == len(times)
+    assert calls == {"matrix_exponential": 1, "expm": 1, "_fold": 1}
+
+
+@pytest.mark.parametrize("d, order, per_block", [(2, 16, 32), (3, 24, 1), (4, 16, 2)])
+def test_blocks_hold_at_most_BLOCK_values(rng, monkeypatch, d, order, per_block):
+    # Samples are grouped; the node count per block is never cut below the
+    # rule size or _BLOCK.
+    spec, _ = make_random_system(rng, d, rank=d)
+    ss = hp.steady_state(spec)
+    q = hp.gauss_hermite_rule(ss.K, order)
+    blocks = []
+    inner = ent.ratio_and_grad
+
+    def recorded(f, X):
+        blocks.append((len(f[0]), len(X)))
+        return inner(f, X)
+    monkeypatch.setattr(ent, "ratio_and_grad", recorded)
+    times = np.linspace(0.0, 2.0, 75)
+    flow.run_trajectory(spec, ss, hp.build_P(ss), _mixture(rng, np.linalg.cholesky(ss.K), (0.5, 0.5)),
+                        ent.QuadraticEntropy(), times, q=q)
+    nb = min(q.n, ent._BLOCK)
+    assert all(g * n <= ent._BLOCK for g, n in blocks)
+    assert {n for _, n in blocks} <= {nb, q.n % nb or nb}  # full blocks, then the rest
+    assert {g for g, _ in blocks[:-1]} == {per_block}
+    assert sum(g * n for g, n in blocks) == len(times) * q.n
+
+
+def test_trajectory_allocates_block_sized_buffers(rng):
+    import tracemalloc
+
+    spec, _ = make_random_system(rng, 3, rank=1)
+    ss = hp.steady_state(spec)
+    tm = hp.build_P(ss)
+    q = hp.gauss_hermite_rule(ss.K, 64)
+    f0 = _mixture(rng, np.linalg.cholesky(ss.K), (0.6, 0.4))
+    times = np.linspace(0.0, 8.0, 200)
+    tracemalloc.start()
+    try:
+        flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), times, q=q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The same budget as one functionals call on this 262 144-node rule.
+    assert q.n == 64 ** 3 and peak <= 8 * 2 ** 20
