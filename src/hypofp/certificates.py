@@ -174,15 +174,12 @@ def lambda_K(D: np.ndarray, K: np.ndarray) -> float:
     return _inverse_ratio(K, D)
 
 
-def compare_rates(
-    spec: SystemSpec, ss: SteadyState, eig: EigenStructure | None = None
-) -> DecayCertificate:
+def compare_rates(spec: SystemSpec, ss: SteadyState) -> DecayCertificate:
     """Sandwich comparison lam_K <= mu <= cond(A~)^2 * lam_K for SPD D,
     where A~ diagonalizes D^{-1/2} C D^{1/2}.  The upper bound is omitted
-    when C is defective.  ``eig`` is the eigenstructure of C, ``spec.eig``
-    when not given."""
+    when C is defective (by ``spec.eig``)."""
     lamK = lambda_K(spec.D, ss.K)
-    eig = spec.eig if eig is None else eig
+    eig = spec.eig
     mu = eig.mu
     if lamK > mu + TOL.lambda_K_slack:
         raise CertificateError(f"lambda_K = {lamK} exceeds mu = {mu}")

@@ -450,7 +450,7 @@ def _cmd_compare(cfg, outdir, fmt, plot) -> list[str]:
     report = _check_condition(spec)
     ss = system.steady_state(spec)
     try:
-        cert = certificates.compare_rates(spec, ss, eig=report.eig)
+        cert = certificates.compare_rates(spec, ss)
     except np.linalg.LinAlgError as exc:
         raise ConditionFailure(f"comparison needs SPD diffusion: {exc}") from exc
     path = os.path.join(outdir, "compare.json")

@@ -6,10 +6,11 @@ psi(1) = psi'(1) = 0.  Three closed-form families are provided (logarithmic,
 quadratic, power-p).  States live in the flow-invariant class of Gaussian
 mixtures, optionally carrying an affine polynomial factor (1 + a.x) on
 steady-shaped components; ratios f/f_inf and their gradients are then
-analytic.  Integrals are sums over a rule in whitened coordinates x =
-sqrtK y, where the weight is exactly f_inf; its node set depends only on
-(d, order) and is built once.  ``functionals`` gets e, I and S of a state,
-or of a stack of T states (a trajectory), in one blocked pass.
+analytic.  Integrals are sums over a standard-normal rule in whitened
+coordinates y, mapped to x = sqrtK y by the steady state's own K, so the
+weight is exactly f_inf; the rule depends only on (d, order) and is built
+once.  ``functionals`` gets e, I and S of a state, or of a stack of T
+states (a trajectory), in one blocked pass.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def shifted_steady(ss: SteadyState, v0: np.ndarray) -> GaussianMixture:
 
 def affine_steady(ss: SteadyState, v0: np.ndarray) -> GaussianMixture:
     """(1 + x.K^{-1} v0) f_inf, the linear-perturbation state (unit mass)."""
-    a = ss.K_inv @ np.asarray(v0, float)
+    a = np.linalg.solve(ss.K, np.asarray(v0, float))
     return GaussianMixture((GaussianComponent(1.0, np.zeros(ss.d), ss.K, affine=a),))
 
 
@@ -238,21 +239,25 @@ class MixtureStack:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights integrating int g(x) f_inf(x) dx for f_inf = N(0, K).
+    """Nodes/weights integrating int g(y) N(0, I)(y) dy in d dimensions.
 
     Tensor Gauss-Hermite for d <= 3; one scrambled-Sobol quasi-Monte Carlo
     point set (fixed seed, equal weights) for d >= 4; no error estimate.
-    ``nodes`` is whitened and nodes-last, (d+1, n) with columns (y, 1): the
-    physical node is sqrtK y.  Nodes and weights depend only on (d, order),
-    and all rules of one shape share one read-only copy.
+    ``nodes`` is whitened and nodes-last, (d+1, n) with columns (y, 1).  The
+    rule carries no covariance: ``functionals`` maps y to x = sqrtK y with
+    the steady state's K, so one rule serves every steady state of its
+    dimension.  Nodes and weights depend only on (d, order), and all rules
+    of one shape share one read-only copy.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    K: np.ndarray
-    sqrtK: np.ndarray
     kind: str
     order: int
+
+    @property
+    def d(self) -> int:
+        return self.nodes.shape[0] - 1
 
     @property
     def n(self) -> int:
@@ -290,19 +295,19 @@ def _grid(d: int, order: int):
 
 
 def gauss_hermite_rule(K: np.ndarray, order: int = 64) -> QuadratureRule:
-    K = np.asarray(K, dtype=float)
+    """The rule of ``order`` in the dimension of the covariance K."""
+    d = len(K)
     if not isinstance(order, (int, np.integer)) or not 2 <= order <= MAX_ORDER:
         raise ValueError(f"quadrature order must be an integer in [2, {MAX_ORDER}], got {order!r}")
-    kind = "gauss-hermite" if len(K) <= 3 else "qmc-sobol"
-    return QuadratureRule(*_grid(len(K), order), K, linalg.sqrt_spd(K), kind, order)
+    return QuadratureRule(*_grid(d, order), "gauss-hermite" if d <= 3 else "qmc-sobol", order)
 
 
 # ---------------------------------------------------------------------------
 # Functionals
 
 
-def _fold(f: MixtureStack, q: QuadratureRule):
-    """The states in the rule's whitened frame x = S y, S = sqrtK.
+def _fold(f: MixtureStack, K: np.ndarray, S: np.ndarray):
+    """The states in the whitened frame x = S y of f_inf = N(0, K), S = sqrtK.
 
     With yt = (y, 1), a component w N(v, A) has ratio w exp(yt.H yt / 2) and
     S grad_x of it is that ratio times (H yt)[:d], where
@@ -310,7 +315,6 @@ def _fold(f: MixtureStack, q: QuadratureRule):
         G = I - S Ainv S,  b = S Ainv v.
     Returns H (T, m, d+1, d+1) from one stacked solve and slogdet, the
     weights, and (c, S a) for each affine component c."""
-    S = q.sqrtK
     d = len(S)
     AinvS = np.linalg.solve(f.covs, np.concatenate(
         [np.broadcast_to(S, f.covs.shape), f.means[..., None]], axis=-1))
@@ -318,7 +322,7 @@ def _fold(f: MixtureStack, q: QuadratureRule):
     H = np.empty(f.means.shape[:2] + (d + 1, d + 1))
     H[..., :d, :d] = 0.5 * (G + np.swapaxes(G, -1, -2))
     H[..., :d, d] = H[..., d, :d] = (S @ AinvS[..., d:])[..., 0]
-    H[..., d, d] = (float(np.linalg.slogdet(q.K)[1]) - np.linalg.slogdet(f.covs)[1]
+    H[..., d, d] = (float(np.linalg.slogdet(K)[1]) - np.linalg.slogdet(f.covs)[1]
                     - np.einsum("tci,tci->tc", f.means, AinvS[..., d]))
     return H, f.weights, [(c, a @ S.T) for c, a in f.affine]
 
@@ -344,14 +348,16 @@ def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: Entropy
                 q: QuadratureRule, matrices=()):
     """(e, I_M for each M in matrices) from one blocked pass over the rule:
     e = int psi(r) f_inf dx and I_M = int psi''(r) grad r . M grad r f_inf dx
-    with r = f/f_inf.  M = D gives the dissipation I, M = P gives S.  With h
-    from ``ratio_and_grad``, grad r . M grad r = h . (S^-1 M S^-1) h; each
+    with r = f/f_inf.  M = D gives the dissipation I, M = P gives S.  The
+    frame S = sqrtK comes from ``ss``; the rule must have its dimension.  With
+    h from ``ratio_and_grad``, grad r . M grad r = h . (S^-1 M S^-1) h; each
     block of _BLOCK nodes, or of _BLOCK // n states on n < _BLOCK nodes, is
     domain-checked and summed.  A stack gives (T, 1 + k), a mixture a tuple."""
-    if np.linalg.norm(q.K - ss.K, 2) > TOL.steady * linalg._scale(ss.K):
-        raise ValueError("quadrature reference covariance must equal the steady K")
-    H, w, affine = _fold(f if isinstance(f, MixtureStack) else MixtureStack.of(f), q)
-    Sinv = np.linalg.inv(q.sqrtK)
+    if q.d != ss.d:
+        raise ValueError(f"rule dimension {q.d} differs from the steady state's {ss.d}")
+    S = linalg.sqrt_spd(ss.K)
+    H, w, affine = _fold(f if isinstance(f, MixtureStack) else MixtureStack.of(f), ss.K, S)
+    Sinv = np.linalg.inv(S)
     k, d = len(matrices), len(Sinv)
     Mw = np.array([Sinv @ np.asarray(M, float) @ Sinv for M in matrices]).reshape(-1, d)
     lo = gen.domain_min

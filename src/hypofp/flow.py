@@ -67,7 +67,7 @@ def _evolve(m0: GaussianMixture, times, C: np.ndarray, K: np.ndarray) -> Mixture
                              "components (mean 0, covariance K)")
         means[:, c], covs[:, c] = f.means[0, c], f.covs[0, c]
     return MixtureStack(f.weights, means, covs, tuple(
-        (c, (E @ (K @ a[0])) @ np.linalg.inv(K).T) for c, a in f.affine))
+        (c, np.linalg.solve(K, (E @ (K @ a[0])).T).T) for c, a in f.affine))
 
 
 def evolve_mixture(m0: GaussianMixture, t: float, C: np.ndarray, K: np.ndarray) -> GaussianMixture:
@@ -180,16 +180,13 @@ def sharpness_scenario(
     mu = eig.mu
     scale = linalg._scale(spec.C)
     minimal = eig.minimal_chains(TOL.minimal * scale)
-    Kinv = ss.K_inv
 
     if kind == "real-eig":
         for ch in minimal:
             if abs(ch.eigenvalue.imag) <= TOL.imag * scale and ch.length == 1:
                 v0 = np.real(ch.vectors[0])
                 v0 = v0 / np.linalg.norm(v0)
-                return SharpnessScenario(
-                    kind=kind, v0=v0, mu=mu, e0=0.5 * float(v0 @ Kinv @ v0)
-                )
+                return SharpnessScenario(kind=kind, v0=v0, mu=mu, e0=entropy_log_shift(v0, ss.K))
         raise ValueError("no simple real minimal eigenvalue available")
 
     if kind == "complex-pair":
@@ -209,9 +206,9 @@ def sharpness_scenario(
         for ch in minimal:
             if ch.length >= 2 and abs(ch.eigenvalue.imag) <= TOL.imag * scale:
                 w, h = np.real(ch.vectors[:2])
-                c0 = 0.5 * float(h @ Kinv @ h)
-                c1 = -float(h @ Kinv @ w)
-                c2 = 0.5 * float(w @ Kinv @ w)
+                c0 = entropy_log_shift(h, ss.K)
+                c1 = -float(h @ np.linalg.solve(ss.K, w))
+                c2 = entropy_log_shift(w, ss.K)
                 return SharpnessScenario(kind=kind, v0=h, mu=mu, poly=(c0, c1, c2))
         raise ValueError("no defective real minimal eigenvalue available")
 

@@ -145,16 +145,16 @@ class AffineEigenfunction:
     state: GaussianMixture  # unit-mass carrier (1 + x.K^{-1}w) f_inf
 
 
-def degree_one_eigenfunction(ss: SteadyState, w: np.ndarray) -> AffineEigenfunction:
+def degree_one_eigenfunction(spec: SystemSpec, ss: SteadyState,
+                             w: np.ndarray) -> AffineEigenfunction:
     """For an eigenvector w of C (Cw = lam w, real), f = (x.K^{-1}w) f_inf is
     an eigenfunction of the generator with eigenvalue -lam: the perturbation
     coefficient evolves as e^{-lam t} w."""
     w = np.asarray(w, dtype=float)
-    C = ss.K @ ss.Q.T @ ss.K_inv  # recover C from Q = K C^T K^{-1}
-    Cw = C @ w
+    Cw = spec.C @ w
     nw = np.linalg.norm(w)
     lam = float(w @ Cw) / float(w @ w)
     resid = np.linalg.norm(Cw - lam * w)
-    if resid > TOL.residual * max(1.0, np.linalg.norm(C, 2)) * nw:
+    if resid > TOL.residual * max(1.0, np.linalg.norm(spec.C, 2)) * nw:
         raise ValueError(f"w is not an eigenvector of C (residual {resid:.3e})")
     return AffineEigenfunction(eigenvalue=complex(-lam), w=w, state=affine_steady(ss, w))

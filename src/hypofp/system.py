@@ -27,10 +27,12 @@ from .linalg import TOL
 @dataclass(frozen=True)
 class SystemSpec:
     """The pair (D, C); D must be symmetric PSD.  The spec owns read-only
-    copies of both, so ``eig`` (computed on first use) cannot go stale."""
+    copies of both, so ``eig`` (computed on first use) cannot go stale.
+    ``rank_D`` counts the eigenvalues of D above rank * lambda_max."""
 
     D: np.ndarray
     C: np.ndarray
+    rank_D: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         D = np.asarray(self.D, dtype=float)
@@ -44,21 +46,18 @@ class SystemSpec:
         nD = max(float(nD), 1.0)  # linalg._scale(D)
         if asym > TOL.exact * nD:
             raise ValueError("D must be symmetric")
-        if linalg.min_sym_eigenvalue(D) < -TOL.exact * nD:
-            raise ValueError("D must be positive semidefinite")
         D = 0.5 * (D + D.T)
+        w = np.linalg.eigvalsh(D)
+        if w[0] < -TOL.exact * nD:
+            raise ValueError("D must be positive semidefinite")
         D.flags.writeable = C.flags.writeable = False
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "C", C)
+        object.__setattr__(self, "rank_D", int(np.sum(w > TOL.rank * max(w[-1], 1e-300))))
 
     @property
     def d(self) -> int:
         return self.D.shape[0]
-
-    @property
-    def rank_D(self) -> int:
-        w = np.linalg.eigvalsh(self.D)
-        return int(np.sum(w > TOL.rank * max(w.max(initial=0.0), 1e-300)))
 
     @cached_property
     def eig(self) -> linalg.EigenStructure:
@@ -95,11 +94,6 @@ class SteadyState:
     @property
     def d(self) -> int:
         return self.K.shape[0]
-
-    @property
-    def K_inv(self) -> np.ndarray:
-        Ki = np.linalg.inv(self.K)
-        return 0.5 * (Ki + Ki.T)
 
 
 def normalize_diffusion(spec: SystemSpec) -> tuple[SystemSpec, np.ndarray]:
@@ -181,15 +175,17 @@ def steady_state(spec: SystemSpec) -> SteadyState:
     """Steady-state covariance K (unique SPD solution of 2D = CK + KC^T),
     normalization cK, the antisymmetric flux matrix R, and Q = K C^T K^{-1}.
 
-    A non-SPD K signals a violated structural condition (an eigenvector of
-    C^T inside ker D makes K singular).
+    K counts as singular when lambda_min <= rank * max(1, |lambda|_max).  An
+    eigenvector of C^T inside ker D makes K singular, but so does roundoff
+    when K is ill-conditioned, so the error states only what was measured.
     """
     K = linalg.solve_lyapunov(spec.C, spec.D)
     w = np.linalg.eigvalsh(K)
-    if w[0] <= TOL.rank * max(abs(w).max(), 1.0):
+    ref = max(abs(w).max(), 1.0)
+    if w[0] <= TOL.rank * ref:
         raise np.linalg.LinAlgError(
-            f"steady-state covariance is singular (min eigenvalue {w[0]:.3e}); "
-            "an eigenvector of C^T lies in ker D"
+            f"steady-state covariance is singular: lambda_min = {w[0]:.3e}, lambda_max = "
+            f"{w[-1]:.3e}, lambda_min / max(1, |lambda|_max) = {w[0] / ref:.3e} <= {TOL.rank:.0e}"
         )
     cK = (2.0 * math.pi) ** (-spec.d / 2.0) / math.sqrt(float(np.linalg.det(K)))
     M = spec.C @ K - K @ spec.C.T  # antisymmetric up to roundoff

@@ -56,6 +56,22 @@ def make_defective_minimal_system(rng, d=3):
     raise RuntimeError("failed to construct a defective-minimal system")
 
 
+def harmonic_chain(N, baths, gamma=1.0, T=1.0):
+    """N unit masses with pinned springs Phi = tridiag(-1, 2.1, -1) and a
+    Langevin bath (friction gamma, temperature T) at site 1, and at site N
+    when baths == 2: C = [[0, -I], [Phi, Gamma]], D = diag(0, Gamma T), d = 2N.
+    Returns the spec and the exact Gibbs covariance T diag(Phi^-1, I)."""
+    Phi = 2.1 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1)
+    Gamma = np.zeros((N, N))
+    Gamma[0, 0] = gamma
+    if baths == 2:
+        Gamma[N - 1, N - 1] = gamma
+    Z = np.zeros((N, N))
+    spec = hp.SystemSpec(D=np.block([[Z, Z], [Z, T * Gamma]]),
+                         C=np.block([[Z, -np.eye(N)], [Phi, Gamma]]))
+    return spec, T * np.block([[np.linalg.inv(Phi), Z], [Z, np.eye(N)]])
+
+
 def assert_multisets_close(a, b, atol=1e-6):
     """Greedy nearest-neighbour matching of two complex multisets (robust
     against ordering flips from +-0 imaginary noise)."""

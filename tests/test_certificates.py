@@ -161,7 +161,7 @@ class TestLambdaConstants:
         ss = hp.steady_state(spec)
         tm = hp.build_P(ss)
         lam = hp.lambda_P(ss.K, tm.P)
-        M = ss.K_inv - lam * np.linalg.inv(tm.P)
+        M = np.linalg.inv(ss.K) - lam * np.linalg.inv(tm.P)
         w = np.linalg.eigvalsh(0.5 * (M + M.T))
         assert w[0] >= -1e-10 * max(abs(w).max(), 1.0)
         assert abs(w[0]) <= 1e-8 * max(abs(w).max(), 1.0)
@@ -192,7 +192,6 @@ class TestCompareRates:
         assert dc.rate == pytest.approx(1.25, abs=1e-12)
         assert dc.cond_sq_bound is not None
         assert dc.lambda_K <= dc.mu <= dc.cond_sq_bound + 1e-9
-        assert hp.compare_rates(spec, ss, eig=linalg.eigen_structure(spec.C)) == dc
 
     def test_symmetric_equality(self):
         # Normal drift commuting with D: both bounds collapse to mu.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hypofp as hp
-from hypofp import entropy as ent, flow
+from hypofp import entropy as ent, flow, linalg
 from conftest import make_random_system
 
 GENERATORS = [
@@ -151,15 +151,37 @@ class TestQuadratureFunctionals:
         I = hp.entropy_dissipation_I(f, ss, spec, ent.LogEntropy(), q)
         assert abs(I) <= 1e-8
 
-    def test_rule_on_other_covariance_rejected(self, fig1b):
+    def test_rule_of_other_dimension_rejected(self, fig1b):
         spec, ss, _ = fig1b
-        q = hp.gauss_hermite_rule(2.0 * ss.K, 16)
+        q = hp.gauss_hermite_rule(np.eye(3), 16)
         f = ent.shifted_steady(ss, np.array([0.7, -0.4]))
         gen = ent.LogEntropy()
-        with pytest.raises(ValueError, match="steady K"):
+        with pytest.raises(ValueError, match="rule dimension 3"):
+            hp.relative_entropy(f, ss, gen, q)
+        with pytest.raises(ValueError, match="rule dimension 3"):
             hp.entropy_dissipation_I(f, ss, spec, gen, q)
-        with pytest.raises(ValueError, match="steady K"):
+        with pytest.raises(ValueError, match="rule dimension 3"):
             hp.modified_dissipation_S(f, ss, np.eye(2), gen, q)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_one_rule_serves_every_steady_state_of_its_dimension(self, rng, d):
+        # The rule holds no covariance: one rule object gives, bit for bit,
+        # what a rule built on each steady state's own K gives.
+        shared = hp.gauss_hermite_rule(np.eye(d), 16)
+        gen = ent.QuadraticEntropy()  # the affine factor may change sign far out
+        for _ in range(2):
+            spec, _ = make_random_system(rng, d)
+            ss = hp.steady_state(spec)
+            tm = hp.build_P(ss)
+            f = hp.GaussianMixture((
+                ent.GaussianComponent(0.6, rng.normal(scale=0.3, size=d), 1.2 * ss.K),
+                ent.GaussianComponent(0.4, np.zeros(d), ss.K, affine=rng.normal(scale=0.1, size=d)),
+            ))
+            own = hp.gauss_hermite_rule(ss.K, 16)
+            assert shared.n == own.n
+            vals = ent.functionals(f, ss, gen, shared, (spec.D, tm.P))
+            assert vals == ent.functionals(f, ss, gen, own, (spec.D, tm.P))
+            assert all(np.isfinite(vals)) and vals[1] >= 0.0 and vals[2] > 0.0
 
     def test_quadrature_convergence(self, fig1b):
         spec, ss, _ = fig1b
@@ -287,9 +309,9 @@ def _row_major_functionals(f, ss, gen, q, matrices):
     """e and I_M from physical nodes x = sqrtK y held as one (n, d) array:
     the exponent x.Kinv.x/2 - (x-v).Ainv.(x-v)/2 and the gradient
     Kinv x - Ainv (x-v) per component, then weighted sums over all nodes."""
-    X = q.nodes[:-1].T @ q.sqrtK.T
+    X = q.nodes[:-1].T @ linalg.sqrt_spd(ss.K).T
     logdetK = float(np.linalg.slogdet(ss.K)[1])
-    XK = X @ ss.K_inv
+    XK = X @ np.linalg.inv(ss.K)
     q_ref = 0.5 * np.einsum("ni,ni->n", XK, X)
     r, grad = np.zeros(len(X)), np.zeros(X.shape)
     for comp in f.components:

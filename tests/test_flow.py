@@ -293,9 +293,9 @@ class TestTrajectory:
 def _per_sample_functionals(comps, ss, gen, q, matrices):
     """One state's (e, I_M...) as the per-sample pass computed them: one
     solve and slogdet per component, then the blocked node loop."""
-    S = q.sqrtK
+    S = linalg.sqrt_spd(ss.K)
     d = len(S)
-    logdetK = float(np.linalg.slogdet(q.K)[1])
+    logdetK = float(np.linalg.slogdet(ss.K)[1])
     H = np.empty((len(comps), d + 1, d + 1))
     for c, comp in enumerate(comps):
         AinvS = np.linalg.solve(comp.cov, np.column_stack([S, comp.mean]))

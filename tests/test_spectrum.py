@@ -212,15 +212,15 @@ class TestPolyOperatorMatrix:
 
 class TestDegreeOneEigenfunction:
     def test_sec8_no_real_eigenvector(self):
-        ss = hp.steady_state(hp.SystemSpec(**SEC8))
+        spec = hp.SystemSpec(**SEC8)
         with pytest.raises(ValueError):
-            hp.degree_one_eigenfunction(ss, np.array([1.0, 0.0]))
+            hp.degree_one_eigenfunction(spec, hp.steady_state(spec), np.array([1.0, 0.0]))
 
     def test_triangular_example(self):
         C = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 1.0, 3.0]])
         spec = hp.SystemSpec(D=np.diag([1.0, 1.0, 0.0]), C=C)
         ss = hp.steady_state(spec)
-        ef = hp.degree_one_eigenfunction(ss, np.array([1.0, 0.0, 0.0]))
+        ef = hp.degree_one_eigenfunction(spec, ss, np.array([1.0, 0.0, 0.0]))
         assert ef.eigenvalue == pytest.approx(-1.0, abs=1e-12)
         comp = ef.state.components[0]
         assert comp.affine is not None
@@ -233,7 +233,7 @@ class TestDegreeOneEigenfunction:
         spec = hp.SystemSpec(D=np.diag([1.0, 1.0, 0.0]), C=C)
         ss = hp.steady_state(spec)
         w = np.array([0.0, 1.0, -1.0])  # eigenvector for lam = 2
-        ef = hp.degree_one_eigenfunction(ss, w)
+        ef = hp.degree_one_eigenfunction(spec, ss, w)
         assert ef.eigenvalue == pytest.approx(-2.0, abs=1e-12)
         t = 0.7
         evolved = hp.evolve_mixture(ef.state, t, spec.C, ss.K)
