@@ -6,7 +6,7 @@ A system is the matrix pair (D, C) of the degenerate Fokker-Planck equation
 
 with D symmetric positive semidefinite (possibly singular) and C the drift.
 This module certifies the structural condition needed for convergence to a
-Gaussian steady state: the finite-rank commutator condition (hypoellipticity)
+Gaussian steady state: hypoellipticity (an orthogonal staircase of (C, D))
 plus positive stability of C.  It also computes the steady-state covariance,
 the symmetric/antisymmetric operator split, and the Green-function
 covariance W(t).
@@ -69,7 +69,9 @@ class SystemSpec:
 class ConditionAReport:
     hypoelliptic: bool
     tau: int | None
-    kappa: float | None
+    controllable_dim: int
+    margin: float  # smallest kept staircase singular value / _scale([C, D])
+    gap: float  # largest dropped one / _scale([C, D])
     positively_stable: bool
     mu: float
     minimal_eigs_defective: bool
@@ -121,23 +123,32 @@ def normalize_diffusion(spec: SystemSpec) -> tuple[SystemSpec, np.ndarray]:
     return SystemSpec(D=D_new, C=C_new), T
 
 
-def hoermander_tau(spec: SystemSpec) -> tuple[int, float] | None:
-    """Minimal tau in {0,...,d-k} with sum_{j<=tau} C^j D (C^T)^j positive
-    definite, together with kappa = its smallest eigenvalue.
+def hoermander_tau(spec: SystemSpec) -> tuple[int | None, int, float, float]:
+    """Orthogonal controllability staircase of (C, D) (Van Dooren 1981; Paige,
+    IEEE TAC 26, 1981): (tau, dim, margin, gap).
 
-    Returns None when even the full sum is singular (not hypoelliptic).
+    Block 0 spans range D = range D^{1/2}; block j + 1 spans what C maps block
+    j to outside the blocks so far.  Each block is one SVD, its singular values
+    kept above rank * _scale([C, D]).  dim sums the block sizes; tau = blocks - 1
+    is the least tau with sum_{j<=tau} C^j D (C^T)^j > 0, None when dim < d.
+    margin / gap: smallest kept / largest dropped singular value over the scale.
     """
-    D, C = spec.D, spec.C
-    d, k = spec.d, spec.rank_D
-    acc = np.zeros_like(D)
-    Cj = np.eye(d)
-    for tau in range(d - k + 1):
-        acc = acc + Cj @ D @ Cj.T
-        kappa = linalg.min_sym_eigenvalue(acc)
-        if kappa > TOL.rank * linalg._scale(acc):
-            return tau, kappa
-        Cj = C @ Cj
-    return None
+    C, d = spec.C, spec.d
+    scale = linalg._scale(np.hstack([C, spec.D]))
+    V, B = np.eye(d), spec.D  # basis of the unreached complement; the input block in it
+    blocks, kept, dropped = 0, [], []
+    while V.shape[1]:
+        U, s, _ = np.linalg.svd(B)
+        r = int(np.sum(s > TOL.rank * scale))
+        kept, dropped = kept + list(s[:r]), dropped + list(s[r:])
+        if r == 0:
+            break
+        W = V @ U
+        V, B = W[:, r:], W[:, r:].T @ C @ W[:, :r]
+        blocks += 1
+    dim = d - V.shape[1]
+    margin, gap = min(kept, default=0.0) / scale, max(dropped, default=0.0) / scale
+    return (blocks - 1 if dim == d else None), dim, margin, gap
 
 
 def check_condition_A(
@@ -150,18 +161,17 @@ def check_condition_A(
     ``cluster_tol`` controls eigenvalue merging in the defect detection;
     constructed near-defective systems may need a coarser value than the
     default."""
-    hr = hoermander_tau(spec)
-    hypoelliptic = hr is not None
-    tau, kappa = hr if hr is not None else (None, None)
-
+    tau, dim, margin, gap = hoermander_tau(spec)
     eig = spec.eig if cluster_tol == TOL.cluster else linalg.eigen_structure(spec.C, cluster_tol)
     # (eigenvalue, longest chain) of each defective eigenvalue.
     details = tuple((lam, max(ch.length for ch in eig.chains if ch.eigenvalue == lam))
                     for lam, a, g in zip(eig.eigenvalues, eig.algebraic, eig.geometric) if g < a)
     return ConditionAReport(
-        hypoelliptic=hypoelliptic,
+        hypoelliptic=tau is not None,
         tau=tau,
-        kappa=kappa,
+        controllable_dim=dim,
+        margin=margin,
+        gap=gap,
         positively_stable=eig.mu > TOL.stability,
         mu=eig.mu,
         minimal_eigs_defective=any(
@@ -175,18 +185,18 @@ def steady_state(spec: SystemSpec) -> SteadyState:
     """Steady-state covariance K (unique SPD solution of 2D = CK + KC^T),
     normalization cK, the antisymmetric flux matrix R, and Q = K C^T K^{-1}.
 
-    K counts as singular when lambda_min <= rank * max(1, |lambda|_max).  An
-    eigenvector of C^T inside ker D makes K singular, but so does roundoff
-    when K is ill-conditioned, so the error states only what was measured.
+    K is singular when lambda_min <= rank * lambda_max (free of the units of D;
+    K = 0 too).  An eigenvector of C^T in ker D makes K singular, but so does
+    roundoff when K is ill-conditioned: the error states what was measured.
     """
     K = linalg.solve_lyapunov(spec.C, spec.D)
     w = np.linalg.eigvalsh(K)
-    ref = max(abs(w).max(), 1.0)
-    if w[0] <= TOL.rank * ref:
+    if w[0] <= TOL.rank * w[-1]:
+        why = (f"lambda_min / lambda_max = {w[0] / w[-1]:.3e} <= {TOL.rank:.0e}" if w[-1] > 0
+               else "no positive eigenvalue")
         raise np.linalg.LinAlgError(
-            f"steady-state covariance is singular: lambda_min = {w[0]:.3e}, lambda_max = "
-            f"{w[-1]:.3e}, lambda_min / max(1, |lambda|_max) = {w[0] / ref:.3e} <= {TOL.rank:.0e}"
-        )
+            f"steady-state covariance is singular: lambda_min = {w[0]:.3e}, "
+            f"lambda_max = {w[-1]:.3e}, {why}")
     cK = (2.0 * math.pi) ** (-spec.d / 2.0) / math.sqrt(float(np.linalg.det(K)))
     M = spec.C @ K - K @ spec.C.T  # antisymmetric up to roundoff
     R = 0.25 * (M - M.T)  # exactly antisymmetric (CK - KC^T)/2

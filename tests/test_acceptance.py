@@ -115,8 +115,8 @@ def test_criterion_3_tau_pairs():
     D = np.diag([1.0, 1.0, 0.0, 0.0])
     C1T = np.array([[1, 0, -1, 0], [0, 1, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], float)
     C2T = np.array([[1, 0, 0, 0], [0, 1, -1, 0], [0, 1, 0, -1], [0, 0, 1, 0]], float)
-    tau1, _ = hp.hoermander_tau(hp.SystemSpec(D=D, C=C1T.T))
-    tau2, _ = hp.hoermander_tau(hp.SystemSpec(D=D, C=C2T.T))
+    tau1 = hp.hoermander_tau(hp.SystemSpec(D=D, C=C1T.T))[0]
+    tau2 = hp.hoermander_tau(hp.SystemSpec(D=D, C=C2T.T))[0]
     assert tau1 == 1
     assert tau2 == 2
     return "tau = 1 and tau = 2"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hypofp import cli, linalg, system
+from conftest import harmonic_chain
 
 FIG1B = {"system": {"D": [[1.0, 0.0], [0.0, 0.0]], "C": [[1.0, -1.0], [1.0, 0.0]]}}
 SEC8 = {"system": {"D": [[0.25, 0.0], [0.0, 1.0]], "C": [[0.25, -4.0], [4.0, 1.0]]}}
@@ -34,16 +35,32 @@ class TestAnalyze:
         out = json.loads((tmp_path / "analyze.json").read_text())
         assert out["condition"]["mu"] == pytest.approx(0.625, abs=1e-12)
         assert out["condition"]["tau"] == 0
+        assert "kappa" not in out["condition"] and out["condition"]["gap"] == 0.0
         assert np.allclose(out["steady_state"]["K"], np.eye(2), atol=1e-12)
         assert out["certificate"]["rate"] == pytest.approx(1.25, abs=1e-10)
         assert out["certificate"]["margin"] >= -1e-8 * np.linalg.norm(out["certificate"]["P"], 2)
 
-    def test_condition_failure_exit_code(self, tmp_path):
+    def test_condition_failure_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
             {"system": {"D": [[1.0, 0.0], [0.0, 0.0]], "C": [[1.0, 0.0], [0.0, 1.0]]}},
         )
         assert run_cli(["analyze", "--config", cfg, "--output", tmp_path]) == cli.EXIT_CONDITION
+        # The message states what the staircase measured, not a cause.
+        err = capsys.readouterr().err
+        assert "controllable subspace of (C, D) has dimension 1 of 2" in err
+        assert "staircase gap 0.000e+00" in err
+        assert "invariant" not in err
+
+    def test_harmonic_chain_d16(self, tmp_path):
+        # One bath on 8 oscillators: tau = d - 1 = 15, where the Kalman sum's
+        # rank test used to give a false "not hypoelliptic".
+        spec, _ = harmonic_chain(8, 1)
+        cfg = write_cfg(tmp_path, {"system": {"D": spec.D.tolist(), "C": spec.C.tolist()}})
+        assert run_cli(["analyze", "--config", cfg, "--output", tmp_path]) == 0
+        cond = json.loads((tmp_path / "analyze.json").read_text())["condition"]
+        assert cond["hypoelliptic"] and cond["tau"] == 15
+        assert cond["margin"] > 0
 
     def test_unstable_drift_exit_code(self, tmp_path):
         cfg = write_cfg(
