@@ -83,7 +83,10 @@ def _svg_lines(path: str, t: np.ndarray, series: list[tuple[str, np.ndarray]],
     pw, ph = W - ml - mr, H - mt - mb
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
 
-    ys = [np.where(np.asarray(y, float) > 0, y, np.nan) for _, y in series]
+    ys = []
+    for _, y in series:
+        y = np.asarray(y, float)
+        ys.append(np.where(y > 0, y, np.nan))
     all_y = np.concatenate([y[np.isfinite(y)] for y in ys])
     if all_y.size == 0:
         all_y = np.array([1e-12, 1.0])
@@ -106,8 +109,13 @@ def _svg_lines(path: str, t: np.ndarray, series: list[tuple[str, np.ndarray]],
         f'font-size="13">{title}</text>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="black"/>',
     ]
-    for k, ((label, _), y) in enumerate(zip(series, ys)):
-        pts = [f"{sx(tv):.2f},{sy(yv):.2f}" for tv, yv in zip(t, y) if np.isfinite(yv)]
+    for k, (label, y) in enumerate(series):
+        y = ys[k]
+        pts = [
+            f"{sx(tv):.2f},{sy(yv):.2f}"
+            for tv, yv in zip(t, y)
+            if np.isfinite(yv)
+        ]
         if pts:
             parts.append(
                 f'<polyline points="{" ".join(pts)}" fill="none" '
@@ -117,8 +125,11 @@ def _svg_lines(path: str, t: np.ndarray, series: list[tuple[str, np.ndarray]],
             f'<text x="{ml + 8}" y="{mt + 16 + 16 * k}" font-family="sans-serif" '
             f'font-size="12" fill="{colors[k % len(colors)]}">{label}</text>'
         )
-    parts += [f'<text x="{W / 2}" y="{H - 10}" text-anchor="middle" font-family="sans-serif" '
-              'font-size="12">t</text>', "</svg>"]
+    parts.append(
+        f'<text x="{W / 2}" y="{H - 10}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">t</text>'
+    )
+    parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
 
@@ -226,7 +237,8 @@ def _check_condition(spec) -> system.ConditionAReport:
     if not report.hypoelliptic:
         raise ConditionFailure(
             f"structural condition fails: the controllable subspace of (C, D) has dimension "
-            f"{report.controllable_dim} of {spec.d} (staircase gap {report.gap:.3e})")
+            f"{report.controllable_dim} of {spec.d} (staircase gap {report.gap:.3e})"
+        )
     if not report.positively_stable:
         raise ConditionFailure(
             f"structural condition fails: C is not positively stable "

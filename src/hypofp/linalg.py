@@ -31,7 +31,7 @@ class Tolerances:
     minimal: float = 1e-8  # |Re lam - mu| <= minimal * _scale(M): lam is minimal; pairs conjugates
     imag: float = 1e-10  # |Im lam| <= imag * _scale(C): a minimal eigenvalue is real
     # Zero when <= rank * lambda_max (eigenvalues of D, the steady K's smallest)
-    # or <= rank * _scale([C, D]) (staircase singular values).
+    # or <= rank * _scale(C) (singular values of the later staircase blocks).
     rank: float = 1e-10
     stability: float = 1e-10  # min Re eig(C) > stability (absolute): C is positively stable
     # Identities that hold up to roundoff, times max(1, size): D = D^T, D >= 0,

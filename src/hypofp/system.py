@@ -70,8 +70,8 @@ class ConditionAReport:
     hypoelliptic: bool
     tau: int | None
     controllable_dim: int
-    margin: float  # smallest kept staircase singular value / _scale([C, D])
-    gap: float  # largest dropped one / _scale([C, D])
+    margin: float  # smallest kept staircase value over its reference (see hoermander_tau)
+    gap: float  # largest dropped one over its reference
     positively_stable: bool
     mu: float
     minimal_eigs_defective: bool
@@ -127,28 +127,36 @@ def hoermander_tau(spec: SystemSpec) -> tuple[int | None, int, float, float]:
     """Orthogonal controllability staircase of (C, D) (Van Dooren 1981; Paige,
     IEEE TAC 26, 1981): (tau, dim, margin, gap).
 
-    Block 0 spans range D = range D^{1/2}; block j + 1 spans what C maps block
-    j to outside the blocks so far.  Each block is one SVD, its singular values
-    kept above rank * _scale([C, D]).  dim sums the block sizes; tau = blocks - 1
+    Block 0 spans range D = range D^{1/2}: the eigenvectors of the rank_D
+    eigenvalues of D above rank * lambda_max(D).  Block j + 1 spans what C
+    maps block j to outside the blocks so far: one SVD, its singular values
+    kept above rank * _scale(C).  dim sums the block sizes; tau = blocks - 1
     is the least tau with sum_{j<=tau} C^j D (C^T)^j > 0, None when dim < d.
-    margin / gap: smallest kept / largest dropped singular value over the scale.
+    margin / gap: smallest kept / largest dropped value, over lambda_max(D) in
+    block 0 and over _scale(C) after it, each the reference of its threshold.
     """
-    C, d = spec.C, spec.d
-    scale = linalg._scale(np.hstack([C, spec.D]))
-    V, B = np.eye(d), spec.D  # basis of the unreached complement; the input block in it
-    blocks, kept, dropped = 0, [], []
+    C = spec.C
+    d, k = spec.d, spec.rank_D
+    if k == 0:
+        return None, 0, 0.0, 0.0
+    w, U = np.linalg.eigh(spec.D)  # ascending: range D is the last k columns
+    kept = list(w[d - k:] / w[-1])
+    dropped = list(np.abs(w[:d - k]) / w[-1])
+    scale = linalg._scale(C)
+    V, Y = U[:, :d - k], U[:, d - k:]  # basis of the unreached complement; the newest block
+    blocks = 1
     while V.shape[1]:
-        U, s, _ = np.linalg.svd(B)
+        Z, s, _ = np.linalg.svd(V.T @ C @ Y)
         r = int(np.sum(s > TOL.rank * scale))
-        kept, dropped = kept + list(s[:r]), dropped + list(s[r:])
+        kept += list(s[:r] / scale)
+        dropped += list(s[r:] / scale)
         if r == 0:
             break
-        W = V @ U
-        V, B = W[:, r:], W[:, r:].T @ C @ W[:, :r]
+        W = V @ Z
+        V, Y = W[:, r:], W[:, :r]
         blocks += 1
     dim = d - V.shape[1]
-    margin, gap = min(kept, default=0.0) / scale, max(dropped, default=0.0) / scale
-    return (blocks - 1 if dim == d else None), dim, margin, gap
+    return (blocks - 1 if dim == d else None), dim, min(kept), max(dropped, default=0.0)
 
 
 def check_condition_A(
@@ -196,7 +204,8 @@ def steady_state(spec: SystemSpec) -> SteadyState:
                else "no positive eigenvalue")
         raise np.linalg.LinAlgError(
             f"steady-state covariance is singular: lambda_min = {w[0]:.3e}, "
-            f"lambda_max = {w[-1]:.3e}, {why}")
+            f"lambda_max = {w[-1]:.3e}, {why}"
+        )
     cK = (2.0 * math.pi) ** (-spec.d / 2.0) / math.sqrt(float(np.linalg.det(K)))
     M = spec.C @ K - K @ spec.C.T  # antisymmetric up to roundoff
     R = 0.25 * (M - M.T)  # exactly antisymmetric (CK - KC^T)/2
