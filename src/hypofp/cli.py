@@ -318,7 +318,7 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
         raise ConfigError("times.samples: need at least 2 samples")
     order = _read(_section(cfg, "quadrature", {}), "quadrature", "order", _int, 64)
     tm, _ = _certificate(cfg, ss)
-    q = entropy.gauss_hermite_rule(ss.K, order=order)
+    q = entropy.rule_for(gen, ss.K, order)
     times = np.linspace(0.0, t_end, samples)
     rec = flow.run_trajectory(spec, ss, tm, f0, gen, times, q=q)
     if fmt == "json":

@@ -1,4 +1,4 @@
-"""Admissible entropy generators and quadrature of entropy functionals.
+"""Admissible entropy generators and the entropy functionals of states.
 
 The relative entropy of a state f with respect to the Gaussian steady state
 f_inf is e(f) = int psi(f/f_inf) f_inf dx for a convex generator psi with
@@ -6,11 +6,13 @@ psi(1) = psi'(1) = 0.  Three closed-form families are provided (logarithmic,
 quadratic, power-p).  States live in the flow-invariant class of Gaussian
 mixtures, optionally carrying an affine polynomial factor (1 + a.x) on
 steady-shaped components; ratios f/f_inf and their gradients are then
-analytic.  Integrals are sums over a standard-normal rule in whitened
+analytic.  For the quadratic generator every functional is a sum of
+Gaussian integrals over pairs of components and is evaluated exactly.  For
+the others, integrals are sums over a standard-normal rule in whitened
 coordinates y, mapped to x = sqrtK y by the steady state's own K, so the
 weight is exactly f_inf; the rule depends only on (d, order) and is built
 once.  ``functionals`` gets e, I and S of a state, or of a stack of T
-states (a trajectory), in one blocked pass.
+states (a trajectory), in one pass.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class LogEntropy:
 
 @dataclass(frozen=True)
 class QuadraticEntropy:
-    """psi(s) = alpha*(s-1)^2; the only generator defined for signed states."""
+    """psi(s) = alpha*(s-1)^2; the only generator defined for signed states,
+    and the one whose functionals ``functionals`` evaluates in closed form."""
 
     alpha: float = 1.0
 
@@ -138,11 +141,12 @@ class PowerEntropy:
     def psi(self, s, order: int = 0):
         s = np.asarray(s, dtype=float)
         a, b, p = self.alpha, self.beta, self.p
-        if np.any(s < -b):
+        if order != 0 and np.any(s < -b):
             raise DomainError("ratio below -beta")
-        sb = s + b
         if order == 0:
-            return a * (sb ** p - (1.0 + b) ** p - p * (1.0 + b) ** (p - 1.0) * (s - 1.0))
+            s = np.maximum(s, -b)  # clamped to -b, as LogEntropy.psi does
+            return a * ((s + b) ** p - (1.0 + b) ** p - p * (1.0 + b) ** (p - 1.0) * (s - 1.0))
+        sb = s + b
         if order == 1:
             return a * p * (sb ** (p - 1.0) - (1.0 + b) ** (p - 1.0))
         coef = a * p * (p - 1.0)
@@ -241,8 +245,10 @@ class MixtureStack:
 class QuadratureRule:
     """Nodes/weights integrating int g(y) N(0, I)(y) dy in d dimensions.
 
-    Tensor Gauss-Hermite for d <= 3; one scrambled-Sobol quasi-Monte Carlo
-    point set (fixed seed, equal weights) for d >= 4; no error estimate.
+    Read by the logarithmic and power generators only: the quadratic one is
+    exact and takes no rule.  Tensor Gauss-Hermite for d <= 3; one
+    scrambled-Sobol quasi-Monte Carlo point set (fixed seed, equal weights)
+    for d >= 4; no error estimate.
     ``nodes`` is whitened and nodes-last, (d+1, n) with columns (y, 1).  The
     rule carries no covariance: ``functionals`` maps y to x = sqrtK y with
     the steady state's K, so one rule serves every steady state of its
@@ -294,12 +300,23 @@ def _grid(d: int, order: int):
     return nodes, weights
 
 
+def _check_order(order) -> None:
+    if not isinstance(order, (int, np.integer)) or not 2 <= order <= MAX_ORDER:
+        raise ValueError(f"quadrature order must be an integer in [2, {MAX_ORDER}], got {order!r}")
+
+
 def gauss_hermite_rule(K: np.ndarray, order: int = 64) -> QuadratureRule:
     """The rule of ``order`` in the dimension of the covariance K."""
     d = len(K)
-    if not isinstance(order, (int, np.integer)) or not 2 <= order <= MAX_ORDER:
-        raise ValueError(f"quadrature order must be an integer in [2, {MAX_ORDER}], got {order!r}")
+    _check_order(order)
     return QuadratureRule(*_grid(d, order), "gauss-hermite" if d <= 3 else "qmc-sobol", order)
+
+
+def rule_for(gen: EntropyGenerator, K: np.ndarray, order: int = 64) -> QuadratureRule | None:
+    """The rule ``functionals`` reads for ``gen``: none for the quadratic
+    generator, which is exact; ``order`` is checked either way."""
+    _check_order(order)
+    return None if isinstance(gen, QuadraticEntropy) else gauss_hermite_rule(K, order)
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +361,71 @@ def ratio_and_grad(f, X: np.ndarray):
     return rho.sum(axis=1), h + np.einsum("gcn,gcin->gin", rho, Z[:, :, :d])
 
 
-def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: EntropyGenerator,
-                q: QuadratureRule, matrices=()):
-    """(e, I_M for each M in matrices) from one blocked pass over the rule:
-    e = int psi(r) f_inf dx and I_M = int psi''(r) grad r . M grad r f_inf dx
-    with r = f/f_inf.  M = D gives the dissipation I, M = P gives S.  The
-    frame S = sqrtK comes from ``ss``; the rule must have its dimension.  With
-    h from ``ratio_and_grad``, grad r . M grad r = h . (S^-1 M S^-1) h; each
-    block of _BLOCK nodes, or of _BLOCK // n states on n < _BLOCK nodes, is
-    domain-checked and summed.  A stack gives (T, 1 + k), a mixture a tuple."""
-    if q.d != ss.d:
-        raise ValueError(f"rule dimension {q.d} differs from the steady state's {ss.d}")
-    S = linalg.sqrt_spd(ss.K)
-    H, w, affine = _fold(f if isinstance(f, MixtureStack) else MixtureStack.of(f), ss.K, S)
-    Sinv = np.linalg.inv(S)
-    k, d = len(matrices), len(Sinv)
-    Mw = np.array([Sinv @ np.asarray(M, float) @ Sinv for M in matrices]).reshape(-1, d)
+def _quadratic(f: MixtureStack, S: np.ndarray, Sinv: np.ndarray, Mw: np.ndarray,
+               alpha: float) -> np.ndarray:
+    """(e, I_M for each M) (T, 1 + k) for psi = alpha (s-1)^2, in closed form;
+    Mw holds the k matrices S^-1 M S^-1.
+
+    In the whitened frame x = S y (S = sqrtK, f_inf = N(0, I)) a Gaussian
+    component N(v, A) has the ratio rho with grad rho = rho g, g(y) = B y + P v,
+    P = A^-1 and B = I - P.  Over a pair (a, b), rho_a rho_b f_inf = Z N(m, Sig)
+    with Sig = (P_a + P_b - I)^-1 and m = Sig (P_a v_a + P_b v_b), so the pair
+    gives Z to int r^2 f_inf and Z [B_a Sig B_b + g_a(m) g_b(m)^T] to
+    G = int grad r grad r^T f_inf.  An affine component (1 + a.y) f_inf has
+    grad rho = a and first moment a; with a component b of first moment mu_b
+    (v_b, or a_b when b is affine too) the pair gives Z = 1 + a.mu_b and a mu_b^T.
+    Then e = alpha sum w_a w_b (Z - 1) and I_M = 2 alpha tr(M G).  The integral
+    is finite exactly when every P_c + P_c - I is positive definite (A_c < 2K);
+    the off-diagonal pairs are their means."""
+    (T, m), d = f.means.shape[:2], len(S)
+    A = Sinv @ f.covs @ Sinv
+    P = np.linalg.inv(A)
+    v = f.means @ Sinv
+    Pv = (P @ v[..., None])[..., 0]
+    Lam = P[:, :, None] + P[:, None] - np.eye(d)
+    own = Lam[:, range(m), range(m)]
+    try:
+        np.linalg.cholesky(own)
+    except np.linalg.LinAlgError:
+        c = int(np.argmin(np.linalg.eigvalsh(own)[..., 0].min(axis=0)))
+        raise DomainError(f"mixture component {c} has a covariance not below 2K: the quadratic "
+                          "entropy int (r - 1)^2 f_inf dx is infinite") from None
+    Sig = np.linalg.inv(Lam)
+    b = Pv[:, :, None] + Pv[:, None]
+    mean = (Sig @ b[..., None])[..., 0]
+    vPv_ld = (v * Pv).sum(axis=-1) + np.linalg.slogdet(A)[1]  # v.P v + log det A
+    Zm1 = np.expm1(0.5 * ((b * mean).sum(axis=-1) - vPv_ld[:, :, None] - vPv_ld[:, None]
+                          - np.linalg.slogdet(Lam)[1]))
+    B = np.eye(d) - P
+    ga = mean - (P[:, :, None] @ (mean - v[:, :, None])[..., None])[..., 0]
+    gb = mean - (P[:, None] @ (mean - v[:, None])[..., None])[..., 0]
+    G = (Zm1 + 1.0)[..., None, None] * (B[:, :, None] @ Sig @ B[:, None]
+                                        + ga[..., :, None] * gb[..., None, :])
+    for c, a in f.affine:
+        v[:, c] = a @ S  # first moments, whitened
+    for c, _ in f.affine:
+        at = v[:, c]
+        Zm1[:, c] = Zm1[:, :, c] = (v @ at[..., None])[..., 0]
+        G[:, c] = at[:, None, :, None] * v[:, :, None, :]
+        G[:, :, c] = v[..., None] * at[:, None, None, :]
+    W = np.outer(f.weights, f.weights).reshape(-1)
+    return np.column_stack([alpha * (Zm1.reshape(T, -1) @ W),
+                            2.0 * alpha * (W @ G.reshape(T, m * m, -1)) @ Mw.reshape(-1, d * d).T])
+
+
+def _quadrature(f: MixtureStack, K: np.ndarray, S: np.ndarray, Mw: np.ndarray,
+                gen: EntropyGenerator, q: QuadratureRule | None) -> np.ndarray:
+    """(e, I_M for each M) (T, 1 + k) from one blocked pass over the rule.
+    With h from ``ratio_and_grad``, grad r . M grad r = h . Mw h for
+    Mw = S^-1 M S^-1; each block of _BLOCK nodes, or of _BLOCK // n states on
+    n < _BLOCK nodes, is domain-checked and summed."""
+    k, d = len(Mw), len(S)
+    if q is None:
+        raise ValueError(f"{type(gen).__name__} needs a quadrature rule")
+    if q.d != d:
+        raise ValueError(f"rule dimension {q.d} differs from the steady state's {d}")
+    H, w, affine = _fold(f, K, S)
+    Mw = Mw.reshape(-1, d)
     lo = gen.domain_min
     nb = min(q.n, _BLOCK)
     g = _BLOCK // nb
@@ -370,34 +436,52 @@ def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: Entropy
         for start in range(0, q.n, nb):
             wq = q.weights[start:start + nb]
             r, h = ratio_and_grad(fold, q.nodes[:, start:start + nb].T)
-            if lo > -np.inf and np.any(r < lo - TOL.domain):
+            if np.any(r < lo - TOL.domain):
                 raise DomainError(f"density ratio fell below {lo} at a quadrature node; signed "
                                   "mixtures are admissible only with the quadratic generator")
             out[:, 0] += gen.psi(r, 0) @ wq
             if k:
-                if lo > -np.inf:
-                    # psi'' has a pole at the domain edge; clamp roundoff-negative ratios.
-                    r = np.maximum(r, lo + 1e-300)
+                # psi'' has a pole at the domain edge; clamp roundoff-negative ratios.
+                r = np.maximum(r, lo + 1e-300)
                 quad = np.einsum("gkin,gin->gkn", (Mw @ h).reshape(len(r), k, d, -1), h)
                 out[:, 1:] += np.einsum("gkn,gn->gk", quad, wq * gen.psi(r, 2))
+    return sums
+
+
+def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: EntropyGenerator,
+                q: QuadratureRule | None, matrices=()):
+    """(e, I_M for each M in matrices): e = int psi(r) f_inf dx and
+    I_M = int psi''(r) grad r . M grad r f_inf dx with r = f/f_inf.  M = D
+    gives the dissipation I, M = P gives S.  The quadratic generator is
+    evaluated in closed form and reads no rule (q may be None); the others
+    take one blocked pass over q, which must have the steady state's
+    dimension.  A stack gives (T, 1 + k), a mixture a tuple."""
+    stack = f if isinstance(f, MixtureStack) else MixtureStack.of(f)
+    S = linalg.sqrt_spd(ss.K)
+    Sinv = np.linalg.inv(S)
+    Mw = np.array([Sinv @ np.asarray(M, float) @ Sinv for M in matrices]).reshape(-1, ss.d, ss.d)
+    if isinstance(gen, QuadraticEntropy):
+        sums = _quadratic(stack, S, Sinv, Mw, gen.alpha)
+    else:
+        sums = _quadrature(stack, ss.K, S, Mw, gen, q)
     return sums if isinstance(f, MixtureStack) else tuple(float(v) for v in sums[0])
 
 
 def relative_entropy(f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator,
-                     q: QuadratureRule) -> float:
-    """e(f) = int psi(f/f_inf) f_inf dx by quadrature."""
+                     q: QuadratureRule | None) -> float:
+    """e(f) = int psi(f/f_inf) f_inf dx (see ``functionals``)."""
     return functionals(f, ss, gen, q)[0]
 
 
 def entropy_dissipation_I(f: GaussianMixture, ss: SteadyState, spec: SystemSpec,
-                          gen: EntropyGenerator, q: QuadratureRule) -> float:
+                          gen: EntropyGenerator, q: QuadratureRule | None) -> float:
     """I(f) = int psi''(f/f_inf) grad(f/f_inf) . D grad(f/f_inf) f_inf dx,
     the (nonnegative) entropy dissipation."""
     return functionals(f, ss, gen, q, (spec.D,))[1]
 
 
 def modified_dissipation_S(f: GaussianMixture, ss: SteadyState, P: np.ndarray,
-                           gen: EntropyGenerator, q: QuadratureRule) -> float:
+                           gen: EntropyGenerator, q: QuadratureRule | None) -> float:
     """S(f): the dissipation functional with D replaced by the SPD transport
     matrix P; the engine of the hypocoercive decay estimates."""
     return functionals(f, ss, gen, q, (P,))[1]

@@ -243,12 +243,14 @@ class TrajectoryRecord:
 def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0: GaussianMixture,
                    gen: EntropyGenerator, times: np.ndarray,
                    q: QuadratureRule | None = None) -> TrajectoryRecord:
-    """Quadrature entropy series e(t), I(t), S(t) of the exact states at the
-    requested times and the certificate envelope S(f0)/(2 lambda_P)
-    e^{-2 kappa t}.  All samples, and f0 when the grid starts after t = 0,
-    are one stack: one matrix exponential, one fold, one blocked pass."""
+    """Entropy series e(t), I(t), S(t) of the exact states at the requested
+    times and the certificate envelope S(f0)/(2 lambda_P) e^{-2 kappa t}.
+    All samples, and f0 when the grid starts after t = 0, are one stack: one
+    matrix exponential and one ``functionals`` call.  The quadratic
+    generator is exact and builds no rule; the others read q (order 64 when
+    None)."""
     times = np.asarray(times, dtype=float)
-    q = ent.gauss_hermite_rule(ss.K) if q is None else q
+    q = ent.rule_for(gen, ss.K) if q is None else q
     grid = times if len(times) and times[0] == 0.0 else np.concatenate(([0.0], times))
     vals = ent.functionals(_evolve(f0, grid, spec.C, ss.K), ss, gen, q, (spec.D, cert.P))
     e, i, s = vals[len(grid) - len(times):].T

@@ -28,10 +28,12 @@ from .linalg import TOL
 class SystemSpec:
     """The pair (D, C); D must be symmetric PSD.  The spec owns read-only
     copies of both, so ``eig`` (computed on first use) cannot go stale.
-    ``rank_D`` counts the eigenvalues of D above rank * lambda_max."""
+    ``D_eigh`` is D's one eigendecomposition (w ascending, U), read-only;
+    ``rank_D`` counts its eigenvalues above rank * lambda_max."""
 
     D: np.ndarray
     C: np.ndarray
+    D_eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     rank_D: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -47,12 +49,13 @@ class SystemSpec:
         if asym > TOL.exact * nD:
             raise ValueError("D must be symmetric")
         D = 0.5 * (D + D.T)
-        w = np.linalg.eigvalsh(D)
+        w, U = np.linalg.eigh(D)
         if w[0] < -TOL.exact * nD:
             raise ValueError("D must be positive semidefinite")
-        D.flags.writeable = C.flags.writeable = False
+        D.flags.writeable = C.flags.writeable = w.flags.writeable = U.flags.writeable = False
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "C", C)
+        object.__setattr__(self, "D_eigh", (w, U))
         object.__setattr__(self, "rank_D", int(np.sum(w > TOL.rank * max(w[-1], 1e-300))))
 
     @property
@@ -109,7 +112,7 @@ def normalize_diffusion(spec: SystemSpec) -> tuple[SystemSpec, np.ndarray]:
     target = np.diag(np.concatenate([np.ones(k), np.zeros(d - k)]))
     if np.linalg.norm(D - target, 2) <= TOL.exact * linalg._scale(D):
         return spec, np.eye(d)
-    w, U = np.linalg.eigh(D)
+    w, U = spec.D_eigh
     # Descending eigenvalues: positive ones first.
     order = np.argsort(w)[::-1]
     w, U = w[order], U[:, order]
@@ -139,7 +142,7 @@ def hoermander_tau(spec: SystemSpec) -> tuple[int | None, int, float, float]:
     d, k = spec.d, spec.rank_D
     if k == 0:
         return None, 0, 0.0, 0.0
-    w, U = np.linalg.eigh(spec.D)  # ascending: range D is the last k columns
+    w, U = spec.D_eigh  # ascending: range D is the last k columns
     kept = list(w[d - k:] / w[-1])
     dropped = list(np.abs(w[:d - k]) / w[-1])
     scale = linalg._scale(C)

@@ -72,6 +72,46 @@ def harmonic_chain(N, baths, gamma=1.0, T=1.0):
     return spec, T * np.block([[np.linalg.inv(Phi), Z], [Z, np.eye(N)]])
 
 
+def quadratic_pair_sums(components, K, gen, matrices):
+    """(e, I_M for each M) of psi = alpha (s-1)^2, one pair of components at a
+    time, in the frame x = L y of the Cholesky factor K = L L^T, where
+    f_inf = N(0, I); there a component N(v, A) becomes N(L^-1 v, L^-1 A L^-T),
+    an affine factor a becomes L^T a and M becomes L^-1 M L^-T.
+    e = alpha sum w_a w_b (Z_ab - 1) and I_M = 2 alpha sum w_a w_b J_ab with,
+    for Gaussians a and b, P = A^-1, Lam = P_a + P_b - I, Sig = Lam^-1,
+    m = Sig (P_a v_a + P_b v_b), log Z the k = 2 term of the ratio moment,
+    B = I - P, g(y) = B y + P v and J = Z [tr(B_a M B_b Sig) + g_a(m).M g_b(m)];
+    for an affine factor a with a Gaussian b, Z = 1 + a.v_b and J = a.M v_b;
+    for two affine factors, Z = 1 + a.a' and J = a.M a'."""
+    L = np.linalg.cholesky(K)
+    Li = np.linalg.inv(L)
+    Ms = [Li @ M @ Li.T for M in matrices]
+    white = [(c.weight, Li @ c.mean, Li @ c.cov @ Li.T, None if c.affine is None else L.T @ c.affine)
+             for c in components]
+    eye = np.eye(len(K))
+    sums = np.zeros(1 + len(matrices))
+    for wa, va, Aa, aa in white:
+        for wb, vb, Ab, ab in white:
+            if aa is not None and ab is not None:
+                z1, J = aa @ ab, [aa @ M @ ab for M in Ms]
+            elif aa is not None:
+                z1, J = aa @ vb, [aa @ M @ vb for M in Ms]
+            elif ab is not None:
+                z1, J = va @ ab, [va @ M @ ab for M in Ms]
+            else:
+                Pa, Pb = np.linalg.inv(Aa), np.linalg.inv(Ab)
+                Sig = np.linalg.inv(Pa + Pb - eye)
+                b = Pa @ va + Pb @ vb
+                m = Sig @ b
+                z1 = np.expm1(0.5 * (np.linalg.slogdet(Sig)[1] - np.linalg.slogdet(Aa)[1]
+                                     - np.linalg.slogdet(Ab)[1] + b @ m - va @ Pa @ va - vb @ Pb @ vb))
+                Ba, Bb = eye - Pa, eye - Pb
+                ga, gb = Ba @ m + Pa @ va, Bb @ m + Pb @ vb
+                J = [(1.0 + z1) * (np.trace(Ba @ M @ Bb @ Sig) + ga @ M @ gb) for M in Ms]
+            sums += wa * wb * gen.alpha * np.array([z1] + [2.0 * j for j in J])
+    return sums
+
+
 def assert_multisets_close(a, b, atol=1e-6):
     """Greedy nearest-neighbour matching of two complex multisets (robust
     against ordering flips from +-0 imaginary noise)."""

@@ -169,6 +169,46 @@ class TestEvolve:
         assert (d1 / "evolve.csv").read_bytes() == (d2 / "evolve.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("order", [0, 100000, "x"])
+    def test_quadratic_checks_the_order_it_does_not_read(self, tmp_path, capsys, order):
+        cfg = write_cfg(tmp_path, self._fig1b_evolve(
+            {"entropy": {"kind": "quadratic"}, "quadrature": {"order": order}}))
+        assert run_cli(["evolve", "--config", cfg, "--output", tmp_path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "order" in err and err.count("\n") == 1
+
+    def test_quadratic_component_wider_than_2K_exit_config(self, tmp_path, capsys):
+        # FIG1B has K = I: a covariance of 2.5 K makes int (r - 1)^2 f_inf infinite.
+        cfg = write_cfg(tmp_path, self._fig1b_evolve({
+            "entropy": {"kind": "quadratic"},
+            "initial": {"components": [{"weight": 1.2}, {"weight": -0.2, "cov": [[2.5, 0.0], [0.0, 2.5]]}]},
+        }))
+        assert run_cli(["evolve", "--config", cfg, "--output", tmp_path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: mixture component 1 has a covariance not below 2K")
+        assert err.count("\n") == 1
+
+    def test_quadratic_evolve_at_d4_leaves_scipy_stats_unloaded(self, tmp_path):
+        # The closed form builds no rule, so the d >= 4 Sobol branch never runs.
+        cfgp = write_cfg(tmp_path, {
+            "system": {"D": np.eye(4).tolist(), "C": (np.eye(4) + np.eye(4, k=1) - np.eye(4, k=-1)).tolist()},
+            "entropy": {"kind": "quadratic"},
+            "initial": {"components": [{"weight": 1.3, "mean": [0.5, 0.0, -0.2, 0.1]},
+                                       {"weight": -0.3, "cov": (0.7 * np.eye(4)).tolist()}]},
+            "times": {"t_end": 1.0, "samples": 5},
+        })
+        import hypofp
+
+        code = ("import sys; from hypofp import cli; "
+                f"rc = cli.run('evolve', {str(cfgp)!r}, {str(tmp_path)!r}, 'csv', 'none'); "
+                "print(rc, 'scipy.stats' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hypofp.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 class TestSpectrumCommand:
     def test_json_entries(self, tmp_path):
         cfg = dict(SEC8)

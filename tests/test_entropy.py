@@ -1,13 +1,16 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hypofp as hp
 from hypofp import entropy as ent, flow, linalg
-from conftest import make_random_system
+from conftest import make_random_system, quadratic_pair_sums
 
 GENERATORS = [
     ent.LogEntropy(),
@@ -168,7 +171,9 @@ class TestQuadratureFunctionals:
         # The rule holds no covariance: one rule object gives, bit for bit,
         # what a rule built on each steady state's own K gives.
         shared = hp.gauss_hermite_rule(np.eye(d), 16)
-        gen = ent.QuadraticEntropy()  # the affine factor may change sign far out
+        # The quadratic generator reads no rule.  The affine factor takes the
+        # ratio to -0.43 at corner nodes at d = 5: beta = 1 admits that.
+        gen = ent.LogEntropy(beta=1.0)
         for _ in range(2):
             spec, _ = make_random_system(rng, d)
             ss = hp.steady_state(spec)
@@ -360,7 +365,8 @@ def test_blocked_pass_matches_row_major(rng, d, order, kind):
     a = ent.affine_steady(ss, L @ (0.4 * rng.standard_normal(d))).components[0]
     cases = [
         (hp.GaussianMixture((_component(rng, L, 0.6), _component(rng, L, 0.4))), gen)
-        for gen in (ent.LogEntropy(), ent.QuadraticEntropy(0.7), ent.PowerEntropy(p=1.5, beta=0.1))
+        for gen in (ent.LogEntropy(), ent.PowerEntropy(p=1.9, alpha=0.7),
+                    ent.PowerEntropy(p=1.5, beta=0.1))
     ] + [
         (hp.GaussianMixture((_component(rng, L, 1.3), _component(rng, L, -0.3))),
          ent.QuadraticEntropy()),
@@ -372,7 +378,10 @@ def test_blocked_pass_matches_row_major(rng, d, order, kind):
     ]
     for f, gen in cases:
         got = ent.functionals(f, ss, gen, q, (spec.D, P))
-        want = _row_major_functionals(f, ss, gen, q, (spec.D, P))
+        # Signed and affine states take the quadratic generator, which is exact.
+        want = (quadratic_pair_sums(f.components, ss.K, gen, (spec.D, P))
+                if isinstance(gen, ent.QuadraticEntropy)
+                else _row_major_functionals(f, ss, gen, q, (spec.D, P)))
         assert np.allclose(got, want, rtol=1e-12, atol=0), (gen, got, want)
 
 
@@ -415,3 +424,184 @@ def test_functionals_allocate_block_sized_buffers(rng):
         tracemalloc.stop()
     # One (n, 3) float array of the 262 144-node grid alone is 6 MiB.
     assert q.n == 64 ** 3 and peak <= 8 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# The quadratic generator in closed form
+
+
+def _quadratic_cases(rng, ss):
+    """Positive, signed and affine mixtures on f_inf = N(0, K): the pair
+    integrals are finite since every covariance is below 2K."""
+    d = len(ss.K)
+    L = np.linalg.cholesky(ss.K)
+
+    def affine(weight):
+        a = ent.affine_steady(ss, L @ (0.4 * rng.standard_normal(d))).components[0]
+        return ent.GaussianComponent(weight, a.mean, a.cov, a.affine)
+
+    return {
+        "positive": (_component(rng, L, 0.6), _component(rng, L, 0.4)),
+        "signed": (_component(rng, L, 1.2), _component(rng, L, 0.1), _component(rng, L, -0.3)),
+        "affine": (affine(1.0),),
+        "affine-signed": (affine(0.5), _component(rng, L, 0.7), affine(-0.2)),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_quadratic_closed_form_matches_pair_loop(rng, d):
+    spec, _ = make_random_system(rng, d, rank=d)
+    ss = hp.steady_state(spec)
+    P = hp.build_P(ss).P
+    gen = ent.QuadraticEntropy(0.7)
+    for name, comps in _quadratic_cases(rng, ss).items():
+        got = ent.functionals(hp.GaussianMixture(comps), ss, gen, None, (spec.D, P))
+        assert isinstance(got, tuple) and len(got) == 3
+        want = quadratic_pair_sums(comps, ss.K, gen, (spec.D, P))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+        # A stack of T = 4 states with these weights, each row its own draw.
+        rows = [comps] + [_quadratic_cases(rng, ss)[name] for _ in range(3)]
+        rows = [tuple(ent.GaussianComponent(c0.weight, c.mean, c.cov, c.affine)
+                      for c0, c in zip(comps, row)) for row in rows]
+        stack = ent.MixtureStack(
+            np.array([c.weight for c in comps]), np.array([[c.mean for c in row] for row in rows]),
+            np.array([[c.cov for c in row] for row in rows]),
+            tuple((i, np.array([row[i].affine for row in rows]))
+                  for i, c in enumerate(comps) if c.affine is not None))
+        got = ent.functionals(stack, ss, gen, None, (spec.D, P))
+        assert got.shape == (4, 3)
+        want = [quadratic_pair_sums(row, ss.K, gen, (spec.D, P)) for row in rows]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+        assert ent.functionals(stack, ss, gen, None).shape == (4, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadratic_closed_form_matches_gauss_hermite(rng, d):
+    # The blocked pass integrates psi = alpha (s-1)^2 like any generator.
+    spec, _ = make_random_system(rng, d, rank=1)
+    ss = hp.steady_state(spec)
+    P = hp.build_P(ss).P
+    q = hp.gauss_hermite_rule(ss.K, 96)
+    gen = ent.QuadraticEntropy(1.3)
+    S = linalg.sqrt_spd(ss.K)
+    Sinv = np.linalg.inv(S)
+    Mw = np.array([Sinv @ M @ Sinv for M in (spec.D, P)])
+    for name, comps in _quadratic_cases(rng, ss).items():
+        f = hp.GaussianMixture(comps)
+        got = ent.functionals(f, ss, gen, q, (spec.D, P))
+        want = ent._quadrature(ent.MixtureStack.of(f), ss.K, S, Mw, gen, q)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_quadratic_closed_form_reads_no_rule(monkeypatch, rng):
+    def no_rule(*args, **kwargs):
+        raise AssertionError("the quadratic generator must not build a rule")
+
+    monkeypatch.setattr(ent, "gauss_hermite_rule", no_rule)
+    monkeypatch.setattr(ent, "_grid", no_rule)
+    monkeypatch.setattr(ent, "ratio_and_grad", no_rule)
+    spec, _ = make_random_system(rng, 4, rank=2)
+    ss = hp.steady_state(spec)
+    f0 = hp.GaussianMixture(_quadratic_cases(rng, ss)["affine-signed"])
+    rec = flow.run_trajectory(spec, ss, hp.build_P(ss), f0, ent.QuadraticEntropy(),
+                              np.linspace(0.0, 2.0, 5))
+    assert np.all(np.isfinite(rec.entropy)) and rec.entropy[0] > rec.entropy[-1] > 0.0
+    # A rule, when given, is not read either (its dimension does not matter).
+    e0 = ent.functionals(f0, ss, ent.QuadraticEntropy(), object())[0]
+    assert e0 == pytest.approx(rec.entropy[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("covs, bad", [((2.5, 0.5), 0), ((0.8, 2.0), 1)])
+def test_quadratic_entropy_of_a_component_wider_than_2K_raises(covs, bad):
+    # int (r - 1)^2 f_inf is infinite once some A_c is not below 2K (A = 2K
+    # included); quadrature would return a finite number.
+    spec = hp.SystemSpec(D=np.diag([1.0, 0.0]), C=np.array([[1.0, -1.0], [1.0, 0.0]]))
+    ss = hp.steady_state(spec)
+    f = hp.GaussianMixture(tuple(ent.GaussianComponent(w, np.array([0.3, -0.2]), s * ss.K)
+                                 for w, s in zip((1.2, -0.2), covs)))
+    with pytest.raises(ent.DomainError, match=f"component {bad} has a covariance not below 2K"):
+        hp.relative_entropy(f, ss, ent.QuadraticEntropy(), None)
+    ok = hp.GaussianMixture(tuple(ent.GaussianComponent(w, np.zeros(2), 1.99 * ss.K)
+                                  for w in (0.5, 0.5)))
+    assert np.isfinite(hp.relative_entropy(ok, ss, ent.QuadraticEntropy(), None))
+
+
+def _ratio_moment_entropy(weights, means, covs, K):
+    """e = int (r - 1)^2 f_inf = M_2 - 2 M_1 + 1 with M_1 = sum w and M_2 from
+    ``ratio_moment``'s k = 2 sum over index pairs with multiplicity."""
+    Kinv = np.linalg.inv(K)
+    logdetK = np.linalg.slogdet(K)[1]
+    m2 = 0.0
+    for i, j in itertools.combinations_with_replacement(range(len(weights)), 2):
+        Pi, Pj = np.linalg.inv(covs[i]), np.linalg.inv(covs[j])
+        Lam = Pi + Pj - Kinv
+        b = Pi @ means[i] + Pj @ means[j]
+        log_val = 0.5 * (logdetK - np.linalg.slogdet(covs[i])[1] - np.linalg.slogdet(covs[j])[1]
+                         - np.linalg.slogdet(Lam)[1] + b @ np.linalg.solve(Lam, b)
+                         - means[i] @ Pi @ means[i] - means[j] @ Pj @ means[j])
+        m2 += (1.0 if i == j else 2.0) * weights[i] * weights[j] * math.exp(log_val)
+    return m2 - 2.0 * sum(weights) + 1.0
+
+
+def test_evolve_d6_states_match_the_exact_flow():
+    # The d = 6 signed mixtures of the benchmark's evolve-d6 workload: a damped
+    # chain of six oscillators driven in two, three components with weights
+    # (w1, 1 + neg - w1, -neg), means 0.3 L z and covariances in [0.6K, K].
+    d = 6
+    C = np.diag([1.0, 1.3, 0.8, 1.1, 0.9, 1.2]) - np.eye(d, k=1) + np.eye(d, k=-1)
+    spec = hp.SystemSpec(D=np.diag([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), C=C)
+    ss = hp.steady_state(spec)
+    tm = hp.build_P(ss)
+    L = np.linalg.cholesky(ss.K)
+    rng = np.random.default_rng(1)
+    times = np.linspace(0.0, 4.0, 40)
+    gen = ent.QuadraticEntropy()
+    for _ in range(3):
+        neg, w1 = rng.uniform(0.1, 0.3), rng.uniform(0.3, 0.8)
+        comps = []
+        for w in (w1, 1.0 + neg - w1, -neg):
+            _, V = np.linalg.eigh(rng.standard_normal((d, d)) * (1.0 + np.eye(d)))
+            A = L @ (V * rng.uniform(0.6, 1.0, d)) @ V.T @ L.T
+            comps.append(ent.GaussianComponent(w, L @ (0.3 * rng.standard_normal(d)), 0.5 * (A + A.T)))
+        rec = flow.run_trajectory(spec, ss, tm, hp.GaussianMixture(tuple(comps)), gen, times)
+        exact, pairs = [], []
+        for t in times:
+            E = scipy.linalg.expm(-t * C)
+            flowed = [ent.GaussianComponent(c.weight, E @ c.mean, ss.K + E @ (c.cov - ss.K) @ E.T)
+                      for c in comps]
+            flowed = [ent.GaussianComponent(c.weight, c.mean, 0.5 * (c.cov + c.cov.T)) for c in flowed]
+            exact.append(_ratio_moment_entropy([c.weight for c in flowed], [c.mean for c in flowed],
+                                               [c.cov for c in flowed], ss.K))
+            pairs.append(quadratic_pair_sums(flowed, ss.K, gen, (spec.D, tm.P)))
+        # Deviation over the larger of the sample's value and its value at
+        # t = 0, as the benchmark's reference checks measure a decaying
+        # series: pointwise, roundoff of order eps / e(t) remains, and the
+        # float64 moment sum is itself off by ~1e-11 once e(t) ~ 1e-4.
+        got = np.column_stack([rec.entropy, rec.dissipation, rec.modified])
+        for want in (np.array(exact)[:, None], np.array(pairs)):
+            dev = np.abs(got[:, :want.shape[1]] - want) / np.maximum(np.abs(want), np.abs(want[0]))
+            assert np.max(dev) <= 1e-12
+        assert exact[-1] < 1e-2 * exact[0]
+
+
+def test_power_entropy_within_the_admitted_undershoot():
+    # d = 1, K = 1, order-8 Gauss-Hermite: f = (1 + eps) f_inf - eps f_inf(. - 1)
+    # has ratio (1 + eps) - eps e^{y - 1/2}, -1.1e-15 at the largest node:
+    # inside the TOL.domain undershoot that functionals admits.
+    spec = hp.SystemSpec(D=np.eye(1), C=np.eye(1))
+    ss = hp.steady_state(spec)
+    q = hp.gauss_hermite_rule(ss.K, 8)
+    eps = (1.0 + 1.1e-15) / np.expm1(q.nodes[0].max() - 0.5)
+    f = hp.GaussianMixture((ent.GaussianComponent(1.0 + eps, np.zeros(1), ss.K),
+                            ent.GaussianComponent(-eps, np.ones(1), ss.K)))
+    H = ent._fold(ent.MixtureStack.of(f), ss.K, linalg.sqrt_spd(ss.K))
+    r = ent.ratio_and_grad(H, q.nodes.T)[0]
+    assert -linalg.TOL.domain < r.min() < 0.0
+    for gen in (ent.LogEntropy(), ent.PowerEntropy(p=1.5), ent.PowerEntropy(p=1.2, beta=0.0)):
+        e = hp.relative_entropy(f, ss, gen, q)
+        assert np.isfinite(e) and e > 0.0
+    # psi(s, 0) is its limit at the domain edge below it; derivatives still raise.
+    gen = ent.PowerEntropy(p=1.5, beta=0.2)
+    assert gen.psi(-0.2 - 1e-15, 0) == gen.psi(-0.2, 0)
+    with pytest.raises(ent.DomainError):
+        gen.psi(-0.2 - 1e-15, 2)

@@ -4,7 +4,7 @@ import pytest
 
 import hypofp as hp
 from hypofp import entropy as ent, flow, linalg
-from conftest import make_defective_minimal_system, make_random_system
+from conftest import make_defective_minimal_system, make_random_system, quadratic_pair_sums
 
 SEC8 = dict(D=np.diag([0.25, 1.0]), C=np.array([[0.25, -4.0], [4.0, 1.0]]))
 FIG1B = dict(D=np.diag([1.0, 0.0]), C=np.array([[1.0, -1.0], [1.0, 0.0]]))
@@ -320,10 +320,10 @@ def _per_sample_functionals(comps, ss, gen, q, matrices):
             h = h + np.multiply.outer(at, rho[c])
             rho[c] *= 1.0 + at @ Y[:d]
         r, h = rho.sum(axis=0), h + np.einsum("cn,cin->in", rho, Z[:, :d])
-        if lo > -np.inf and np.any(r < lo - linalg.TOL.domain):
+        if np.any(r < lo - linalg.TOL.domain):
             raise ent.DomainError("density ratio fell below the domain")
         sums[0] += wq @ gen.psi(r, 0)
-        r = np.maximum(r, lo + 1e-300) if lo > -np.inf else r
+        r = np.maximum(r, lo + 1e-300)
         quad = np.einsum("kin,in->kn", (Mw @ h).reshape(len(matrices), d, -1), h)
         sums[1:] += quad @ (wq * gen.psi(r, 2))
     return sums
@@ -331,7 +331,14 @@ def _per_sample_functionals(comps, ss, gen, q, matrices):
 
 def _per_sample_trajectory(spec, ss, cert, f0, gen, times, q):
     """(e, I, S) rows and the envelope from one matrix exponential and one
-    functionals pass per time sample, each component flowed on its own."""
+    functionals pass per time sample, each component flowed on its own; the
+    quadratic generator takes the per-pair closed form instead of the rule."""
+    if isinstance(gen, ent.QuadraticEntropy):
+        def one(comps, matrices):
+            return quadratic_pair_sums(comps, ss.K, gen, matrices)
+    else:
+        def one(comps, matrices):
+            return _per_sample_functionals(comps, ss, gen, q, matrices)
     Kinv = np.linalg.inv(ss.K)
     rows = []
     for t in times:
@@ -344,10 +351,9 @@ def _per_sample_trajectory(spec, ss, cert, f0, gen, times, q):
             else:
                 comps.append(ent.GaussianComponent(c.weight, c.mean, c.cov,
                                                    affine=Kinv @ (E @ (ss.K @ c.affine))))
-        rows.append(_per_sample_functionals(comps, ss, gen, q, (spec.D, cert.P)))
+        rows.append(one(comps, (spec.D, cert.P)))
     rows = np.array(rows).reshape(-1, 3)
-    S0 = rows[0, 2] if len(times) and times[0] == 0.0 else _per_sample_functionals(
-        f0.components, ss, gen, q, (cert.P,))[1]
+    S0 = rows[0, 2] if len(times) and times[0] == 0.0 else one(f0.components, (cert.P,))[1]
     envelope = S0 / (2.0 * hp.lambda_P(ss.K, cert.P)) * np.exp(-2.0 * cert.kappa * np.asarray(times))
     return rows, envelope
 
@@ -452,7 +458,7 @@ def test_domain_error_in_a_middle_sample(samples):
         hp.relative_entropy(hp.evolve_mixture(f0, t_bad, spec.C, ss.K), ss, gen, q)
     with pytest.raises(ent.DomainError):
         flow.run_trajectory(spec, ss, tm, f0, gen, times, q=q)
-    # The quadratic generator takes signed states: the same grid runs.
+    # The quadratic generator takes signed states, in closed form.
     rec = flow.run_trajectory(spec, ss, tm, f0, ent.QuadraticEntropy(), times, q=q)
     assert np.all(np.isfinite(rec.entropy))
 
@@ -522,7 +528,7 @@ def test_blocks_hold_at_most_BLOCK_values(rng, monkeypatch, d, order, per_block)
     monkeypatch.setattr(ent, "ratio_and_grad", recorded)
     times = np.linspace(0.0, 2.0, 75)
     flow.run_trajectory(spec, ss, hp.build_P(ss), _mixture(rng, np.linalg.cholesky(ss.K), (0.5, 0.5)),
-                        ent.QuadraticEntropy(), times, q=q)
+                        ent.LogEntropy(), times, q=q)
     nb = min(q.n, ent._BLOCK)
     assert all(g * n <= ent._BLOCK for g, n in blocks)
     assert {n for _, n in blocks} <= {nb, q.n % nb or nb}  # full blocks, then the rest
