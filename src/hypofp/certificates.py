@@ -212,13 +212,13 @@ def entropy_envelope(
 
 def optimize_weights(
     ss: SteadyState,
-    S0_of_P,
+    G0: np.ndarray,
     eig: EigenStructure | None = None,
     epsilon: float | None = None,
 ) -> TransportMatrix:
     """Grid search over per-chain weights minimizing amplitude = S0/(2 lam_P)
-    for a caller-supplied functional S0_of_P(P) (the weights are arbitrary
-    in the construction, so they are free parameters to tune per f0); each
+    with S0 = tr(P G0) for the initial state's dissipation matrix G0 (the
+    weights are free in the construction, so they are tuned per f0); each
     weight runs over 9 log-spaced values in [1e-2, 1e2].
 
     Conjugate chains share a weight; the overall scale is fixed by leaving
@@ -232,7 +232,7 @@ def optimize_weights(
         for grp, g in zip(groups, choice):
             w[grp] = g
         tm = build_P(ss, eig=eig, epsilon=epsilon, weights=w)
-        amp = S0_of_P(tm.P) / (2.0 * lambda_P(ss.K, tm.P))
+        amp = np.vdot(tm.P, G0) / (2.0 * lambda_P(ss.K, tm.P))
         if amp < best_amp:
             best_amp, best = amp, tm
     return best

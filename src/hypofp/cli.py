@@ -11,7 +11,8 @@ its default, numbers must be finite, integers are never truncated and
 arrays must have the expected shape; range rules are those of the library
 constructors.  Exit codes: 0 success, 2 config error (any rejected config
 value), 3 structural-condition failure, 4 certificate failure, 5 I/O error,
-6 undecidable at this conditioning (ambiguous eigenvalue clustering).
+6 undecidable at this conditioning (a staircase gap above roundoff, or
+ambiguous eigenvalue clustering).
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ class ConfigError(ValueError):
 
 
 class ConditionFailure(RuntimeError):
+    pass
+
+
+class Undecidable(RuntimeError):
     pass
 
 
@@ -234,11 +239,13 @@ def _mixture_from(cfg, ss: system.SteadyState, gen) -> entropy.GaussianMixture:
 
 def _check_condition(spec) -> system.ConditionAReport:
     report = system.check_condition_A(spec)
+    found = (f"the controllable subspace of (C, D) has dimension {report.controllable_dim} "
+             f"of {spec.d} (staircase gap {report.gap:.3e}")
+    if report.hypoelliptic is None:
+        raise Undecidable(f"hypoellipticity is undecidable at this conditioning: {found}, above "
+                          f"the roundoff floor {linalg.TOL.roundoff * spec.d:.3e})")
     if not report.hypoelliptic:
-        raise ConditionFailure(
-            f"structural condition fails: the controllable subspace of (C, D) has dimension "
-            f"{report.controllable_dim} of {spec.d} (staircase gap {report.gap:.3e})"
-        )
+        raise ConditionFailure(f"structural condition fails: {found})")
     if not report.positively_stable:
         raise ConditionFailure(
             f"structural condition fails: C is not positively stable "
@@ -264,6 +271,7 @@ def _certificate(cfg, ss) -> tuple[certificates.TransportMatrix, float]:
 def _report_payload(report) -> dict:
     return {
         "hypoelliptic": report.hypoelliptic,
+        "verdict": report.verdict,
         "tau": report.tau,
         "margin": report.margin,
         "gap": report.gap,
@@ -492,7 +500,7 @@ def run(subcommand: str, config_path: str, outdir: str, fmt: str, plot: str) -> 
     except ConditionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONDITION
-    except linalg.ClusteringError as exc:
+    except (Undecidable, linalg.ClusteringError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDABLE
     except (certificates.CertificateError, kinetic.KineticError,

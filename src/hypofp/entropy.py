@@ -11,8 +11,8 @@ Gaussian integrals over pairs of components and is evaluated exactly.  For
 the others, integrals are sums over a standard-normal rule in whitened
 coordinates y, mapped to x = sqrtK y by the steady state's own K, so the
 weight is exactly f_inf; the rule depends only on (d, order) and is built
-once.  ``functionals`` gets e, I and S of a state, or of a stack of T
-states (a trajectory), in one pass.
+once.  ``functionals`` gets e and the dissipation matrix G (I = tr(D G)) of
+a state, or of a stack of T states (a trajectory), in one pass.
 """
 
 from __future__ import annotations
@@ -245,10 +245,10 @@ class MixtureStack:
 class QuadratureRule:
     """Nodes/weights integrating int g(y) N(0, I)(y) dy in d dimensions.
 
-    Read by the logarithmic and power generators only: the quadratic one is
-    exact and takes no rule.  Tensor Gauss-Hermite for d <= 3; one
-    scrambled-Sobol quasi-Monte Carlo point set (fixed seed, equal weights)
-    for d >= 4; no error estimate.
+    The logarithmic and power generators integrate e and G over it; the
+    quadratic one is exact and takes no rule.  Tensor Gauss-Hermite for d <= 3;
+    one scrambled-Sobol quasi-Monte Carlo point set (fixed seed, equal
+    weights) for d >= 4; no error estimate.
     ``nodes`` is whitened and nodes-last, (d+1, n) with columns (y, 1).  The
     rule carries no covariance: ``functionals`` maps y to x = sqrtK y with
     the steady state's K, so one rule serves every steady state of its
@@ -361,22 +361,20 @@ def ratio_and_grad(f, X: np.ndarray):
     return rho.sum(axis=1), h + np.einsum("gcn,gcin->gin", rho, Z[:, :, :d])
 
 
-def _quadratic(f: MixtureStack, S: np.ndarray, Sinv: np.ndarray, Mw: np.ndarray,
-               alpha: float) -> np.ndarray:
-    """(e, I_M for each M) (T, 1 + k) for psi = alpha (s-1)^2, in closed form;
-    Mw holds the k matrices S^-1 M S^-1.
+def _quadratic(f: MixtureStack, S: np.ndarray, Sinv: np.ndarray, alpha: float):
+    """(e (T,), whitened G (T, d, d)) for psi = alpha (s-1)^2, in closed form.
 
     In the whitened frame x = S y (S = sqrtK, f_inf = N(0, I)) a Gaussian
     component N(v, A) has the ratio rho with grad rho = rho g, g(y) = B y + P v,
     P = A^-1 and B = I - P.  Over a pair (a, b), rho_a rho_b f_inf = Z N(m, Sig)
     with Sig = (P_a + P_b - I)^-1 and m = Sig (P_a v_a + P_b v_b), so the pair
     gives Z to int r^2 f_inf and Z [B_a Sig B_b + g_a(m) g_b(m)^T] to
-    G = int grad r grad r^T f_inf.  An affine component (1 + a.y) f_inf has
+    int grad r grad r^T f_inf.  An affine component (1 + a.y) f_inf has
     grad rho = a and first moment a; with a component b of first moment mu_b
     (v_b, or a_b when b is affine too) the pair gives Z = 1 + a.mu_b and a mu_b^T.
-    Then e = alpha sum w_a w_b (Z - 1) and I_M = 2 alpha tr(M G).  The integral
-    is finite exactly when every P_c + P_c - I is positive definite (A_c < 2K);
-    the off-diagonal pairs are their means."""
+    Then e = alpha sum w_a w_b (Z - 1) and G = 2 alpha sum w_a w_b (...).  The
+    integral is finite exactly when every P_c + P_c - I is positive definite
+    (A_c < 2K); the off-diagonal pairs are their means."""
     (T, m), d = f.means.shape[:2], len(S)
     A = Sinv @ f.covs @ Sinv
     P = np.linalg.inv(A)
@@ -409,62 +407,60 @@ def _quadratic(f: MixtureStack, S: np.ndarray, Sinv: np.ndarray, Mw: np.ndarray,
         G[:, c] = at[:, None, :, None] * v[:, :, None, :]
         G[:, :, c] = v[..., None] * at[:, None, None, :]
     W = np.outer(f.weights, f.weights).reshape(-1)
-    return np.column_stack([alpha * (Zm1.reshape(T, -1) @ W),
-                            2.0 * alpha * (W @ G.reshape(T, m * m, -1)) @ Mw.reshape(-1, d * d).T])
+    G = 2.0 * alpha * (W @ G.reshape(T, m * m, -1)).reshape(T, d, d)
+    return alpha * (Zm1.reshape(T, -1) @ W), G
 
 
-def _quadrature(f: MixtureStack, K: np.ndarray, S: np.ndarray, Mw: np.ndarray,
-                gen: EntropyGenerator, q: QuadratureRule | None) -> np.ndarray:
-    """(e, I_M for each M) (T, 1 + k) from one blocked pass over the rule.
-    With h from ``ratio_and_grad``, grad r . M grad r = h . Mw h for
-    Mw = S^-1 M S^-1; each block of _BLOCK nodes, or of _BLOCK // n states on
-    n < _BLOCK nodes, is domain-checked and summed."""
-    k, d = len(Mw), len(S)
+def _quadrature(f: MixtureStack, K: np.ndarray, S: np.ndarray, gen: EntropyGenerator,
+                q: QuadratureRule | None):
+    """(e (T,), whitened G (T, d, d)) from one blocked pass over the rule: with
+    h = S grad_x r from ``ratio_and_grad``, each block of _BLOCK nodes, or of
+    _BLOCK // n states on n < _BLOCK nodes, is domain-checked and adds
+    psi(r) to e and (h psi''(r)) h^T to G, both weighted by the rule."""
+    d = len(S)
     if q is None:
         raise ValueError(f"{type(gen).__name__} needs a quadrature rule")
     if q.d != d:
         raise ValueError(f"rule dimension {q.d} differs from the steady state's {d}")
     H, w, affine = _fold(f, K, S)
-    Mw = Mw.reshape(-1, d)
     lo = gen.domain_min
     nb = min(q.n, _BLOCK)
     g = _BLOCK // nb
-    sums = np.zeros((len(H), 1 + k))
+    e, G = np.zeros(len(H)), np.zeros((len(H), d, d))
     for t in range(0, len(H), g):
         fold = (H[t:t + g], w, [(c, a[t:t + g]) for c, a in affine])
-        out = sums[t:t + g]
         for start in range(0, q.n, nb):
             wq = q.weights[start:start + nb]
             r, h = ratio_and_grad(fold, q.nodes[:, start:start + nb].T)
             if np.any(r < lo - TOL.domain):
                 raise DomainError(f"density ratio fell below {lo} at a quadrature node; signed "
                                   "mixtures are admissible only with the quadratic generator")
-            out[:, 0] += gen.psi(r, 0) @ wq
-            if k:
-                # psi'' has a pole at the domain edge; clamp roundoff-negative ratios.
-                r = np.maximum(r, lo + 1e-300)
-                quad = np.einsum("gkin,gin->gkn", (Mw @ h).reshape(len(r), k, d, -1), h)
-                out[:, 1:] += np.einsum("gkn,gn->gk", quad, wq * gen.psi(r, 2))
-    return sums
+            e[t:t + g] += gen.psi(r, 0) @ wq
+            # psi'' has a pole at the domain edge; clamp roundoff-negative ratios.
+            r = np.maximum(r, lo + 1e-300)
+            G[t:t + g] += (h * (wq * gen.psi(r, 2))[:, None]) @ np.swapaxes(h, -1, -2)
+    return e, G
 
 
 def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: EntropyGenerator,
-                q: QuadratureRule | None, matrices=()):
-    """(e, I_M for each M in matrices): e = int psi(r) f_inf dx and
-    I_M = int psi''(r) grad r . M grad r f_inf dx with r = f/f_inf.  M = D
-    gives the dissipation I, M = P gives S.  The quadratic generator is
-    evaluated in closed form and reads no rule (q may be None); the others
-    take one blocked pass over q, which must have the steady state's
-    dimension.  A stack gives (T, 1 + k), a mixture a tuple."""
+                q: QuadratureRule | None):
+    """(e, G): e = int psi(r) f_inf dx and the dissipation matrix
+    G = int psi''(r) grad r grad r^T f_inf dx, r = f/f_inf, symmetric PSD in x;
+    I = tr(D G) and S = tr(P G).  The quadratic generator is evaluated in closed
+    form and reads no rule (q may be None); the others take one blocked pass
+    over q, which must have the steady state's dimension.  A stack gives e (T,)
+    and G (T, d, d), a mixture a float and a (d, d) array."""
     stack = f if isinstance(f, MixtureStack) else MixtureStack.of(f)
     S = linalg.sqrt_spd(ss.K)
     Sinv = np.linalg.inv(S)
-    Mw = np.array([Sinv @ np.asarray(M, float) @ Sinv for M in matrices]).reshape(-1, ss.d, ss.d)
     if isinstance(gen, QuadraticEntropy):
-        sums = _quadratic(stack, S, Sinv, Mw, gen.alpha)
+        e, G = _quadratic(stack, S, Sinv, gen.alpha)
     else:
-        sums = _quadrature(stack, ss.K, S, Mw, gen, q)
-    return sums if isinstance(f, MixtureStack) else tuple(float(v) for v in sums[0])
+        e, G = _quadrature(stack, ss.K, S, gen, q)
+    # Summed whitened, where a K-shaped P is well conditioned; mapped to x once.
+    G = Sinv @ G @ Sinv
+    G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    return (e, G) if isinstance(f, MixtureStack) else (float(e[0]), G[0])
 
 
 def relative_entropy(f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator,
@@ -476,12 +472,12 @@ def relative_entropy(f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator,
 def entropy_dissipation_I(f: GaussianMixture, ss: SteadyState, spec: SystemSpec,
                           gen: EntropyGenerator, q: QuadratureRule | None) -> float:
     """I(f) = int psi''(f/f_inf) grad(f/f_inf) . D grad(f/f_inf) f_inf dx,
-    the (nonnegative) entropy dissipation."""
-    return functionals(f, ss, gen, q, (spec.D,))[1]
+    the (nonnegative) entropy dissipation: tr(D G)."""
+    return float(np.vdot(spec.D, functionals(f, ss, gen, q)[1]))
 
 
 def modified_dissipation_S(f: GaussianMixture, ss: SteadyState, P: np.ndarray,
                            gen: EntropyGenerator, q: QuadratureRule | None) -> float:
     """S(f): the dissipation functional with D replaced by the SPD transport
-    matrix P; the engine of the hypocoercive decay estimates."""
-    return functionals(f, ss, gen, q, (P,))[1]
+    matrix P, tr(P G); the engine of the hypocoercive decay estimates."""
+    return float(np.vdot(P, functionals(f, ss, gen, q)[1]))

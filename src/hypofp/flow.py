@@ -5,7 +5,7 @@ mean follows v(t) = e^{-Ct} v0, each covariance follows
 A(t) = K + e^{-Ct}(A0 - K)e^{-C^T t}, and an affine factor (1 + x.K^{-1}v)
 on a steady-shaped component keeps its form with the same v(t).  Every
 output time is exact, with no time-stepping, and a trajectory is one stack:
-one matrix exponential for all times, one fold, one quadrature pass.
+one matrix exponential for all times and one ``functionals`` call (e and G).
 
 Closed-form entropies for the basic state families and the three sharpness
 scenarios (real minimal eigenvalue, complex pair, defective pair) live here
@@ -243,16 +243,17 @@ class TrajectoryRecord:
 def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0: GaussianMixture,
                    gen: EntropyGenerator, times: np.ndarray,
                    q: QuadratureRule | None = None) -> TrajectoryRecord:
-    """Entropy series e(t), I(t), S(t) of the exact states at the requested
-    times and the certificate envelope S(f0)/(2 lambda_P) e^{-2 kappa t}.
-    All samples, and f0 when the grid starts after t = 0, are one stack: one
-    matrix exponential and one ``functionals`` call.  The quadratic
-    generator is exact and builds no rule; the others read q (order 64 when
-    None)."""
+    """Entropy series e(t), I(t) = tr(D G), S(t) = tr(P G) of the exact states
+    at the requested times and the certificate envelope S(f0)/(2 lambda_P)
+    e^{-2 kappa t}.  All samples, and f0 when the grid starts after t = 0, are
+    one stack: one matrix exponential and one ``functionals`` call.  The
+    quadratic generator is exact and builds no rule; the others read q (order
+    64 when None)."""
     times = np.asarray(times, dtype=float)
     q = ent.rule_for(gen, ss.K) if q is None else q
     grid = times if len(times) and times[0] == 0.0 else np.concatenate(([0.0], times))
-    vals = ent.functionals(_evolve(f0, grid, spec.C, ss.K), ss, gen, q, (spec.D, cert.P))
+    e, G = ent.functionals(_evolve(f0, grid, spec.C, ss.K), ss, gen, q)
+    vals = np.column_stack([e, np.einsum("kij,tij->tk", np.stack([spec.D, cert.P]), G)])
     e, i, s = vals[len(grid) - len(times):].T
     envelope = vals[0, 2] / (2.0 * lambda_P(ss.K, cert.P)) * np.exp(-2.0 * cert.kappa * times)
     return TrajectoryRecord(times=times, entropy=e, dissipation=i, modified=s, envelope=envelope)

@@ -33,6 +33,11 @@ class Tolerances:
     # Zero when <= rank * lambda_max (eigenvalues of D, the steady K's smallest)
     # or <= rank * _scale(C) (singular values of the later staircase blocks).
     rank: float = 1e-10
+    # A dropped staircase value (over its reference, as for rank) at most
+    # roundoff * d is zero to working precision: 8 u per dimension, about 12x the
+    # largest generic one measured (0.68 d u).  A larger dropped value leaves
+    # hypoellipticity undecidable; the staircase is exact only to ~d u.
+    roundoff: float = 8.0 * float(np.finfo(float).eps)
     stability: float = 1e-10  # min Re eig(C) > stability (absolute): C is positively stable
     # Identities that hold up to roundoff, times max(1, size): D = D^T, D >= 0,
     # D w = 0, D in normal form, weights summing to 1, equal conjugate weights

@@ -70,7 +70,7 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class ConditionAReport:
-    hypoelliptic: bool
+    hypoelliptic: bool | None  # None: undecidable at this conditioning (see check_condition_A)
     tau: int | None
     controllable_dim: int
     margin: float  # smallest kept staircase value over its reference (see hoermander_tau)
@@ -83,7 +83,12 @@ class ConditionAReport:
 
     @property
     def satisfied(self) -> bool:
-        return self.hypoelliptic and self.positively_stable
+        return bool(self.hypoelliptic) and self.positively_stable
+
+    @property
+    def verdict(self) -> str:
+        return {True: "hypoelliptic", False: "not hypoelliptic",
+                None: "undecidable at this conditioning"}[self.hypoelliptic]
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,12 @@ def check_condition_A(
     defectiveness of the minimal-real-part eigenvalues flagged (that flag
     drives the epsilon-perturbed transport-matrix construction).
 
+    The staircase is backward stable, exact for a pair within ~d u of (C, D)
+    (Van Dooren 1981), so a controllable dimension below d proves "not
+    hypoelliptic" only when every dropped value is at most roundoff * d.  A
+    larger one, below the rank threshold, is a distance to uncontrollability
+    too small to trust (Eising 1984): ``hypoelliptic`` is then None.
+
     ``cluster_tol`` controls eigenvalue merging in the defect detection;
     constructed near-defective systems may need a coarser value than the
     default."""
@@ -178,7 +189,7 @@ def check_condition_A(
     details = tuple((lam, max(ch.length for ch in eig.chains if ch.eigenvalue == lam))
                     for lam, a, g in zip(eig.eigenvalues, eig.algebraic, eig.geometric) if g < a)
     return ConditionAReport(
-        hypoelliptic=tau is not None,
+        hypoelliptic=tau is not None or (None if gap > TOL.roundoff * spec.d else False),
         tau=tau,
         controllable_dim=dim,
         margin=margin,

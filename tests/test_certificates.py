@@ -237,6 +237,8 @@ class TestOptimizeWeights:
 
         v0 = rng.standard_normal(3)
         f0 = ent.shifted_steady(ss, v0)
+        # The log dissipation matrix of the shifted state is u u^T, u = K^-1 v0.
+        u = np.linalg.solve(ss.K, v0)
 
         def S0_of_P(P):
             return hp.dissipation_log_shift(v0, ss.K, P)
@@ -244,7 +246,7 @@ class TestOptimizeWeights:
         eig = linalg.eigen_structure(ss.Q, tol=1e-6)
         tm0 = hp.build_P(ss, eig=eig)
         amp0 = S0_of_P(tm0.P) / (2.0 * hp.lambda_P(ss.K, tm0.P))
-        tm = hp.optimize_weights(ss, S0_of_P, eig=eig)
+        tm = hp.optimize_weights(ss, np.outer(u, u), eig=eig)
         amp = S0_of_P(tm.P) / (2.0 * hp.lambda_P(ss.K, tm.P))
         assert amp <= amp0 + 1e-12
         assert hp.verify_P(ss, tm.P, tm.kappa) >= -tm.margin_tolerance

@@ -52,6 +52,21 @@ class TestAnalyze:
         assert "staircase gap 0.000e+00" in err
         assert "invariant" not in err
 
+    @pytest.mark.parametrize("eps, code", [
+        (1e-11, cli.EXIT_UNDECIDABLE), (1e-13, cli.EXIT_UNDECIDABLE),
+        (1e-17, cli.EXIT_CONDITION), (0.0, cli.EXIT_CONDITION),
+    ])
+    def test_staircase_gap_above_roundoff_is_undecidable(self, tmp_path, capsys, eps, code):
+        # D = diag(1, 0), C = [[1, 0], [eps, 1]] is hypoelliptic for every eps != 0.
+        cfg = write_cfg(tmp_path, {"system": {"D": [[1.0, 0.0], [0.0, 0.0]],
+                                              "C": [[1.0, 0.0], [eps, 1.0]]}})
+        assert run_cli(["analyze", "--config", cfg, "--output", tmp_path]) == code
+        err = capsys.readouterr().err
+        assert f"staircase gap {eps:.3e}" in err
+        if code == cli.EXIT_UNDECIDABLE:
+            assert "undecidable at this conditioning" in err
+            assert f"roundoff floor {2 * linalg.TOL.roundoff:.3e}" in err
+
     def test_harmonic_chain_d16(self, tmp_path):
         # One bath on 8 oscillators: tau = d - 1 = 15, where the Kalman sum's
         # rank test used to give a false "not hypoelliptic".
@@ -59,7 +74,7 @@ class TestAnalyze:
         cfg = write_cfg(tmp_path, {"system": {"D": spec.D.tolist(), "C": spec.C.tolist()}})
         assert run_cli(["analyze", "--config", cfg, "--output", tmp_path]) == 0
         cond = json.loads((tmp_path / "analyze.json").read_text())["condition"]
-        assert cond["hypoelliptic"] and cond["tau"] == 15
+        assert cond["hypoelliptic"] and cond["tau"] == 15 and cond["verdict"] == "hypoelliptic"
         assert cond["margin"] > 0
 
     def test_unstable_drift_exit_code(self, tmp_path):

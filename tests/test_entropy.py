@@ -184,8 +184,8 @@ class TestQuadratureFunctionals:
             ))
             own = hp.gauss_hermite_rule(ss.K, 16)
             assert shared.n == own.n
-            vals = ent.functionals(f, ss, gen, shared, (spec.D, tm.P))
-            assert vals == ent.functionals(f, ss, gen, own, (spec.D, tm.P))
+            vals = _e_I_S(f, ss, gen, shared, spec.D, tm.P)
+            assert np.array_equal(vals, _e_I_S(f, ss, gen, own, spec.D, tm.P))
             assert all(np.isfinite(vals)) and vals[1] >= 0.0 and vals[2] > 0.0
 
     def test_quadrature_convergence(self, fig1b):
@@ -310,6 +310,12 @@ def test_import_and_d3_rule_leave_scipy_stats_unloaded():
 # The blocked whitened-frame pass against the row-major pass it replaced
 
 
+def _e_I_S(f, ss, gen, q, D, P):
+    """(e, tr(D G), tr(P G)) from ``functionals``; a stack gives rows (T, 3)."""
+    e, G = ent.functionals(f, ss, gen, q)
+    return np.stack([e, np.einsum("ij,...ij->...", D, G), np.einsum("ij,...ij->...", P, G)], -1)
+
+
 def _row_major_functionals(f, ss, gen, q, matrices):
     """e and I_M from physical nodes x = sqrtK y held as one (n, d) array:
     the exponent x.Kinv.x/2 - (x-v).Ainv.(x-v)/2 and the gradient
@@ -377,7 +383,7 @@ def test_blocked_pass_matches_row_major(rng, d, order, kind):
                              _component(rng, L, 0.5))), ent.QuadraticEntropy(2.0)),
     ]
     for f, gen in cases:
-        got = ent.functionals(f, ss, gen, q, (spec.D, P))
+        got = _e_I_S(f, ss, gen, q, spec.D, P)
         # Signed and affine states take the quadratic generator, which is exact.
         want = (quadratic_pair_sums(f.components, ss.K, gen, (spec.D, P))
                 if isinstance(gen, ent.QuadraticEntropy)
@@ -415,15 +421,65 @@ def test_functionals_allocate_block_sized_buffers(rng):
     q = hp.gauss_hermite_rule(ss.K, 64)
     L = np.linalg.cholesky(ss.K)
     f = hp.GaussianMixture((_component(rng, L, 0.6), _component(rng, L, 0.4)))
-    P = hp.build_P(ss).P
     tracemalloc.start()
     try:
-        ent.functionals(f, ss, ent.LogEntropy(), q, (spec.D, P))
+        ent.functionals(f, ss, ent.LogEntropy(), q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # One (n, 3) float array of the 262 144-node grid alone is 6 MiB.
     assert q.n == 64 ** 3 and peak <= 8 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# The dissipation matrix G = int psi''(r) grad r grad r^T f_inf
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_log_dissipation_matrix_of_a_shifted_steady_state(rng, d):
+    # grad log r = K^-1 v is constant, so G = u u^T with u = K^-1 v; I and S
+    # are flow.dissipation_log_shift with M = D and M = P.
+    spec, _ = make_random_system(rng, d, rank=1)
+    ss = hp.steady_state(spec)
+    q = hp.gauss_hermite_rule(ss.K, 64)
+    L = np.linalg.cholesky(ss.K)
+    v = L @ (0.5 * rng.standard_normal(d))
+    u = np.linalg.solve(ss.K, v)
+    _, G = ent.functionals(ent.shifted_steady(ss, v), ss, ent.LogEntropy(), q)
+    np.testing.assert_allclose(G, np.outer(u, u), rtol=1e-10, atol=1e-10 * (u @ u))
+    P = hp.build_P(ss).P
+    assert np.vdot(P, G) == pytest.approx(flow.dissipation_log_shift(v, ss.K, P), rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_log_dissipation_matrix_of_a_centred_gaussian(rng, d):
+    # f = N(0, A): grad log r = (K^-1 - A^-1) x, so G = B A B with B = A^-1 - K^-1,
+    # flow.dissipation_log_cov with M left open.
+    spec, _ = make_random_system(rng, d, rank=1)
+    ss = hp.steady_state(spec)
+    q = hp.gauss_hermite_rule(ss.K, 64)
+    A = _component(rng, np.linalg.cholesky(ss.K), 1.0).cov
+    f = hp.GaussianMixture((ent.GaussianComponent(1.0, np.zeros(d), A),))
+    _, G = ent.functionals(f, ss, ent.LogEntropy(), q)
+    B = np.linalg.inv(A) - np.linalg.inv(ss.K)
+    want = B @ A @ B
+    np.testing.assert_allclose(G, want, rtol=1e-8, atol=1e-8 * np.linalg.norm(want, 2))
+    assert np.vdot(spec.D, G) == pytest.approx(flow.dissipation_log_cov(A, ss.K, spec.D), rel=1e-8)
+
+
+@pytest.mark.parametrize("gen", [ent.LogEntropy(beta=0.3), ent.QuadraticEntropy(0.7),
+                                 ent.PowerEntropy(p=1.5)])
+@pytest.mark.parametrize("d", [2, 4])
+def test_dissipation_matrix_is_symmetric_psd(rng, gen, d):
+    spec, _ = make_random_system(rng, d)
+    ss = hp.steady_state(spec)
+    q = ent.rule_for(gen, ss.K, 16)
+    L = np.linalg.cholesky(ss.K)
+    f = hp.GaussianMixture((_component(rng, L, 0.3), _component(rng, L, 0.7)))
+    e, G = ent.functionals(f, ss, gen, q)
+    assert isinstance(e, float) and e > 0.0 and G.shape == (d, d)
+    assert np.array_equal(G, G.T)
+    assert np.linalg.eigvalsh(G)[0] >= -1e-14 * np.linalg.norm(G, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +511,8 @@ def test_quadratic_closed_form_matches_pair_loop(rng, d):
     P = hp.build_P(ss).P
     gen = ent.QuadraticEntropy(0.7)
     for name, comps in _quadratic_cases(rng, ss).items():
-        got = ent.functionals(hp.GaussianMixture(comps), ss, gen, None, (spec.D, P))
-        assert isinstance(got, tuple) and len(got) == 3
+        got = _e_I_S(hp.GaussianMixture(comps), ss, gen, None, spec.D, P)
+        assert got.shape == (3,)
         want = quadratic_pair_sums(comps, ss.K, gen, (spec.D, P))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
         # A stack of T = 4 states with these weights, each row its own draw.
@@ -468,11 +524,12 @@ def test_quadratic_closed_form_matches_pair_loop(rng, d):
             np.array([[c.cov for c in row] for row in rows]),
             tuple((i, np.array([row[i].affine for row in rows]))
                   for i, c in enumerate(comps) if c.affine is not None))
-        got = ent.functionals(stack, ss, gen, None, (spec.D, P))
+        got = _e_I_S(stack, ss, gen, None, spec.D, P)
         assert got.shape == (4, 3)
         want = [quadratic_pair_sums(row, ss.K, gen, (spec.D, P)) for row in rows]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
-        assert ent.functionals(stack, ss, gen, None).shape == (4, 1)
+        e, G = ent.functionals(stack, ss, gen, None)
+        assert e.shape == (4,) and G.shape == (4, d, d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -485,11 +542,11 @@ def test_quadratic_closed_form_matches_gauss_hermite(rng, d):
     gen = ent.QuadraticEntropy(1.3)
     S = linalg.sqrt_spd(ss.K)
     Sinv = np.linalg.inv(S)
-    Mw = np.array([Sinv @ M @ Sinv for M in (spec.D, P)])
     for name, comps in _quadratic_cases(rng, ss).items():
         f = hp.GaussianMixture(comps)
-        got = ent.functionals(f, ss, gen, q, (spec.D, P))
-        want = ent._quadrature(ent.MixtureStack.of(f), ss.K, S, Mw, gen, q)[0]
+        got = _e_I_S(f, ss, gen, q, spec.D, P)
+        e, G = ent._quadrature(ent.MixtureStack.of(f), ss.K, S, gen, q)
+        want = [e[0], np.vdot(spec.D, Sinv @ G[0] @ Sinv), np.vdot(P, Sinv @ G[0] @ Sinv)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
 
 

@@ -148,6 +148,18 @@ class TestConditionA:
         assert rep.tau is None
         assert (rep.controllable_dim, rep.gap) == (1, 0.0)
 
+    @pytest.mark.parametrize("eps, verdict", [
+        (1e-11, None), (1e-13, None),  # C e1 has an e2 part eps: hypoelliptic, below TOL.rank
+        (1e-17, False), (0.0, False),  # eps at or below roundoff: not hypoelliptic
+    ])
+    def test_a_dropped_value_above_roundoff_is_undecidable(self, eps, verdict):
+        rep = hp.check_condition_A(hp.SystemSpec(D=np.diag([1.0, 0.0]),
+                                                 C=np.array([[1.0, 0.0], [eps, 1.0]])))
+        assert rep.hypoelliptic is verdict and rep.tau is None and not rep.satisfied
+        assert rep.controllable_dim == 1 and rep.gap == pytest.approx(eps, rel=1e-10)
+        assert rep.verdict == ("not hypoelliptic" if verdict is False
+                               else "undecidable at this conditioning")
+
     def test_triangular_three_dim(self):
         C = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 1.0, 3.0]])
         rep = hp.check_condition_A(hp.SystemSpec(D=np.diag([1.0, 1.0, 0.0]), C=C))
@@ -261,7 +273,8 @@ class TestHarmonicChain:
         # Exact tau at every d, a staircase margin that stays O(1) (~0.25), no
         # dropped value above roundoff (measured: exactly 0 up to d = 128).
         report = hp.check_condition_A(harmonic_chain(N, baths)[0])
-        assert report.hypoelliptic and report.tau == (2 * N - 1 if baths == 1 else N - 1)
+        assert report.hypoelliptic is True and report.verdict == "hypoelliptic"
+        assert report.tau == (2 * N - 1 if baths == 1 else N - 1)
         assert report.controllable_dim == 2 * N
         assert report.margin > 0.2 and report.gap <= 1e-15
 
