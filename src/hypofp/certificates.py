@@ -5,11 +5,13 @@ The central object is an SPD matrix P with
     Q P + P Q^T  >=  2 kappa P,        Q = K C^T K^{-1},
 
 which turns the modified dissipation S into a Lyapunov functional decaying
-at rate 2*kappa.  P is assembled from the eigenstructure of Q: a weighted
+at rate 2*kappa.  P is assembled from the Jordan chains of Q: a weighted
 sum of eigenvector outer products when every minimal-real-part eigenvalue
 is simple enough, and a Jordan-chain construction with epsilon-shifted
 weights when a minimal eigenvalue is defective (in which case only the
-reduced rate kappa = mu - epsilon is certifiable).
+reduced rate kappa = mu - epsilon is certifiable).  The chains of Q are K
+times those of C^T, which are the rows of V^{-1} for C's chain basis V, so
+the one eigenstructure of C per system (``SystemSpec.eig``) serves.
 
 lambda_P is the best constant in K^{-1} >= lambda_P P^{-1}; together with
 S-decay it yields the envelope  e(t) <= S(f0)/(2 lambda_P) e^{-2 kappa t}.
@@ -68,6 +70,25 @@ def _chain_weights(length: int, tau: float) -> np.ndarray:
     return b[::-1]  # order along chain columns w_1 .. w_l
 
 
+def _drift_eig(ss: SteadyState, cluster_tol: float) -> EigenStructure:
+    """Eigenstructure of C: the spec's own at the default tolerance; C is
+    recovered from Q = K C^T K^{-1} when the steady state has no spec."""
+    if ss.spec is not None and cluster_tol == TOL.cluster:
+        return ss.spec.eig
+    C = ss.spec.C if ss.spec is not None else np.linalg.solve(ss.K, ss.Q @ ss.K).T
+    return linalg.eigen_structure(C, tol=cluster_tol)
+
+
+def _q_chains(eig: EigenStructure, K: np.ndarray) -> list[np.ndarray]:
+    """Jordan chains of Q = K C^T K^{-1}, one (length, d) array per chain of
+    ``eig`` (C's), in its order.  With C V = V J for the chain basis V, each
+    chain's rows of V^{-1}, reversed, form a chain of C^T; K maps it to one
+    of Q, scaled to a unit top as eigen_structure scales its chains."""
+    Vinv = np.linalg.inv(np.vstack([ch.vectors for ch in eig.chains]).T)
+    rows = np.split(Vinv, np.cumsum([ch.length for ch in eig.chains])[:-1])
+    return [Z / np.linalg.norm(Z[-1]) for Z in (R[::-1] @ K for R in rows)]
+
+
 def build_P(
     ss: SteadyState,
     eig: EigenStructure | None = None,
@@ -75,22 +96,20 @@ def build_P(
     weights: np.ndarray | None = None,
     cluster_tol: float = TOL.cluster,
 ) -> TransportMatrix:
-    """Assemble the transport matrix from the eigenstructure of Q.
+    """Assemble the transport matrix from the Jordan chains of Q.
 
-    ``weights`` are optional per-chain scale factors b_j > 0, one per chain
-    (else ValueError; arbitrary in the non-defective construction; unequal
-    weights on complex-conjugate chains are a CertificateError).  ``epsilon``
-    is required (and must be positive) exactly when a minimal-real-part
-    eigenvalue of Q is defective; it trades rate (kappa = mu - epsilon) for
-    existence of the certificate.
+    ``eig`` is the eigenstructure of C (as ``linalg.eigen_structure`` returns
+    it; default ``ss.spec.eig``); Q has the same eigenvalues and Jordan
+    structure.  ``weights`` are optional per-chain scale factors b_j > 0, one
+    per chain (else ValueError; arbitrary in the non-defective construction;
+    unequal weights on complex-conjugate chains are a CertificateError).
+    ``epsilon`` is required (and must be positive) exactly when a
+    minimal-real-part eigenvalue is defective; it trades rate
+    (kappa = mu - epsilon) for existence of the certificate.
     """
-    if eig is None:
-        eig = linalg.eigen_structure(ss.Q, tol=cluster_tol)
-        scale = eig.scale
-    else:
-        scale = linalg._scale(ss.Q)
+    eig = _drift_eig(ss, cluster_tol) if eig is None else eig
     mu = eig.mu
-    re_tol = max(TOL.minimal, cluster_tol) * scale
+    re_tol = max(TOL.minimal, cluster_tol) * eig.scale
 
     chains = eig.chains
     if any(ch.length > 1 for ch in eig.minimal_chains(re_tol)):
@@ -117,11 +136,11 @@ def build_P(
                     "complex-conjugate eigenvector pairs must get equal weights"
                 )
 
-    d = ss.Q.shape[0]
+    d = ss.K.shape[0]
     P = np.zeros((d, d), dtype=complex)
     any_jordan = False
-    for ch, bw in zip(chains, w_arr):
-        A = ch.vectors.T  # columns w_1 .. w_l
+    for ch, Z, bw in zip(chains, _q_chains(eig, ss.K), w_arr):
+        A = Z.T  # columns w_1 .. w_l
         if ch.length == 1:
             P += bw * np.outer(A[:, 0], A[:, 0].conj())
             continue
@@ -222,10 +241,11 @@ def optimize_weights(
     weight runs over 9 log-spaced values in [1e-2, 1e2].
 
     Conjugate chains share a weight; the overall scale is fixed by leaving
-    the first group at 1 (the amplitude is scale-invariant anyway).
+    the first group at 1 (the amplitude is scale-invariant anyway).  ``eig``
+    is C's eigenstructure, as in build_P.
     """
-    eig = linalg.eigen_structure(ss.Q) if eig is None else eig
-    groups = eig.conjugate_groups(TOL.minimal * linalg._scale(ss.Q))
+    eig = _drift_eig(ss, TOL.cluster) if eig is None else eig
+    groups = eig.conjugate_groups(TOL.minimal * eig.scale)
     best, best_amp = None, np.inf
     for choice in itertools.product([1.0], *[np.logspace(-2, 2, 9)] * (len(groups) - 1)):
         w = np.ones(len(eig.chains))

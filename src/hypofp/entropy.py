@@ -361,7 +361,7 @@ def ratio_and_grad(f, X: np.ndarray):
     return rho.sum(axis=1), h + np.einsum("gcn,gcin->gin", rho, Z[:, :, :d])
 
 
-def _quadratic(f: MixtureStack, S: np.ndarray, Sinv: np.ndarray, alpha: float):
+def _quadratic(f: MixtureStack, K: np.ndarray, S: np.ndarray, Sinv: np.ndarray, alpha: float):
     """(e (T,), whitened G (T, d, d)) for psi = alpha (s-1)^2, in closed form.
 
     In the whitened frame x = S y (S = sqrtK, f_inf = N(0, I)) a Gaussian
@@ -376,8 +376,8 @@ def _quadratic(f: MixtureStack, S: np.ndarray, Sinv: np.ndarray, alpha: float):
     integral is finite exactly when every P_c + P_c - I is positive definite
     (A_c < 2K); the off-diagonal pairs are their means."""
     (T, m), d = f.means.shape[:2], len(S)
-    A = Sinv @ f.covs @ Sinv
-    P = np.linalg.inv(A)
+    X = Sinv @ (f.covs - K) @ Sinv  # A - I, as accurate as the deviation A - K
+    P = np.linalg.inv(np.eye(d) + X)
     v = f.means @ Sinv
     Pv = (P @ v[..., None])[..., 0]
     Lam = P[:, :, None] + P[:, None] - np.eye(d)
@@ -391,9 +391,11 @@ def _quadratic(f: MixtureStack, S: np.ndarray, Sinv: np.ndarray, alpha: float):
     Sig = np.linalg.inv(Lam)
     b = Pv[:, :, None] + Pv[:, None]
     mean = (Sig @ b[..., None])[..., 0]
-    vPv_ld = (v * Pv).sum(axis=-1) + np.linalg.slogdet(A)[1]  # v.P v + log det A
-    Zm1 = np.expm1(0.5 * ((b * mean).sum(axis=-1) - vPv_ld[:, :, None] - vPv_ld[:, None]
-                          - np.linalg.slogdet(Lam)[1]))
+    vPv = (v * Pv).sum(axis=-1)
+    # log det A_a + log det A_b + log det Lam = log det(I - X_a X_b): one
+    # determinant near I in place of three whose first-order terms cancel.
+    ld = np.linalg.slogdet(np.eye(d) - X[:, :, None] @ X[:, None])[1]
+    Zm1 = np.expm1(0.5 * ((b * mean).sum(axis=-1) - vPv[:, :, None] - vPv[:, None] - ld))
     B = np.eye(d) - P
     ga = mean - (P[:, :, None] @ (mean - v[:, :, None])[..., None])[..., 0]
     gb = mean - (P[:, None] @ (mean - v[:, None])[..., None])[..., 0]
@@ -454,7 +456,7 @@ def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: Entropy
     S = linalg.sqrt_spd(ss.K)
     Sinv = np.linalg.inv(S)
     if isinstance(gen, QuadraticEntropy):
-        e, G = _quadratic(stack, S, Sinv, gen.alpha)
+        e, G = _quadratic(stack, ss.K, S, Sinv, gen.alpha)
     else:
         e, G = _quadrature(stack, ss.K, S, gen, q)
     # Summed whitened, where a K-shaped P is well conditioned; mapped to x once.

@@ -1,9 +1,9 @@
 """Dense-matrix kernels shared across the toolkit.
 
 Everything here is deterministic: eigenstructure with defect detection,
-matrix exponentials, Lyapunov solves via Kronecker vectorization, and a
-couple of SPD utilities.  Matrices are small (d <= ~10), so simplicity
-wins over asymptotics throughout.
+matrix exponentials, Lyapunov solves on a real Schur form (Bartels-Stewart),
+and a couple of SPD utilities.  Every kernel is a dense O(d^3) LAPACK path,
+so the oscillator chains run to d = 64 and beyond.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def eigen_structure(M: np.ndarray, tol: float = TOL.cluster) -> EigenStructure:
     A = M.astype(complex) - np.array(lams)[:, None, None] * np.eye(d)
     A1 = np.eye(d, dtype=complex) @ A
     _, sv1, Vh1 = np.linalg.svd(A1)
-    ranks1 = np.sum(sv1 > tol_abs * np.maximum(1.0, sv1[:, :1]), axis=1)
+    ranks1 = np.sum(sv1 > tol_abs * np.maximum(1.0, sv1[:, :1] / scale), axis=1)
     for c, ((_, idx), lam) in enumerate(zip(by_center, lams)):
         alg, rank = len(idx), int(ranks1[c])
         null_bases = [Vh1[c, rank:].conj().T]
@@ -207,7 +207,7 @@ def eigen_structure(M: np.ndarray, tol: float = TOL.cluster) -> EigenStructure:
             k += 1
             Ak = Ak @ A[c]
             _, sv, Vh = np.linalg.svd(Ak)
-            rank = int(np.sum(sv > tol_abs * max(1.0, sv[0])))
+            rank = int(np.sum(sv > tol_abs * max(1.0, sv[0] * scale ** -k)))
             null_bases.append(Vh[rank:].conj().T)
             dims.append(d - rank)
         if dims[-1] != alg:
@@ -217,11 +217,11 @@ def eigen_structure(M: np.ndarray, tol: float = TOL.cluster) -> EigenStructure:
             )
 
         if alg == 1:  # the chain is the kernel vector
-            lam_chains = [_chain_top(null_bases[0], tol_abs)[None, :]]
+            lam_chains = [_chain_top(null_bases[0], tol)[None, :]]
         else:
             # chains_ge[k] = number of chains with length >= k.
             chains_ge = [dims[k] - dims[k - 1] for k in range(1, len(dims))]
-            lam_chains = _build_chains(A[c], null_bases, chains_ge, tol_abs)
+            lam_chains = _build_chains(A[c], null_bases, chains_ge, tol)
         eigenvalues.append(lam)
         algebraic.append(alg)
         geometric.append(dims[1])
@@ -232,7 +232,7 @@ def eigen_structure(M: np.ndarray, tol: float = TOL.cluster) -> EigenStructure:
                           tuple(chains), scale)
 
 
-def _build_chains(A, null_bases, chains_ge, tol_abs):
+def _build_chains(A, null_bases, chains_ge, tol):
     """Jordan chains for one eigenvalue.
 
     ``null_bases[k-1]`` spans ker A^k; ``chains_ge[k-1]`` is the number of
@@ -262,7 +262,7 @@ def _build_chains(A, null_bases, chains_ge, tol_abs):
         for _ in range(n_new):
             # Residuals of candidates after projecting out span(Q_used).
             R = cand - Q_used @ (Q_used.conj().T @ cand) if Q_used.shape[1] else cand
-            top = _chain_top(R, tol_abs)
+            top = _chain_top(R, tol)
             chain = np.empty((k, d), dtype=complex)
             chain[k - 1] = top
             for j in range(k - 2, -1, -1):
@@ -272,11 +272,12 @@ def _build_chains(A, null_bases, chains_ge, tol_abs):
     return chains
 
 
-def _chain_top(R: np.ndarray, tol_abs: float) -> np.ndarray:
-    """Longest column of R (candidate chain tops, used span projected out), normalised."""
+def _chain_top(R: np.ndarray, tol: float) -> np.ndarray:
+    """Longest column of R (unit candidate chain tops, used span projected
+    out), normalised; its norm must exceed the dimensionless tol."""
     norms = np.linalg.norm(R, axis=0)
     best = int(np.argmax(norms))
-    if norms[best] <= tol_abs:
+    if norms[best] <= tol:
         raise ClusteringError(
             "failed to extend Jordan chain basis (rank deficiency "
             "inconsistent with kernel filtration)"
@@ -295,31 +296,35 @@ def matrix_exponential(M: np.ndarray, t=1.0) -> np.ndarray:
 
 
 def solve_lyapunov(C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Unique symmetric K with 2D = CK + KC^T, by Kronecker vectorization.
+    """Unique symmetric K with 2D = CK + KC^T (Bartels and Stewart, CACM 15,
+    1972).
 
-    The (d^2 x d^2) system (I (x) C + C (x) I) vec(K) = vec(2D) is dense-solved
-    directly; d is small everywhere in this package.  A singular system means
-    C has an eigenvalue pair summing to zero, i.e. C is not positively stable.
+    One real Schur form C = U T U^T turns the equation into the
+    quasi-triangular T X + X T^T = U^T 2D U, which LAPACK's dtrsyl solves in
+    O(d^3); one refinement step solves for the residual on the same form.  A
+    singular or overflowing dtrsyl means C has eigenvalues summing to zero
+    (not positively stable); so does a residual above TOL.residual.
     """
     C = np.asarray(C, dtype=float)
     D = np.asarray(D, dtype=float)
-    d = C.shape[0]
-    eye = np.eye(d)
-    A = np.kron(eye, C) + np.kron(C, eye)
-    try:
-        vecK = np.linalg.solve(A, (2.0 * D).reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "Lyapunov system singular: C has eigenvalues summing to zero "
-            "(not positively stable)"
-        ) from exc
-    K = vecK.reshape((d, d), order="F")
+    T, U = scipy.linalg.schur(C, output="real")
+
+    def solve(F):  # the X with C X + X C^T = F
+        X, scale, info = scipy.linalg.lapack.dtrsyl(T, T, U.T @ F @ U, trana="N", tranb="T")
+        if info != 0 or scale != 1.0:
+            raise np.linalg.LinAlgError(
+                f"Lyapunov system singular (dtrsyl info {info}, scale {scale:.3g}): C has "
+                "eigenvalues summing to zero (not positively stable)")
+        return U @ X @ U.T
+
+    K = solve(2.0 * D)
+    K = K + solve(2.0 * D - C @ K - K @ C.T)
     K = 0.5 * (K + K.T)
     # The 2-norms of the residual, C, K and D from one stacked SVD.
     resid, nC, nK, nD = np.linalg.svd(
         np.stack([2.0 * D - C @ K - K @ C.T, C, K, D]), compute_uv=False)[:, 0]
     bound = TOL.residual * (nC * nK + nD + 1e-300)
-    if resid > max(bound, 1e-300):
+    if not resid <= max(bound, 1e-300):  # a NaN fails too
         raise np.linalg.LinAlgError(
             f"Lyapunov residual {resid:.3e} exceeds tolerance {bound:.3e}; "
             "C is likely not positively stable"

@@ -10,7 +10,9 @@ degree <= m and diagonalizes that matrix; the two eigenvalue multisets must
 agree.  Monomials are ordered by total degree, then reverse-lexicographic
 within a degree (any order preserves eigenvalues).  The multi-indices are
 generated directly in that order, so the cost is linear in the number of
-eigenvalues listed, and the matrix is assembled with array operations.
+eigenvalues listed.  The operator matrix's index pattern depends only on
+(d, m): it is built once per process, and each matrix is one gather and
+one scatter of the whitened drift and diffusion entries.
 """
 
 from __future__ import annotations
@@ -63,6 +65,14 @@ def _multi_indices(d: int, m_max: int) -> tuple[tuple[int, ...], ...]:
     return tuple(alpha for m in range(m_max + 1) for alpha in _compositions(d, m))
 
 
+@lru_cache(maxsize=8)
+def _multi_index_array(d: int, m_max: int) -> np.ndarray:
+    """_multi_indices(d, m_max) as a read-only (n, d) integer array."""
+    A = np.array(_multi_indices(d, m_max)).reshape(-1, d)
+    A.flags.writeable = False
+    return A
+
+
 def _rank(A: np.ndarray, m_max: int) -> np.ndarray:
     """Positions of the rows of A in the order of _multi_indices(d, m_max):
     sum_i comb(T_i + d-1-i, d-i) with the tail sums T_i = a_i + ... + a_{d-1}.
@@ -74,6 +84,30 @@ def _rank(A: np.ndarray, m_max: int) -> np.ndarray:
     return table[T, np.arange(d - 1, -1, -1)].sum(axis=1)
 
 
+@lru_cache(maxsize=8)
+def _operator_pattern(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where poly_operator_matrix's terms land, whatever the drift matrix G
+    and diffusion matrix D: per term its flat position target * n + column,
+    the entry it reads from the flattened stack [G, D], and its integer
+    factor (negated for the drift).  Drift terms come first, then diffusion,
+    each in (column, l, j) order.  Read-only."""
+    B = _multi_index_array(d, m)
+    n = len(B)
+    eye = np.eye(d, dtype=int)
+    # Drift: -x.G.grad x^a = -sum_{j,l} G[j,l] a_l x^{a - e_l + e_j}
+    col, l, j = np.nonzero(np.broadcast_to(B[:, :, None] > 0, (n, d, d)))
+    drift = (_rank(B[col] - eye[l] + eye[j], m) * n + col, j * d + l, -B[col, l])
+    # Diffusion: sum_{j,l} D[j,l] d_j d_l x^a
+    lowered = B[:, None, :] - eye  # [col, l, j] = (a - e_l)_j
+    col, l, j = np.nonzero((B[:, :, None] > 0) & (lowered > 0))
+    diffusion = (_rank(lowered[col, l] - eye[j], m) * n + col, d * d + j * d + l,
+                 B[col, l] * lowered[col, l, j])
+    out = tuple(np.concatenate(parts) for parts in zip(drift, diffusion))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def enumerate_spectrum(eig: linalg.EigenStructure, m_max: int) -> SpectrumSet:
     """All nu_alpha = -sum alpha_j lambda_j for |alpha| <= m_max; duplicates
     are kept with their multi-index labels."""
@@ -81,11 +115,9 @@ def enumerate_spectrum(eig: linalg.EigenStructure, m_max: int) -> SpectrumSet:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     lams = eig.all_eigenvalues
     d = len(lams)
-    entries = [
-        SpectrumEntry(value=complex(-np.dot(alpha, lams)), alpha=alpha)
-        for alpha in _multi_indices(d, m_max)
-    ]
-    return SpectrumSet(entries=tuple(entries))
+    values = -(_multi_index_array(d, m_max) @ lams)
+    return SpectrumSet(entries=tuple(SpectrumEntry(value=complex(v), alpha=alpha)
+                                     for v, alpha in zip(values, _multi_indices(d, m_max))))
 
 
 @dataclass(frozen=True)
@@ -115,25 +147,15 @@ def poly_operator_matrix(spec: SystemSpec, ss: SteadyState, m: int) -> PolyOpera
         raise ValueError(
             f"monomial basis dimension {n} exceeds the cap {DIMENSION_CAP}"
         )
-    basis = _multi_indices(d, m)
-    B = np.array(basis).reshape(n, d)
     L = np.linalg.cholesky(ss.K)
     Linv = np.linalg.inv(L)
     G = Linv @ spec.C @ L  # drift matrix in y.G.grad
     D = Linv @ spec.D @ Linv.T
-    M = np.zeros((n, n))
-    eye = np.eye(d, dtype=int)
-    # np.add.at sums the terms hitting one entry in (column, l, j) order.
-    # Drift: -x.G.grad x^a = -sum_{j,l} G[j,l] a_l x^{a - e_l + e_j}
-    col, l, j = np.nonzero((B[:, :, None] > 0) & (G.T != 0.0))
-    target = _rank(B[col] - eye[l] + eye[j], m)
-    np.add.at(M, (target, col), -(G[j, l] * B[col, l]))
-    # Diffusion: sum_{j,l} D[j,l] d_j d_l x^a
-    lowered = B[:, None, :] - eye  # [col, l, j] = (a - e_l)_j
-    col, l, j = np.nonzero((B[:, :, None] > 0) & (lowered > 0) & (D.T != 0.0))
-    target = _rank(lowered[col, l] - eye[j], m)
-    np.add.at(M, (target, col), D[j, l] * B[col, l] * lowered[col, l, j])
-    return PolyOperatorMatrix(basis=basis, M=M)
+    flat, source, factor = _operator_pattern(d, m)
+    # bincount sums the terms hitting one entry in the pattern's order.
+    M = np.bincount(flat, weights=np.concatenate([G.ravel(), D.ravel()])[source] * factor,
+                    minlength=n * n).reshape(n, n)
+    return PolyOperatorMatrix(basis=_multi_indices(d, m), M=M)
 
 
 @dataclass(frozen=True)

@@ -94,12 +94,15 @@ class ConditionAReport:
 @dataclass(frozen=True)
 class SteadyState:
     """Gaussian steady state data: covariance K, normalization cK,
-    antisymmetric part R = (CK - KC^T)/2 and Q = K C^T K^{-1}."""
+    antisymmetric part R = (CK - KC^T)/2 and Q = K C^T K^{-1}.  ``spec`` is
+    the system it was solved for, whose ``eig`` the certificates read; None
+    for one assembled from the matrices alone."""
 
     K: np.ndarray
     cK: float
     R: np.ndarray
     Q: np.ndarray
+    spec: SystemSpec | None = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -204,8 +207,9 @@ def check_condition_A(
 
 
 def steady_state(spec: SystemSpec) -> SteadyState:
-    """Steady-state covariance K (unique SPD solution of 2D = CK + KC^T),
-    normalization cK, the antisymmetric flux matrix R, and Q = K C^T K^{-1}.
+    """Steady-state covariance K (unique SPD solution of 2D = CK + KC^T, by
+    the Schur-form solve of linalg.solve_lyapunov), normalization cK, the
+    antisymmetric flux matrix R, and Q = K C^T K^{-1} (from one solve with K).
 
     K is singular when lambda_min <= rank * lambda_max (free of the units of D;
     K = 0 too).  An eigenvector of C^T in ker D makes K singular, but so does
@@ -223,8 +227,8 @@ def steady_state(spec: SystemSpec) -> SteadyState:
     cK = (2.0 * math.pi) ** (-spec.d / 2.0) / math.sqrt(float(np.linalg.det(K)))
     M = spec.C @ K - K @ spec.C.T  # antisymmetric up to roundoff
     R = 0.25 * (M - M.T)  # exactly antisymmetric (CK - KC^T)/2
-    Q = K @ spec.C.T @ np.linalg.inv(K)
-    return SteadyState(K=K, cK=float(cK), R=R, Q=Q)
+    Q = np.linalg.solve(K, spec.C @ K).T
+    return SteadyState(K=K, cK=float(cK), R=R, Q=Q, spec=spec)
 
 
 def green_covariance(spec: SystemSpec, t: float) -> np.ndarray:

@@ -134,6 +134,27 @@ class TestBuildP:
             margin = hp.verify_P(ss, tm.P, 1.05 * tm.kappa + 0.05)
             assert margin < -tm.margin_tolerance
 
+    def test_chains_of_Q_from_the_eigenstructure_of_C(self, rng):
+        # Simple eigenvalues fix each chain of Q up to a phase, so P from C's
+        # eigenstructure equals the eigen-sum over eigen_structure(Q).
+        for _ in range(10):
+            spec, _ = make_random_system(rng, int(rng.integers(2, 6)))
+            ss = hp.steady_state(spec)
+            eig_Q = linalg.eigen_structure(ss.Q)
+            if any(ch.length > 1 for ch in eig_Q.chains):
+                continue
+            P = sum(np.outer(ch.vectors[0], ch.vectors[0].conj()) for ch in eig_Q.chains).real
+            np.testing.assert_allclose(hp.build_P(ss).P, P, rtol=1e-8, atol=1e-10)
+
+    def test_steady_state_without_a_spec_recovers_C(self, rng):
+        spec, _ = make_random_system(rng, 4)
+        ss = hp.steady_state(spec)
+        bare = hp.SteadyState(K=ss.K, cK=ss.cK, R=ss.R, Q=ss.Q)
+        assert ss.spec is spec and bare.spec is None
+        tm, tm_bare = hp.build_P(ss), hp.build_P(bare)
+        np.testing.assert_allclose(tm_bare.P, tm.P, rtol=1e-10)
+        assert tm_bare.kappa == pytest.approx(tm.kappa, rel=1e-10)
+
     def test_verify_rejects_indefinite(self):
         ss = hp.steady_state(hp.SystemSpec(D=np.eye(2), C=np.eye(2)))
         with pytest.raises(cert.CertificateError):
@@ -171,7 +192,7 @@ class TestLambdaConstants:
         # S0 is linear in P, the amplitude S0/(2 lam_P) is invariant.
         spec, _ = make_random_system(rng, 3)
         ss = hp.steady_state(spec)
-        eig = linalg.eigen_structure(ss.Q, tol=1e-6)
+        eig = linalg.eigen_structure(spec.C, tol=1e-6)
         n = len(eig.chains)
         tm1 = hp.build_P(ss, eig=eig, weights=np.ones(n))
         s = 3.7
@@ -243,10 +264,60 @@ class TestOptimizeWeights:
         def S0_of_P(P):
             return hp.dissipation_log_shift(v0, ss.K, P)
 
-        eig = linalg.eigen_structure(ss.Q, tol=1e-6)
+        eig = linalg.eigen_structure(spec.C, tol=1e-6)
         tm0 = hp.build_P(ss, eig=eig)
         amp0 = S0_of_P(tm0.P) / (2.0 * hp.lambda_P(ss.K, tm0.P))
         tm = hp.optimize_weights(ss, np.outer(u, u), eig=eig)
         amp = S0_of_P(tm.P) / (2.0 * hp.lambda_P(ss.K, tm.P))
         assert amp <= amp0 + 1e-12
         assert hp.verify_P(ss, tm.P, tm.kappa) >= -tm.margin_tolerance
+
+
+def _draw_controllable(rng, d, rank):
+    """Random (C, B) screened as the certify-sweep benchmark draws them: PBH
+    controllability margin >= 1e-3 and min Re eig(C) >= 0.2."""
+    while True:
+        G = rng.standard_normal((d, d))
+        C = G + (0.2 + rng.uniform() - np.linalg.eigvals(G).real.min()) * np.eye(d)
+        B = rng.standard_normal((d, rank))
+        eigs = np.linalg.eigvals(C)
+        pbh = min(np.linalg.svd(np.hstack([C - lam * np.eye(d), B]), compute_uv=False)[-1]
+                  for lam in eigs) / np.linalg.norm(np.hstack([C, B]), 2)
+        if pbh >= 1e-3 and eigs.real.min() >= 0.2:
+            return hp.SystemSpec(D=B @ B.T, C=C)
+
+
+@pytest.mark.parametrize("d", [6, 8, 10])
+def test_rank_one_sweep(d):
+    # Rank-1 D: cond K runs from 5e4 to 2e15 on these draws.  build_P reads
+    # C's eigenstructure, so no draw meets an ambiguous clustering (in Q's,
+    # 47 of the 60 did).  Every certificate built on a steady state verifies,
+    # at the sharp rate when the minimal eigenvalues are simple.  Where K is
+    # singular to roundoff, the steady state is assembled from the matrices
+    # alone, as the certify-sweep benchmark does, and only clusters.
+    rng = np.random.default_rng(1700 + d)
+    certified = 0
+    for _ in range(20):
+        spec = _draw_controllable(rng, d, 1)
+        try:
+            ss = hp.steady_state(spec)
+        except np.linalg.LinAlgError:
+            K = linalg.solve_lyapunov(spec.C, spec.D)
+            ss = hp.SteadyState(K=K, cK=np.nan, R=np.zeros((d, d)),
+                                Q=np.linalg.solve(K, spec.C @ K).T)
+        try:
+            tm = hp.build_P(ss)
+        except cert.CertificateError:  # P singular to roundoff
+            assert np.linalg.cond(ss.K) > 1e8
+            continue
+        if ss.spec is None:
+            continue
+        certified += 1
+        assert hp.verify_P(ss, tm.P, tm.kappa) >= -tm.margin_tolerance
+        assert hp.lambda_P(ss.K, tm.P) > 0.0
+        eigs = np.linalg.eigvals(spec.C)
+        mu = eigs.real.min()
+        minimal = np.flatnonzero(eigs.real - mu <= 1e-8 * linalg._scale(spec.C))
+        if all(np.sort(np.abs(eigs - eigs[i]))[1] > 1e-6 for i in minimal):
+            assert tm.kappa == pytest.approx(mu, rel=1e-12)
+    assert certified >= 4

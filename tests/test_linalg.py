@@ -20,6 +20,18 @@ class TestEigenStructure:
         assert len(es.chains) == 1
         assert es.chains[0].length == 2
 
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e4, 1e8])
+    def test_multiplicities_free_of_the_units(self, s):
+        # Kernel ranks are taken against ||(M - lam I)^k|| / ||M||^k and chain
+        # tops against the dimensionless tol, so scaling M keeps the Jordan
+        # structure (thresholds growing with ||M||^2 and ||M|| made both 1e8
+        # cases a ClusteringError).
+        simple = linalg.eigen_structure(s * np.diag([1.0, 2.0]))
+        assert simple.algebraic == simple.geometric == (1, 1)
+        jordan = linalg.eigen_structure(s * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert (jordan.algebraic, jordan.geometric) == ((2,), (1,))
+        assert [ch.length for ch in jordan.chains] == [2]
+
     def test_triangular_distinct(self):
         M = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 1.0, 3.0]])
         es = linalg.eigen_structure(M)

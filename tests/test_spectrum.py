@@ -189,6 +189,15 @@ class TestPolyOperatorMatrix:
             assert pm.basis == tuple(reference_multi_indices(d, m))
             assert np.array_equal(pm.M, reference_poly_matrix(spec, ss, pm.basis))
 
+    def test_index_pattern_built_once_per_shape(self, rng):
+        spectrum._operator_pattern.cache_clear()
+        for _ in range(3):
+            spec, ss = draw_spec(rng, 3, 1)
+            hp.poly_operator_matrix(spec, ss, 2)
+        info = spectrum._operator_pattern.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert not any(arr.flags.writeable for arr in spectrum._operator_pattern(3, 2))
+
     def test_d10_eigenvalues_match_enumeration(self, rng):
         spec, ss = draw_spec(rng, 10, 10)
         enum = hp.enumerate_spectrum(linalg.eigen_structure(spec.C), 2).values()
