@@ -11,7 +11,8 @@ is simple enough, and a Jordan-chain construction with epsilon-shifted
 weights when a minimal eigenvalue is defective (in which case only the
 reduced rate kappa = mu - epsilon is certifiable).  The chains of Q are K
 times those of C^T, which are the rows of V^{-1} for C's chain basis V, so
-the one eigenstructure of C per system (``SystemSpec.eig``) serves.
+the one eigenstructure of C per system (``SystemSpec.eig``) serves, clusters
+and all; C is never recovered from K and Q.
 
 lambda_P is the best constant in K^{-1} >= lambda_P P^{-1}; together with
 S-decay it yields the envelope  e(t) <= S(f0)/(2 lambda_P) e^{-2 kappa t}.
@@ -70,22 +71,15 @@ def _chain_weights(length: int, tau: float) -> np.ndarray:
     return b[::-1]  # order along chain columns w_1 .. w_l
 
 
-def _drift_eig(ss: SteadyState, cluster_tol: float) -> EigenStructure:
-    """Eigenstructure of C: the spec's own at the default tolerance; C is
-    recovered from Q = K C^T K^{-1} when the steady state has no spec."""
-    if ss.spec is not None and cluster_tol == TOL.cluster:
-        return ss.spec.eig
-    C = ss.spec.C if ss.spec is not None else np.linalg.solve(ss.K, ss.Q @ ss.K).T
-    return linalg.eigen_structure(C, tol=cluster_tol)
-
-
 def _q_chains(eig: EigenStructure, K: np.ndarray) -> list[np.ndarray]:
     """Jordan chains of Q = K C^T K^{-1}, one (length, d) array per chain of
     ``eig`` (C's), in its order.  With C V = V J for the chain basis V, each
     chain's rows of V^{-1}, reversed, form a chain of C^T; K maps it to one
-    of Q, scaled to a unit top as eigen_structure scales its chains."""
+    of Q, scaled to a unit top as eigen_structure scales its chains (K first
+    scaled by a power of 2, exactly, so that a tiny K cannot underflow)."""
     Vinv = np.linalg.inv(np.vstack([ch.vectors for ch in eig.chains]).T)
     rows = np.split(Vinv, np.cumsum([ch.length for ch in eig.chains])[:-1])
+    K = np.ldexp(K, -np.frexp(np.abs(K).max())[1])
     return [Z / np.linalg.norm(Z[-1]) for Z in (R[::-1] @ K for R in rows)]
 
 
@@ -94,12 +88,11 @@ def build_P(
     eig: EigenStructure | None = None,
     epsilon: float | None = None,
     weights: np.ndarray | None = None,
-    cluster_tol: float = TOL.cluster,
 ) -> TransportMatrix:
     """Assemble the transport matrix from the Jordan chains of Q.
 
-    ``eig`` is the eigenstructure of C (as ``linalg.eigen_structure`` returns
-    it; default ``ss.spec.eig``); Q has the same eigenvalues and Jordan
+    ``eig`` is the eigenstructure of C (default ``ss.spec.eig``; without a
+    spec, a CertificateError); Q has the same eigenvalues and Jordan
     structure.  ``weights`` are optional per-chain scale factors b_j > 0, one
     per chain (else ValueError; arbitrary in the non-defective construction;
     unequal weights on complex-conjugate chains are a CertificateError).
@@ -107,9 +100,12 @@ def build_P(
     minimal-real-part eigenvalue is defective; it trades rate
     (kappa = mu - epsilon) for existence of the certificate.
     """
-    eig = _drift_eig(ss, cluster_tol) if eig is None else eig
+    if eig is None:
+        if ss.spec is None:
+            raise CertificateError("a steady state without a spec needs C's eigenstructure (eig)")
+        eig = ss.spec.eig
     mu = eig.mu
-    re_tol = max(TOL.minimal, cluster_tol) * eig.scale
+    re_tol = TOL.minimal * eig.scale
 
     chains = eig.chains
     if any(ch.length > 1 for ch in eig.minimal_chains(re_tol)):
@@ -230,10 +226,7 @@ def entropy_envelope(
 
 
 def optimize_weights(
-    ss: SteadyState,
-    G0: np.ndarray,
-    eig: EigenStructure | None = None,
-    epsilon: float | None = None,
+    ss: SteadyState, G0: np.ndarray, epsilon: float | None = None
 ) -> TransportMatrix:
     """Grid search over per-chain weights minimizing amplitude = S0/(2 lam_P)
     with S0 = tr(P G0) for the initial state's dissipation matrix G0 (the
@@ -241,17 +234,19 @@ def optimize_weights(
     weight runs over 9 log-spaced values in [1e-2, 1e2].
 
     Conjugate chains share a weight; the overall scale is fixed by leaving
-    the first group at 1 (the amplitude is scale-invariant anyway).  ``eig``
-    is C's eigenstructure, as in build_P.
+    the first group at 1 (the amplitude is scale-invariant anyway).  The
+    chains are those of ``ss.spec.eig``.
     """
-    eig = _drift_eig(ss, TOL.cluster) if eig is None else eig
+    if ss.spec is None:
+        raise CertificateError("a steady state without a spec has no chains to weight")
+    eig = ss.spec.eig
     groups = eig.conjugate_groups(TOL.minimal * eig.scale)
     best, best_amp = None, np.inf
     for choice in itertools.product([1.0], *[np.logspace(-2, 2, 9)] * (len(groups) - 1)):
         w = np.ones(len(eig.chains))
         for grp, g in zip(groups, choice):
             w[grp] = g
-        tm = build_P(ss, eig=eig, epsilon=epsilon, weights=w)
+        tm = build_P(ss, epsilon=epsilon, weights=w)
         amp = np.vdot(tm.P, G0) / (2.0 * lambda_P(ss.K, tm.P))
         if amp < best_amp:
             best_amp, best = amp, tm

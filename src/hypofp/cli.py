@@ -353,9 +353,9 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
 
 def _cmd_spectrum(cfg, outdir, fmt, plot) -> list[str]:
     spec = _system_from(cfg)
-    report = _check_condition(spec)
+    _check_condition(spec)
     m_max = _read(_section(cfg, "spectrum", {}), "spectrum", "m_max", _int, 4)
-    sset = spectrum.enumerate_spectrum(report.eig, m_max)
+    sset = spectrum.enumerate_spectrum(spec.eig, m_max)
     if fmt == "json":
         path = os.path.join(outdir, "spectrum.json")
         _write_json(path, {"entries": [

@@ -177,8 +177,7 @@ def sharpness_scenario(
       v(t) = e^{-mu t}(h - t w) and e(t) e^{2 mu t} is a quadratic in t.
     """
     eig = spec.eig if eig is None else eig
-    mu = eig.mu
-    scale = linalg._scale(spec.C)
+    mu, scale = eig.mu, eig.scale
     minimal = eig.minimal_chains(TOL.minimal * scale)
 
     if kind == "real-eig":

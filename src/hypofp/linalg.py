@@ -21,8 +21,8 @@ class ClusteringError(ValueError):
 @dataclass(frozen=True)
 class Tolerances:
     """Every decision threshold of the package, with what it is relative to
-    and what it decides.  ``TOL`` is the one instance; the ``tol`` and
-    ``cluster_tol`` arguments default to its fields."""
+    and what it decides.  ``TOL`` is the one instance; ``eigen_structure``'s
+    ``tol`` defaults to its ``cluster`` field."""
 
     # Eigenvalue clustering gap, |Im| snapped to 0 and shortest chain top, times
     # _scale(M).  A kernel step of A = (M - lam I)^k counts singular values above

@@ -79,7 +79,6 @@ class ConditionAReport:
     mu: float
     minimal_eigs_defective: bool
     defective_details: tuple[tuple[complex, int], ...]
-    eig: linalg.EigenStructure = field(repr=False, compare=False)  # of C
 
     @property
     def satisfied(self) -> bool:
@@ -170,24 +169,19 @@ def hoermander_tau(spec: SystemSpec) -> tuple[int | None, int, float, float]:
     return (blocks - 1 if dim == d else None), dim, min(kept), max(dropped, default=0.0)
 
 
-def check_condition_A(
-    spec: SystemSpec, cluster_tol: float = TOL.cluster
-) -> ConditionAReport:
+def check_condition_A(spec: SystemSpec) -> ConditionAReport:
     """Hypoellipticity (rank condition) + positive stability of C, with the
     defectiveness of the minimal-real-part eigenvalues flagged (that flag
-    drives the epsilon-perturbed transport-matrix construction).
+    drives the epsilon-perturbed transport-matrix construction).  The
+    spectral verdicts read ``spec.eig``, C's one eigenstructure.
 
     The staircase is backward stable, exact for a pair within ~d u of (C, D)
     (Van Dooren 1981), so a controllable dimension below d proves "not
     hypoelliptic" only when every dropped value is at most roundoff * d.  A
     larger one, below the rank threshold, is a distance to uncontrollability
-    too small to trust (Eising 1984): ``hypoelliptic`` is then None.
-
-    ``cluster_tol`` controls eigenvalue merging in the defect detection;
-    constructed near-defective systems may need a coarser value than the
-    default."""
+    too small to trust (Eising 1984): ``hypoelliptic`` is then None."""
     tau, dim, margin, gap = hoermander_tau(spec)
-    eig = spec.eig if cluster_tol == TOL.cluster else linalg.eigen_structure(spec.C, cluster_tol)
+    eig = spec.eig
     # (eigenvalue, longest chain) of each defective eigenvalue.
     details = tuple((lam, max(ch.length for ch in eig.chains if ch.eigenvalue == lam))
                     for lam, a, g in zip(eig.eigenvalues, eig.algebraic, eig.geometric) if g < a)
@@ -202,7 +196,6 @@ def check_condition_A(
         minimal_eigs_defective=any(
             ch.length > 1 for ch in eig.minimal_chains(TOL.minimal * eig.scale)),
         defective_details=details,
-        eig=eig,
     )
 
 
@@ -224,11 +217,16 @@ def steady_state(spec: SystemSpec) -> SteadyState:
             f"steady-state covariance is singular: lambda_min = {w[0]:.3e}, "
             f"lambda_max = {w[-1]:.3e}, {why}"
         )
-    cK = (2.0 * math.pi) ** (-spec.d / 2.0) / math.sqrt(float(np.linalg.det(K)))
+    logdet = float(np.linalg.slogdet(K)[1])  # np.linalg.det(K) is exp(logdet)
+    if abs(logdet) <= 700.0:  # det K is a float
+        cK = (2.0 * math.pi) ** (-spec.d / 2.0) / math.sqrt(math.exp(logdet))
+    else:  # e.g. D = 1e-3 I at d = 128; a cK above the float range is inf
+        log_cK = -0.5 * (spec.d * math.log(2.0 * math.pi) + logdet)
+        cK = math.exp(log_cK) if log_cK < 709.78 else math.inf
     M = spec.C @ K - K @ spec.C.T  # antisymmetric up to roundoff
     R = 0.25 * (M - M.T)  # exactly antisymmetric (CK - KC^T)/2
     Q = np.linalg.solve(K, spec.C @ K).T
-    return SteadyState(K=K, cK=float(cK), R=R, Q=Q, spec=spec)
+    return SteadyState(K=K, cK=cK, R=R, Q=Q, spec=spec)
 
 
 def green_covariance(spec: SystemSpec, t: float) -> np.ndarray:

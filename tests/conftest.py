@@ -14,7 +14,8 @@ def make_random_system(rng, d, rank=None, stability_margin=0.2):
 
     C is a random matrix shifted to put its spectrum in the right half
     plane; D is a random PSD matrix of the requested rank.  Retries until
-    the structural condition holds and the eigenstructure is unambiguous.
+    the structural condition holds, C's eigenstructure is unambiguous and
+    the steady state exists.
     """
     for _ in range(200):
         C = rng.standard_normal((d, d))
@@ -28,9 +29,7 @@ def make_random_system(rng, d, rank=None, stability_margin=0.2):
             report = hp.check_condition_A(spec)
             if not report.satisfied:
                 continue
-            # Skip draws whose steady-state Q is so non-normal that its
-            # eigenvalue clustering is ambiguous.
-            linalg.eigen_structure(hp.steady_state(spec).Q)
+            hp.steady_state(spec)
         except (ValueError, np.linalg.LinAlgError, linalg.ClusteringError):
             continue
         return spec, report
@@ -39,20 +38,25 @@ def make_random_system(rng, d, rank=None, stability_margin=0.2):
 
 def make_defective_minimal_system(rng, d=3):
     """System whose drift has a defective minimal eigenvalue (a 2-chain),
-    built by conjugating an explicit Jordan form with a random basis."""
+    built by conjugating an explicit Jordan form with a random basis.
+
+    Returns (spec, eig), eig the eigenstructure of C clustered at 1e-6: the
+    conjugation splits the double eigenvalue by ~sqrt(roundoff), so the
+    default clustering of ``spec.eig`` need not see the chain.  D = I, so
+    the pair is hypoelliptic."""
     for _ in range(100):
         S = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
         mu = 0.5 + rng.uniform(0.0, 1.0)
         J = np.diag(np.concatenate([[mu, mu], mu + 1.0 + np.arange(d - 2)]))
         J[0, 1] = 1.0
         C = S @ J @ np.linalg.inv(S)
-        spec = hp.SystemSpec(D=np.eye(d), C=C)
         try:
-            report = hp.check_condition_A(spec, cluster_tol=1e-6)
+            eig = linalg.eigen_structure(C, tol=1e-6)
         except linalg.ClusteringError:
             continue
-        if report.satisfied and report.minimal_eigs_defective:
-            return spec, report
+        minimal = eig.minimal_chains(linalg.TOL.minimal * eig.scale)
+        if eig.mu > linalg.TOL.stability and any(ch.length > 1 for ch in minimal):
+            return hp.SystemSpec(D=np.eye(d), C=C), eig
     raise RuntimeError("failed to construct a defective-minimal system")
 
 
@@ -79,19 +83,23 @@ def quadratic_pair_sums(components, K, gen, matrices):
     an affine factor a becomes L^T a and M becomes L^-1 M L^-T.
     e = alpha sum w_a w_b (Z_ab - 1) and I_M = 2 alpha sum w_a w_b J_ab with,
     for Gaussians a and b, P = A^-1, Lam = P_a + P_b - I, Sig = Lam^-1,
-    m = Sig (P_a v_a + P_b v_b), log Z the k = 2 term of the ratio moment,
+    m = Sig (P_a v_a + P_b v_b), log Z the k = 2 term of the ratio moment
+    (its log det A_a + log det A_b + log det Lam is log det(I - X_a X_b) with
+    X = A - I: one determinant near I in place of three whose first-order
+    terms cancel),
     B = I - P, g(y) = B y + P v and J = Z [tr(B_a M B_b Sig) + g_a(m).M g_b(m)];
     for an affine factor a with a Gaussian b, Z = 1 + a.v_b and J = a.M v_b;
     for two affine factors, Z = 1 + a.a' and J = a.M a'."""
     L = np.linalg.cholesky(K)
     Li = np.linalg.inv(L)
     Ms = [Li @ M @ Li.T for M in matrices]
-    white = [(c.weight, Li @ c.mean, Li @ c.cov @ Li.T, None if c.affine is None else L.T @ c.affine)
+    white = [(c.weight, Li @ c.mean, Li @ c.cov @ Li.T, Li @ (c.cov - K) @ Li.T,
+              None if c.affine is None else L.T @ c.affine)
              for c in components]
     eye = np.eye(len(K))
     sums = np.zeros(1 + len(matrices))
-    for wa, va, Aa, aa in white:
-        for wb, vb, Ab, ab in white:
+    for wa, va, Aa, Xa, aa in white:
+        for wb, vb, Ab, Xb, ab in white:
             if aa is not None and ab is not None:
                 z1, J = aa @ ab, [aa @ M @ ab for M in Ms]
             elif aa is not None:
@@ -103,8 +111,8 @@ def quadratic_pair_sums(components, K, gen, matrices):
                 Sig = np.linalg.inv(Pa + Pb - eye)
                 b = Pa @ va + Pb @ vb
                 m = Sig @ b
-                z1 = np.expm1(0.5 * (np.linalg.slogdet(Sig)[1] - np.linalg.slogdet(Aa)[1]
-                                     - np.linalg.slogdet(Ab)[1] + b @ m - va @ Pa @ va - vb @ Pb @ vb))
+                z1 = np.expm1(0.5 * (b @ m - va @ Pa @ va - vb @ Pb @ vb
+                                     - np.linalg.slogdet(eye - Xa @ Xb)[1]))
                 Ba, Bb = eye - Pa, eye - Pb
                 ga, gb = Ba @ m + Pa @ va, Bb @ m + Pb @ vb
                 J = [(1.0 + z1) * (np.trace(Ba @ M @ Bb @ Sig) + ga @ M @ gb) for M in Ms]

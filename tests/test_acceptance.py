@@ -172,9 +172,9 @@ def test_criterion_5_P_sweep():
             if hp.verify_P(ss, tm.P, 1.001 * mu) < 0.0:
                 inflated_fail += 1
     for _ in range(20):
-        spec, report = make_defective_minimal_system(rng)
+        spec, eig = make_defective_minimal_system(rng)
         ss = hp.steady_state(spec)
-        tm = hp.build_P(ss, epsilon=1e-2 * report.mu, cluster_tol=1e-6)
+        tm = hp.build_P(ss, eig=eig, epsilon=1e-2 * eig.mu)
         margin = hp.verify_P(ss, tm.P, tm.kappa)
         assert margin >= -tm.margin_tolerance
     assert inflated_fail >= 0.95 * inflated_total
@@ -286,9 +286,8 @@ def test_criterion_8_sharpness():
     assert np.all(np.abs(gaps - np.pi / omega) <= 0.01 * np.pi / omega)
 
     # (iii) defective pair: quadratic polynomial factor, fit residual <= 1e-8.
-    spec3, _ = make_defective_minimal_system(rng)
+    spec3, eig3 = make_defective_minimal_system(rng)
     ss3 = hp.steady_state(spec3)
-    eig3 = linalg.eigen_structure(spec3.C, tol=1e-6)
     sc3 = hp.sharpness_scenario("defective", spec3, ss3, eig=eig3)
     ts3 = np.linspace(0.0, 4.0, 41)
     e3 = np.array([

@@ -17,6 +17,11 @@ def _three_dim():
     return spec, hp.steady_state(spec)
 
 
+def _jordan_block_steady_state():
+    C = np.array([[1.0, 0.0], [1.0, 1.0]])
+    return hp.steady_state(hp.SystemSpec(D=0.5 * (C + C.T), C=C))
+
+
 class TestChainWeights:
     def test_length_one(self):
         assert np.array_equal(cert._chain_weights(1, 0.5), [1.0])
@@ -61,13 +66,10 @@ class TestBuildP:
         assert abs(margin) <= 1e-10 * np.linalg.norm(P, 2)
 
     def test_defective_literal(self):
-        # Hand-built steady state with Q a 2x2 Jordan block at 1: the rate
-        # mu = 1 is not certifiable, rate 1 - eps is.
-        Q = np.array([[1.0, 1.0], [0.0, 1.0]])
-        K = np.eye(2)
-        ss = hp.SteadyState(
-            K=K, cK=(2 * np.pi) ** -1, R=np.zeros((2, 2)), Q=Q
-        )
+        # C = Q^T with D = (C + C^T)/2 gives K = I exactly, so Q is the 2x2
+        # Jordan block at 1: the rate mu = 1 is not certifiable, 1 - eps is.
+        ss = _jordan_block_steady_state()
+        assert np.array_equal(ss.K, np.eye(2)) and np.array_equal(ss.Q, [[1.0, 1.0], [0.0, 1.0]])
         eps = 0.05
         tm = hp.build_P(ss, epsilon=eps)
         assert tm.construction == "jordan"
@@ -80,16 +82,12 @@ class TestBuildP:
         assert np.allclose(tm.P, expected, rtol=1e-10)
 
     def test_defective_default_epsilon(self):
-        Q = np.array([[1.0, 1.0], [0.0, 1.0]])
-        ss = hp.SteadyState(K=np.eye(2), cK=(2 * np.pi) ** -1, R=np.zeros((2, 2)), Q=Q)
-        tm = hp.build_P(ss)
+        tm = hp.build_P(_jordan_block_steady_state())
         assert tm.epsilon == pytest.approx(cert.DEFAULT_EPSILON_FACTOR * 1.0)
 
     def test_defective_rejects_nonpositive_epsilon(self):
-        Q = np.array([[1.0, 1.0], [0.0, 1.0]])
-        ss = hp.SteadyState(K=np.eye(2), cK=(2 * np.pi) ** -1, R=np.zeros((2, 2)), Q=Q)
-        with pytest.raises(cert.CertificateError):
-            hp.build_P(ss, epsilon=0.0)
+        with pytest.raises(cert.CertificateError, match="defective"):
+            hp.build_P(_jordan_block_steady_state(), epsilon=0.0)
 
     def test_complex_pair_real_P(self):
         spec = hp.SystemSpec(**SEC8)
@@ -118,13 +116,13 @@ class TestBuildP:
 
     def test_random_defective_verify(self, rng):
         for _ in range(10):
-            spec, report = make_defective_minimal_system(rng)
+            spec, eig = make_defective_minimal_system(rng)
             ss = hp.steady_state(spec)
-            tm = hp.build_P(ss, cluster_tol=1e-6)
+            tm = hp.build_P(ss, eig=eig)
             assert tm.construction == "jordan"
             margin = hp.verify_P(ss, tm.P, tm.kappa)
             assert margin >= -tm.margin_tolerance
-            assert tm.kappa < report.mu
+            assert tm.kappa < eig.mu
 
     def test_inflated_kappa_fails(self, rng):
         for _ in range(10):
@@ -146,14 +144,20 @@ class TestBuildP:
             P = sum(np.outer(ch.vectors[0], ch.vectors[0].conj()) for ch in eig_Q.chains).real
             np.testing.assert_allclose(hp.build_P(ss).P, P, rtol=1e-8, atol=1e-10)
 
-    def test_steady_state_without_a_spec_recovers_C(self, rng):
+    def test_steady_state_without_a_spec_needs_eig(self, rng):
+        # C is not recovered from K and Q: refused, unless eig is passed.
         spec, _ = make_random_system(rng, 4)
         ss = hp.steady_state(spec)
         bare = hp.SteadyState(K=ss.K, cK=ss.cK, R=ss.R, Q=ss.Q)
         assert ss.spec is spec and bare.spec is None
-        tm, tm_bare = hp.build_P(ss), hp.build_P(bare)
-        np.testing.assert_allclose(tm_bare.P, tm.P, rtol=1e-10)
-        assert tm_bare.kappa == pytest.approx(tm.kappa, rel=1e-10)
+        with pytest.raises(cert.CertificateError, match="without a spec"):
+            hp.build_P(bare)
+        with pytest.raises(cert.CertificateError, match="without a spec"):
+            hp.optimize_weights(bare, np.eye(4))
+        tm, tm_bare = hp.build_P(ss), hp.build_P(bare, eig=spec.eig)
+        assert np.array_equal(tm_bare.P, tm.P)
+        assert (tm_bare.kappa, tm_bare.epsilon, tm_bare.weights, tm_bare.construction) == (
+            tm.kappa, tm.epsilon, tm.weights, tm.construction)
 
     def test_verify_rejects_indefinite(self):
         ss = hp.steady_state(hp.SystemSpec(D=np.eye(2), C=np.eye(2)))
@@ -264,10 +268,9 @@ class TestOptimizeWeights:
         def S0_of_P(P):
             return hp.dissipation_log_shift(v0, ss.K, P)
 
-        eig = linalg.eigen_structure(spec.C, tol=1e-6)
-        tm0 = hp.build_P(ss, eig=eig)
+        tm0 = hp.build_P(ss)
         amp0 = S0_of_P(tm0.P) / (2.0 * hp.lambda_P(ss.K, tm0.P))
-        tm = hp.optimize_weights(ss, np.outer(u, u), eig=eig)
+        tm = hp.optimize_weights(ss, np.outer(u, u))
         amp = S0_of_P(tm.P) / (2.0 * hp.lambda_P(ss.K, tm.P))
         assert amp <= amp0 + 1e-12
         assert hp.verify_P(ss, tm.P, tm.kappa) >= -tm.margin_tolerance
@@ -294,7 +297,7 @@ def test_rank_one_sweep(d):
     # 47 of the 60 did).  Every certificate built on a steady state verifies,
     # at the sharp rate when the minimal eigenvalues are simple.  Where K is
     # singular to roundoff, the steady state is assembled from the matrices
-    # alone, as the certify-sweep benchmark does, and only clusters.
+    # alone, as the certify-sweep benchmark does, and build_P refuses it.
     rng = np.random.default_rng(1700 + d)
     certified = 0
     for _ in range(20):
@@ -303,14 +306,15 @@ def test_rank_one_sweep(d):
             ss = hp.steady_state(spec)
         except np.linalg.LinAlgError:
             K = linalg.solve_lyapunov(spec.C, spec.D)
-            ss = hp.SteadyState(K=K, cK=np.nan, R=np.zeros((d, d)),
-                                Q=np.linalg.solve(K, spec.C @ K).T)
+            bare = hp.SteadyState(K=K, cK=np.nan, R=np.zeros((d, d)),
+                                  Q=np.linalg.solve(K, spec.C @ K).T)
+            with pytest.raises(cert.CertificateError, match="without a spec"):
+                hp.build_P(bare)
+            continue
         try:
             tm = hp.build_P(ss)
         except cert.CertificateError:  # P singular to roundoff
             assert np.linalg.cond(ss.K) > 1e8
-            continue
-        if ss.spec is None:
             continue
         certified += 1
         assert hp.verify_P(ss, tm.P, tm.kappa) >= -tm.margin_tolerance

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +40,15 @@ class TestAnalyze:
         assert np.allclose(out["steady_state"]["K"], np.eye(2), atol=1e-12)
         assert out["certificate"]["rate"] == pytest.approx(1.25, abs=1e-10)
         assert out["certificate"]["margin"] >= -1e-8 * np.linalg.norm(out["certificate"]["P"], 2)
+
+    def test_det_K_underflow(self, tmp_path):
+        # det K = 1e-400 underflows; cK = 1 / (2 pi 1e-200) is a float.
+        cfg = write_cfg(tmp_path, {"system": {"D": [[1e-200, 0.0], [0.0, 1e-200]],
+                                              "C": [[1.0, 0.0], [0.0, 1.0]]}})
+        assert run_cli(["analyze", "--config", cfg, "--output", tmp_path]) == 0
+        out = json.loads((tmp_path / "analyze.json").read_text())
+        assert out["steady_state"]["cK"] == pytest.approx(1.0 / (2e-200 * math.pi), rel=1e-12)
+        assert out["certificate"]["rate"] == pytest.approx(2.0, abs=1e-12)
 
     def test_condition_failure_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(

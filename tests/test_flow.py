@@ -179,9 +179,8 @@ class TestSharpness:
         assert np.allclose(actual, pred, rtol=1e-9, atol=1e-12)
 
     def test_defective_quadratic_factor(self, rng):
-        spec, _ = make_defective_minimal_system(rng)
+        spec, eig = make_defective_minimal_system(rng)
         ss = hp.steady_state(spec)
-        eig = linalg.eigen_structure(spec.C, tol=1e-6)
         sc = hp.sharpness_scenario("defective", spec, ss, eig=eig)
         ts = np.linspace(0.0, 4.0, 17)
         pred = sc.predicted_entropy(ts)

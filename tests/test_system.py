@@ -71,15 +71,13 @@ class TestSpecOwnsItsData:
         spec = hp.SystemSpec(**SEC8)
         report = hp.check_condition_A(spec)
         ss = hp.steady_state(spec)
+        tm = hp.build_P(ss)
+        hp.optimize_weights(ss, np.eye(2))
+        sc = hp.sharpness_scenario("complex-pair", spec, ss)
         cert = hp.compare_rates(spec, ss)
-        of_C = [tol for M, tol in calls if np.array_equal(M, spec.C)]
-        assert of_C == [linalg.TOL.cluster]
-        assert report.eig is spec.eig and cert.mu == report.mu
-        # A non-default clustering tolerance computes its own.
-        coarse = hp.check_condition_A(spec, cluster_tol=1e-6)
-        of_C = [tol for M, tol in calls if np.array_equal(M, spec.C)]
-        assert of_C == [linalg.TOL.cluster, 1e-6]
-        assert coarse.eig is not spec.eig
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], spec.C) and calls[0][1] == linalg.TOL.cluster
+        assert report.mu == tm.kappa == sc.mu == cert.mu == spec.eig.mu
 
 
 class TestHoermanderTau:
@@ -237,6 +235,18 @@ class TestSteadyState:
         # absolute test called s = 1e-11 singular.
         ss = hp.steady_state(hp.SystemSpec(D=s * np.eye(2), C=np.eye(2)))
         assert np.allclose(ss.K, s * np.eye(2), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("s, d", [(1e-200, 2), (1e-3, 128), (1e200, 2)])
+    def test_normalization_when_det_K_leaves_the_float_range(self, s, d):
+        # det K = s^d under- or overflows; cK = (2 pi s)^(-d/2) does not.  The
+        # error of log det K (a sum of d logs, |log det K| = 884 at d = 128)
+        # carries over to cK as it does to np.linalg.det: 1.3e-12 at d = 128.
+        ss = hp.steady_state(hp.SystemSpec(D=s * np.eye(d), C=np.eye(d)))
+        assert ss.cK == pytest.approx(math.exp(-0.5 * d * math.log(2.0 * math.pi * s)), rel=1e-11)
+
+    @pytest.mark.parametrize("s, cK", [(1e-300, math.inf), (1e300, 0.0)])
+    def test_normalization_outside_the_float_range(self, s, cK):
+        assert hp.steady_state(hp.SystemSpec(D=s * np.eye(4), C=np.eye(4))).cK == cK
 
     def test_zero_diffusion_K_is_singular(self):
         # K = 0: singular, and the message forms no 0 / 0.
