@@ -23,6 +23,8 @@ import numpy as np
 from . import linalg
 from .linalg import TOL
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp of anything above overflows
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -217,12 +219,10 @@ def steady_state(spec: SystemSpec) -> SteadyState:
             f"steady-state covariance is singular: lambda_min = {w[0]:.3e}, "
             f"lambda_max = {w[-1]:.3e}, {why}"
         )
-    logdet = float(np.linalg.slogdet(K)[1])  # np.linalg.det(K) is exp(logdet)
-    if abs(logdet) <= 700.0:  # det K is a float
-        cK = (2.0 * math.pi) ** (-spec.d / 2.0) / math.sqrt(math.exp(logdet))
-    else:  # e.g. D = 1e-3 I at d = 128; a cK above the float range is inf
-        log_cK = -0.5 * (spec.d * math.log(2.0 * math.pi) + logdet)
-        cK = math.exp(log_cK) if log_cK < 709.78 else math.inf
+    # In the log domain, as det K and (2 pi)^(-d/2) leave the float range long
+    # before cK does; a cK above the float range is inf, one below it 0.0.
+    log_cK = -0.5 * (spec.d * math.log(2.0 * math.pi) + float(np.linalg.slogdet(K)[1]))
+    cK = math.exp(log_cK) if log_cK <= _LOG_FLOAT_MAX else math.inf
     M = spec.C @ K - K @ spec.C.T  # antisymmetric up to roundoff
     R = 0.25 * (M - M.T)  # exactly antisymmetric (CK - KC^T)/2
     Q = np.linalg.solve(K, spec.C @ K).T

@@ -293,8 +293,8 @@ def _draw_controllable(rng, d, rank):
 @pytest.mark.parametrize("d", [6, 8, 10])
 def test_rank_one_sweep(d):
     # Rank-1 D: cond K runs from 5e4 to 2e15 on these draws.  build_P reads
-    # C's eigenstructure, so no draw meets an ambiguous clustering (in Q's,
-    # 47 of the 60 did).  Every certificate built on a steady state verifies,
+    # C's eigenstructure, and no draw, with or without a steady state, meets
+    # an ambiguous clustering of it (in Q's, 47 of the 60 did).  Every certificate built on a steady state verifies,
     # at the sharp rate when the minimal eigenvalues are simple.  Where K is
     # singular to roundoff, the steady state is assembled from the matrices
     # alone, as the certify-sweep benchmark does, and build_P refuses it.
@@ -308,6 +308,7 @@ def test_rank_one_sweep(d):
             K = linalg.solve_lyapunov(spec.C, spec.D)
             bare = hp.SteadyState(K=K, cK=np.nan, R=np.zeros((d, d)),
                                   Q=np.linalg.solve(K, spec.C @ K).T)
+            assert spec.eig.mu >= 0.2 - 1e-12  # C clusters unambiguously here too
             with pytest.raises(cert.CertificateError, match="without a spec"):
                 hp.build_P(bare)
             continue

@@ -236,11 +236,14 @@ class TestSteadyState:
         ss = hp.steady_state(hp.SystemSpec(D=s * np.eye(2), C=np.eye(2)))
         assert np.allclose(ss.K, s * np.eye(2), rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("s, d", [(1e-200, 2), (1e-3, 128), (1e200, 2)])
+    @pytest.mark.parametrize("s, d", [(1e-200, 2), (1e-3, 128), (1e200, 2), (0.46, 900),
+                                      (math.exp(-354.89125) / (2.0 * math.pi), 4)])
     def test_normalization_when_det_K_leaves_the_float_range(self, s, d):
-        # det K = s^d under- or overflows; cK = (2 pi s)^(-d/2) does not.  The
-        # error of log det K (a sum of d logs, |log det K| = 884 at d = 128)
-        # carries over to cK as it does to np.linalg.det: 1.3e-12 at d = 128.
+        # det K = s^d under- or overflows, and (2 pi)^(-d/2) underflows to 0.0
+        # at d = 900; cK = (2 pi s)^(-d/2) does neither.  The error of log det K
+        # (a sum of d logs, |log det K| = 884 at d = 128) carries over to cK as
+        # it does to np.linalg.det: 1.3e-12 at d = 128, 1.1e-12 at d = 900.
+        # The last case puts cK at 1.797e308, just below the float maximum.
         ss = hp.steady_state(hp.SystemSpec(D=s * np.eye(d), C=np.eye(d)))
         assert ss.cK == pytest.approx(math.exp(-0.5 * d * math.log(2.0 * math.pi * s)), rel=1e-11)
 
