@@ -21,7 +21,6 @@ from .certificates import (
     build_P,
     verify_P,
     lambda_P,
-    lambda_K,
     compare_rates,
     entropy_envelope,
     optimize_weights,
@@ -54,7 +53,7 @@ __all__ = [
     "GaussianComponent", "GaussianMixture", "gauss_hermite_rule",
     "relative_entropy", "entropy_dissipation_I", "modified_dissipation_S",
     "TransportMatrix", "DecayCertificate", "build_P", "verify_P",
-    "lambda_P", "lambda_K", "compare_rates", "entropy_envelope",
+    "lambda_P", "compare_rates", "entropy_envelope",
     "optimize_weights",
     "enumerate_spectrum", "poly_operator_matrix", "degree_one_eigenfunction",
     "evolve_shift", "evolve_cov", "evolve_mixture", "run_trajectory",

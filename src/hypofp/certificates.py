@@ -105,10 +105,10 @@ def build_P(
             raise CertificateError("a steady state without a spec needs C's eigenstructure (eig)")
         eig = ss.spec.eig
     mu = eig.mu
-    re_tol = TOL.minimal * eig.scale
+    minimal = eig.minimal_chains()
 
     chains = eig.chains
-    if any(ch.length > 1 for ch in eig.minimal_chains(re_tol)):
+    if any(ch.length > 1 for ch in minimal):
         if epsilon is None:
             epsilon = DEFAULT_EPSILON_FACTOR * mu
         if epsilon <= 0:
@@ -125,7 +125,7 @@ def build_P(
         w_arr = np.asarray(weights, dtype=float)
         if w_arr.shape != (len(chains),) or np.any(w_arr <= 0):
             raise ValueError(f"need one positive weight per Jordan chain ({len(chains)})")
-        for grp in eig.conjugate_groups(re_tol):
+        for grp in eig.conjugate_groups():
             lo, hi = w_arr[grp].min(), w_arr[grp].max()
             if hi - lo > TOL.exact * max(1.0, lo):
                 raise CertificateError(
@@ -135,13 +135,14 @@ def build_P(
     d = ss.K.shape[0]
     P = np.zeros((d, d), dtype=complex)
     any_jordan = False
+    minimal_lams = {ch.eigenvalue for ch in minimal}
     for ch, Z, bw in zip(chains, _q_chains(eig, ss.K), w_arr):
         A = Z.T  # columns w_1 .. w_l
         if ch.length == 1:
             P += bw * np.outer(A[:, 0], A[:, 0].conj())
             continue
         any_jordan = True
-        if abs(ch.eigenvalue.real - mu) <= re_tol:
+        if ch.eigenvalue in minimal_lams:
             tau = 2.0 * epsilon
         else:
             tau = 2.0 * (ch.eigenvalue.real - mu)
@@ -170,42 +171,40 @@ def verify_P(ss: SteadyState, P: np.ndarray, kappa: float) -> float:
     return linalg.min_sym_eigenvalue(Q @ P + P @ Q.T - 2.0 * kappa * P)
 
 
-def _inverse_ratio(K: np.ndarray, X: np.ndarray) -> float:
-    """Largest c with K^{-1} >= c * X^{-1}, i.e. the smallest eigenvalue of
-    sqrt(X) K^{-1} sqrt(X); raises unless X is SPD."""
-    S = linalg.sqrt_spd(X)
+def _inverse_ratio(K: np.ndarray, S: np.ndarray) -> float:
+    """Largest c with K^{-1} >= c * S^{-2} for the symmetric root S of an SPD
+    matrix: the smallest eigenvalue of S K^{-1} S."""
     Kinv = np.linalg.inv(np.asarray(K, dtype=float))
     return linalg.min_sym_eigenvalue(S @ Kinv @ S)
 
 
 def lambda_P(K: np.ndarray, P: np.ndarray) -> float:
-    """Largest c with K^{-1} >= c * P^{-1}."""
-    return _inverse_ratio(K, P)
-
-
-def lambda_K(D: np.ndarray, K: np.ndarray) -> float:
-    """Classical (uniform-convexity) constant: largest lam with
-    K^{-1} >= lam * D^{-1}.  Defined only for SPD D."""
-    return _inverse_ratio(K, D)
+    """Largest c with K^{-1} >= c * P^{-1}; raises unless P is SPD."""
+    return _inverse_ratio(K, linalg.sqrt_spd(P))
 
 
 def compare_rates(spec: SystemSpec, ss: SteadyState) -> DecayCertificate:
-    """Sandwich comparison lam_K <= mu <= cond(A~)^2 * lam_K for SPD D,
-    where A~ diagonalizes D^{-1/2} C D^{1/2}.  The upper bound is omitted
-    when C is defective (by ``spec.eig``)."""
-    lamK = lambda_K(spec.D, ss.K)
+    """Sandwich comparison lam_K <= mu <= cond(A~)^2 * lam_K for SPD D.
+
+    lam_K is the classical (uniform-convexity) constant, the largest lam with
+    K^{-1} >= lam * D^{-1}.  A~ diagonalizes D^{-1/2} C D^{1/2}: it is D^{-1/2}
+    times the unit eigenvectors of ``spec.eig``, columns renormalised.  Both
+    roots of D come from ``spec.D_eigh``; the slacks are relative to _scale(C).
+    The upper bound is omitted when C is defective."""
+    w, U = spec.D_eigh
+    if w[0] <= 0:
+        raise np.linalg.LinAlgError(f"matrix not SPD: min eigenvalue {w[0]:.3e}")
+    root = np.sqrt(w)
+    lamK = _inverse_ratio(ss.K, (U * root) @ U.T)
     eig = spec.eig
     mu = eig.mu
-    if lamK > mu + TOL.lambda_K_slack:
+    if lamK > mu + TOL.lambda_K_slack * eig.scale:
         raise CertificateError(f"lambda_K = {lamK} exceeds mu = {mu}")
     cond_sq_bound = None
     if all(ch.length == 1 for ch in eig.chains):
-        sqrtD = linalg.sqrt_spd(spec.D)
-        Ct = np.linalg.inv(sqrtD) @ spec.C @ sqrtD
-        _, V = np.linalg.eig(Ct)
-        condA = np.linalg.norm(V, 2) * np.linalg.norm(np.linalg.inv(V), 2)
-        cond_sq_bound = float(condA ** 2 * lamK)
-        if mu > cond_sq_bound + TOL.bound_slack:
+        A = (U / root) @ U.T @ np.stack([ch.vectors[0] for ch in eig.chains], axis=1)
+        cond_sq_bound = float(np.linalg.cond(A / np.linalg.norm(A, axis=0)) ** 2 * lamK)
+        if mu > cond_sq_bound + TOL.bound_slack * eig.scale:
             raise CertificateError(
                 f"mu = {mu} exceeds the conditioning bound {cond_sq_bound}"
             )
@@ -240,7 +239,7 @@ def optimize_weights(
     if ss.spec is None:
         raise CertificateError("a steady state without a spec has no chains to weight")
     eig = ss.spec.eig
-    groups = eig.conjugate_groups(TOL.minimal * eig.scale)
+    groups = eig.conjugate_groups()
     best, best_amp = None, np.inf
     for choice in itertools.product([1.0], *[np.logspace(-2, 2, 9)] * (len(groups) - 1)):
         w = np.ones(len(eig.chains))

@@ -134,33 +134,32 @@ def dissipation_log_cov(A: np.ndarray, K: np.ndarray, M: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SharpnessScenario:
+    """A shift v(t) = e^{-mu t} U phi(t) of the steady state along a minimal
+    chain of C, with phi = (cos wt, sin wt), w = omega (0 for "real-eig") or
+    phi = (1, -t) ("defective"); ``gram`` is U^T K^{-1} U / 2 and ``v0`` =
+    v(0) the first column of U."""
+
     kind: str  # "real-eig" | "complex-pair" | "defective"
     v0: np.ndarray
     mu: float
-    omega: float | None = None  # complex-pair rotation frequency
-    v1: np.ndarray | None = None  # complex-pair second direction
-    poly: tuple[float, float, float] | None = None  # defective: e*e^{2mu t} coeffs
-    e0: float | None = None  # initial log-entropy (real-eig case)
+    omega: float  # Im of the chain's eigenvalue: 0 unless kind is "complex-pair"
+    gram: np.ndarray
 
     def predicted_entropy(self, t: np.ndarray) -> np.ndarray:
-        """Closed-form log-entropy e_1(t) of the shifted state."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "real-eig":
-            return self.e0 * np.exp(-2.0 * self.mu * t)
-        if self.kind == "defective":
-            c0, c1, c2 = self.poly
-            return (c0 + c1 * t + c2 * t * t) * np.exp(-2.0 * self.mu * t)
-        raise ValueError("complex-pair prediction is the quadratic form; "
-                         "use predicted_quadratic")
-
-    def predicted_quadratic(self, t: np.ndarray, K: np.ndarray) -> np.ndarray:
-        """Complex-pair case: e_1(t) = q(t) e^{-2mu t} with the periodic
-        q(t) = |cos(wt) v0 + sin(wt) v1|_{K^{-1}}^2 / 2."""
+        """Closed-form log-entropy e_1(t) = phi^T gram phi e^{-2 mu t} of the
+        shifted state."""
         t = np.asarray(t, dtype=float)
         wt = self.omega * t
-        V = np.multiply.outer(np.cos(wt), self.v0) + np.multiply.outer(np.sin(wt), self.v1)
-        q = 0.5 * np.einsum("...i,ij,...j->...", V, np.linalg.inv(K), V)
-        return q * np.exp(-2.0 * self.mu * t)
+        phi = np.stack((np.ones_like(t), -t) if self.kind == "defective"
+                       else (np.cos(wt), np.sin(wt)), axis=-1)
+        return np.einsum("...i,ij,...j->...", phi, self.gram, phi) * np.exp(-2.0 * self.mu * t)
+
+
+_SCENARIO_CHAIN = {  # which minimal chain of C each kind shifts along
+    "real-eig": lambda ch: ch.length == 1 and ch.eigenvalue.imag == 0,
+    "complex-pair": lambda ch: ch.length == 1 and ch.eigenvalue.imag > 0,
+    "defective": lambda ch: ch.length >= 2 and ch.eigenvalue.imag == 0,
+}
 
 
 def sharpness_scenario(
@@ -168,50 +167,29 @@ def sharpness_scenario(
     eig: linalg.EigenStructure | None = None,
 ) -> SharpnessScenario:
     """Initial shift v0 realizing one of the three sharp-decay cases of the
-    minimal eigenvalue(s) of C, with the closed-form predicted entropy:
+    minimal eigenvalue(s) of C (``eig``, default ``spec.eig``), with the
+    closed-form predicted entropy:
 
     - "real-eig":     v0 a real eigenvector, e(t) = e^{-2 mu t} e(0);
-    - "complex-pair": v(t) = e^{-mu t}(cos(wt) v0 + sin(wt) v1) spirals, the
-      exponential envelope is touched twice per period pi/w;
+    - "complex-pair": v(t) = e^{-mu t}(cos(wt) v0 + sin(wt) v1), w = omega,
+      with v0 + i v1 a multiple of the eigenvector of mu + i omega, spirals;
+      the exponential envelope is touched twice per period pi/omega;
     - "defective":    v0 = h with Cw = mu w, Ch = mu h + w, so
       v(t) = e^{-mu t}(h - t w) and e(t) e^{2 mu t} is a quadratic in t.
     """
+    if kind not in _SCENARIO_CHAIN:
+        raise ValueError(f"unknown scenario kind {kind!r}")
     eig = spec.eig if eig is None else eig
-    mu, scale = eig.mu, eig.scale
-    minimal = eig.minimal_chains(TOL.minimal * scale)
-
-    if kind == "real-eig":
-        for ch in minimal:
-            if abs(ch.eigenvalue.imag) <= TOL.imag * scale and ch.length == 1:
-                v0 = np.real(ch.vectors[0])
-                v0 = v0 / np.linalg.norm(v0)
-                return SharpnessScenario(kind=kind, v0=v0, mu=mu, e0=entropy_log_shift(v0, ss.K))
-        raise ValueError("no simple real minimal eigenvalue available")
-
-    if kind == "complex-pair":
-        for ch in minimal:
-            if ch.eigenvalue.imag > TOL.imag * scale and ch.length == 1:
-                w = ch.vectors[0]
-                v0 = np.real(w + w.conj())
-                v1 = np.real(1j * (w.conj() - w))
-                nrm = np.linalg.norm(v0)
-                return SharpnessScenario(
-                    kind=kind, v0=v0 / nrm, v1=v1 / nrm, mu=mu,
-                    omega=float(ch.eigenvalue.imag),
-                )
-        raise ValueError("no simple complex minimal pair available")
-
+    ch = next((ch for ch in eig.minimal_chains() if _SCENARIO_CHAIN[kind](ch)), None)
+    if ch is None:
+        raise ValueError(f"no minimal eigenvalue of C for the {kind!r} scenario")
     if kind == "defective":
-        for ch in minimal:
-            if ch.length >= 2 and abs(ch.eigenvalue.imag) <= TOL.imag * scale:
-                w, h = np.real(ch.vectors[:2])
-                c0 = entropy_log_shift(h, ss.K)
-                c1 = -float(h @ np.linalg.solve(ss.K, w))
-                c2 = entropy_log_shift(w, ss.K)
-                return SharpnessScenario(kind=kind, v0=h, mu=mu, poly=(c0, c1, c2))
-        raise ValueError("no defective real minimal eigenvalue available")
-
-    raise ValueError(f"unknown scenario kind {kind!r}")
+        U = np.real(ch.vectors[1::-1]).T  # columns h, w
+    else:  # Re, Im of the eigenvector; Im counts only for omega > 0 (sin 0 = 0)
+        U = np.stack([ch.vectors[0].real, ch.vectors[0].imag], axis=1)
+    U = U / np.linalg.norm(U[:, 0])
+    return SharpnessScenario(kind=kind, v0=U[:, 0], mu=eig.mu, omega=float(ch.eigenvalue.imag),
+                             gram=0.5 * U.T @ np.linalg.solve(ss.K, U))
 
 
 def zero_tangent_initial(
@@ -258,13 +236,13 @@ def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0:
     return TrajectoryRecord(times=times, entropy=e, dissipation=i, modified=s, envelope=envelope)
 
 
-def refine_maximum(fun, a: float, b: float, tol: float = TOL.bracket) -> float:
+def refine_maximum(fun, a: float, b: float) -> float:
     """Golden-section refinement of a local maximum of fun on [a, b]."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
     f1, f2 = fun(x1), fun(x2)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
+    while b - a > TOL.bracket * max(1.0, abs(a) + abs(b)):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)

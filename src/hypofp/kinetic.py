@@ -29,7 +29,7 @@ import scipy.linalg
 
 from . import linalg
 from .linalg import TOL
-from .entropy import EntropyGenerator, LogEntropy
+from .entropy import LogEntropy
 from .system import SystemSpec
 
 
@@ -334,11 +334,10 @@ class _CrankNicolson:
         return scipy.linalg.solve_banded((1, 1), self.ab, out.T, overwrite_b=True).T
 
 
-def _series_point(f, f_inf, ks, grid, gen, P):
-    r = f / f_inf
-    lo = gen.domain_min
-    if lo > -np.inf:
-        r = np.maximum(r, lo + TOL.ratio_floor)
+def _series_point(f, f_inf, ks, grid, P):
+    """(e, I, S) of the log-entropy of f against f_inf on the grid."""
+    gen = LogEntropy()
+    r = np.maximum(f / f_inf, gen.domain_min + TOL.ratio_floor)
     e = float(np.sum(gen.psi(r, 0) * f_inf) * grid.cell)
     gx, gv = np.gradient(r, grid.dx, axis=0), np.gradient(r, grid.dv, axis=1)
     psi2 = gen.psi(r, 2)
@@ -371,7 +370,6 @@ def fd_simulate(
     f0: np.ndarray,
     t_end: float,
     dt: float,
-    gen: EntropyGenerator | None = None,
     P: np.ndarray | None = None,
     n_records: int = 50,
 ) -> KineticSeries:
@@ -381,15 +379,13 @@ def fd_simulate(
     an under-resolved steady state raises KineticError before stepping, and
     invalid arguments (``dt``, ``t_end``, the shape of ``f0``) ValueError.
 
-    Returns discrete entropy/dissipation series against the discretized
+    Returns discrete log-entropy/dissipation series against the discretized
     steady state, the final field, the CFL number and the mass drift.
     """
     n_steps = step_count(t_end, dt)
     f = np.array(f0, dtype=float, order="C")
     if f.shape != (grid.nx, grid.nv):
         raise ValueError(f"f0 has shape {f.shape}, the grid needs {(grid.nx, grid.nv)}")
-    if gen is None:
-        gen = LogEntropy()
     if P is None:
         P = build_P_kinetic(ks.nu, ks.omega0)
     f_inf = steady_state_grid(ks, grid)
@@ -413,7 +409,7 @@ def fd_simulate(
     rows = []  # (t, e, I, S, mass) per record
 
     def record(t):
-        rows.append((t, *_series_point(f, f_inf, ks, grid, gen, P), f.sum() * grid.cell))
+        rows.append((t, *_series_point(f, f_inf, ks, grid, P), f.sum() * grid.cell))
 
     record(0.0)
     x_sweep = _Sweep(grid.v, grid.dx, 0.5 * dt, 0, f.shape)

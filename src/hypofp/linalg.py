@@ -29,7 +29,6 @@ class Tolerances:
     # cluster * _scale(M) * max(1, ||A||_2) as rank, which grows with ||M||^2.
     cluster: float = 1e-8
     minimal: float = 1e-8  # |Re lam - mu| <= minimal * _scale(M): lam is minimal; pairs conjugates
-    imag: float = 1e-10  # |Im lam| <= imag * _scale(C): a minimal eigenvalue is real
     # Zero when <= rank * lambda_max (eigenvalues of D, the steady K's smallest)
     # or <= rank * _scale(C) (singular values of the later staircase blocks).
     rank: float = 1e-10
@@ -49,8 +48,8 @@ class Tolerances:
     margin: float = 1e-8  # certificate margin >= -margin * ||P||_2: P is valid
     steady: float = 1e-10  # ||A - K||_2 <= steady * _scale(K): A is the steady K
     domain: float = 1e-13  # density ratios may undershoot the entropy's domain by this (absolute)
-    lambda_K_slack: float = 1e-10  # compare_rates: lambda_K <= mu + lambda_K_slack (absolute)
-    bound_slack: float = 1e-9  # compare_rates: mu <= cond^2 lambda_K + bound_slack (absolute)
+    lambda_K_slack: float = 1e-10  # compare_rates: lambda_K <= mu + lambda_K_slack * _scale(C)
+    bound_slack: float = 1e-9  # compare_rates: mu <= cond^2 lambda_K + bound_slack * _scale(C)
     # |nu^2 - 4 omega0^2| <= boundary * max(nu^2, 4 omega0^2): excluded defective case.
     boundary: float = 1e-12
     edge_mass: float = 1e-6  # kinetic FD: steady mass in the outermost cells (of total 1)
@@ -94,7 +93,8 @@ class EigenStructure:
     algebraic: tuple[int, ...]
     geometric: tuple[int, ...]
     chains: tuple[JordanChain, ...] = field(repr=False)
-    # _scale of the matrix; the clustering tolerance was relative to it.
+    # _scale of the matrix; the clustering, minimal and conjugate tolerances are
+    # relative to it.  A hand-built structure without it serves all_eigenvalues.
     scale: float | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -109,22 +109,25 @@ class EigenStructure:
         """Smallest real part of the spectrum."""
         return float(min(lam.real for lam in self.eigenvalues))
 
-    def minimal_chains(self, tol_abs: float) -> tuple[JordanChain, ...]:
-        """Chains whose eigenvalue has real part within tol_abs of mu."""
-        mu = self.mu
+    def minimal_chains(self) -> tuple[JordanChain, ...]:
+        """Chains whose eigenvalue has real part within TOL.minimal * scale of mu."""
+        mu, tol_abs = self.mu, TOL.minimal * self.scale
         return tuple(ch for ch in self.chains if abs(ch.eigenvalue.real - mu) <= tol_abs)
 
-    def conjugate_groups(self, tol_abs: float) -> list[list[int]]:
+    def conjugate_groups(self) -> list[list[int]]:
         """Chain indices grouped so that each chain of a non-real eigenvalue
-        (|Im| > tol_abs) shares its group with the first later, still
-        unpaired chain of the conjugate eigenvalue; other chains stand alone."""
+        shares its group with the first later, still unpaired chain within
+        TOL.minimal * scale of the conjugate eigenvalue; other chains stand
+        alone.  Real means Im = 0: eigen_structure snaps every |Im| up to its
+        clustering tolerance to exactly 0."""
+        tol_abs = TOL.minimal * self.scale
         groups: list[list[int]] = []
         paired: set[int] = set()
         for i, ch in enumerate(self.chains):
             if i in paired:
                 continue
             groups.append([i])
-            if abs(ch.eigenvalue.imag) <= tol_abs:
+            if ch.eigenvalue.imag == 0:
                 continue
             conj = ch.eigenvalue.conjugate()
             for j in range(i + 1, len(self.chains)):

@@ -195,8 +195,7 @@ def check_condition_A(spec: SystemSpec) -> ConditionAReport:
         gap=gap,
         positively_stable=eig.mu > TOL.stability,
         mu=eig.mu,
-        minimal_eigs_defective=any(
-            ch.length > 1 for ch in eig.minimal_chains(TOL.minimal * eig.scale)),
+        minimal_eigs_defective=any(ch.length > 1 for ch in eig.minimal_chains()),
         defective_details=details,
     )
 

@@ -54,8 +54,7 @@ def make_defective_minimal_system(rng, d=3):
             eig = linalg.eigen_structure(C, tol=1e-6)
         except linalg.ClusteringError:
             continue
-        minimal = eig.minimal_chains(linalg.TOL.minimal * eig.scale)
-        if eig.mu > linalg.TOL.stability and any(ch.length > 1 for ch in minimal):
+        if eig.mu > linalg.TOL.stability and any(ch.length > 1 for ch in eig.minimal_chains()):
             return hp.SystemSpec(D=np.eye(d), C=C), eig
     raise RuntimeError("failed to construct a defective-minimal system")
 

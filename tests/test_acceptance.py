@@ -51,7 +51,7 @@ def test_criterion_1_rotational_example():
     spec = hp.SystemSpec(**SEC8)
     ss = hp.steady_state(spec)
     assert np.linalg.norm(ss.K - np.eye(2), 2) <= 1e-10
-    assert hp.lambda_K(spec.D, ss.K) == pytest.approx(0.25, abs=1e-12)
+    assert hp.compare_rates(spec, ss).lambda_K == pytest.approx(0.25, abs=1e-12)
     report = hp.check_condition_A(spec)
     assert report.mu == pytest.approx(0.625, abs=1e-12)
 

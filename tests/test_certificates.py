@@ -178,7 +178,7 @@ class TestLambdaConstants:
     def test_lambda_K_sec8(self):
         spec = hp.SystemSpec(**SEC8)
         ss = hp.steady_state(spec)
-        assert hp.lambda_K(spec.D, ss.K) == pytest.approx(0.25, abs=1e-12)
+        assert hp.compare_rates(spec, ss).lambda_K == pytest.approx(0.25, abs=1e-12)
 
     def test_lambda_P_variational(self, rng):
         # K^{-1} - lam_P P^{-1} is PSD and singular at the optimum.
@@ -233,6 +233,19 @@ class TestCompareRates:
             ss = hp.steady_state(spec)
             dc = hp.compare_rates(spec, ss)  # raises on violation
             assert dc.lambda_K <= dc.mu + 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8, 1e9])
+    @pytest.mark.parametrize("C0", [np.eye(2), np.array([[1.0, 0.3], [0.3, 2.0]])],
+                             ids=["identity", "symmetric"])
+    def test_slacks_relative_to_C(self, scale, C0):
+        # D = I and a symmetric C: K = C^-1, so lambda_K = mu = lambda_min(C)
+        # and cond(A~) = 1.  At 1e8 and 1e9 the three agree only to ulps of
+        # mu, far above an absolute slack of 1e-10 or 1e-9.
+        spec = hp.SystemSpec(D=np.eye(2), C=scale * C0)
+        dc = hp.compare_rates(spec, hp.steady_state(spec))
+        assert dc.mu == pytest.approx(scale * np.linalg.eigvalsh(C0)[0], rel=1e-13)
+        assert dc.lambda_K == pytest.approx(dc.mu, rel=1e-12)
+        assert dc.cond_sq_bound == pytest.approx(dc.mu, rel=1e-12)
 
     def test_degenerate_D_rejected(self):
         spec = hp.SystemSpec(**FIG1B)

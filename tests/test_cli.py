@@ -448,6 +448,16 @@ class TestCompareCommand:
         cfgp = write_cfg(tmp_path, FIG1B)
         assert run_cli(["compare", "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CONDITION
 
+    @pytest.mark.parametrize("C", [[[1e9, 0.0], [0.0, 1e9]], [[1e8, 3e7], [3e7, 2e8]]],
+                             ids=["1e9-identity", "1e8-symmetric"])
+    def test_stiff_drift_passes(self, tmp_path, C):
+        # lambda_K, mu and cond(A~)^2 lambda_K agree to ulps of mu = 1e8 or 1e9.
+        cfgp = write_cfg(tmp_path, {"system": {"D": [[1.0, 0.0], [0.0, 1.0]], "C": C}})
+        assert run_cli(["compare", "--config", cfgp, "--output", tmp_path]) == 0
+        out = json.loads((tmp_path / "compare.json").read_text())
+        assert out["lambda_K"] == pytest.approx(out["mu"], rel=1e-12)
+        assert out["cond_sq_bound"] == pytest.approx(out["mu"], rel=1e-12)
+
 
 @pytest.mark.parametrize("subcommand", ["analyze", "spectrum", "compare"])
 def test_ambiguous_clustering_exit_code(tmp_path, capsys, subcommand):

@@ -172,7 +172,7 @@ class TestSharpness:
         assert sc.mu == pytest.approx(0.625)
         assert sc.omega == pytest.approx(np.sqrt(1015.0) / 8.0, rel=1e-12)
         ts = np.linspace(0.0, 3.0, 31)
-        pred = sc.predicted_quadratic(ts, ss.K)
+        pred = sc.predicted_entropy(ts)
         actual = np.array([
             hp.entropy_log_shift(hp.evolve_shift(sc.v0, t, spec.C), ss.K) for t in ts
         ])

@@ -60,7 +60,12 @@ class TestSpecOwnsItsData:
             spec.D[1, 1] = 3.0
 
     def test_one_eigen_structure_of_C_per_spec(self, monkeypatch):
-        calls = []
+        # Every reader of C's spectrum shares spec.eig: one eigen_structure of
+        # C, no np.linalg.eig, and D decomposed only in SystemSpec.__post_init__
+        # (spec.D_eigh).  SEC8 has a minimal complex pair; the 3x3 drift a real
+        # eigenvalue and a complex pair on Re = 1.  Both D are SPD, so
+        # compare_rates takes its conditioning branch.
+        calls, decompositions = [], []
         eigen_structure = linalg.eigen_structure
 
         def counting(M, tol=linalg.TOL.cluster):
@@ -68,16 +73,37 @@ class TestSpecOwnsItsData:
             return eigen_structure(M, tol)
 
         monkeypatch.setattr(linalg, "eigen_structure", counting)
-        spec = hp.SystemSpec(**SEC8)
-        report = hp.check_condition_A(spec)
-        ss = hp.steady_state(spec)
-        tm = hp.build_P(ss)
-        hp.optimize_weights(ss, np.eye(2))
-        sc = hp.sharpness_scenario("complex-pair", spec, ss)
-        cert = hp.compare_rates(spec, ss)
-        assert len(calls) == 1
-        assert np.array_equal(calls[0][0], spec.C) and calls[0][1] == linalg.TOL.cluster
-        assert report.mu == tm.kappa == sc.mu == cert.mu == spec.eig.mu
+        for name in ("eig", "eigvals", "eigh", "eigvalsh", "svd", "cholesky"):
+            def spy(M, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                decompositions.append((_name, np.array(M)))
+                return _fn(M, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        C3 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -2.0], [0.0, 2.0, 1.0]])
+        for system, kinds in [(SEC8, {"complex-pair"}),
+                              (dict(D=np.diag([1.0, 0.5, 2.0]), C=C3), {"real-eig", "complex-pair"})]:
+            spec = hp.SystemSpec(**system)
+            calls.clear()
+            decompositions.clear()
+            report = hp.check_condition_A(spec)
+            ss = hp.steady_state(spec)
+            tm = hp.build_P(ss)
+            hp.optimize_weights(ss, np.eye(spec.d))
+            scenarios = {}
+            for kind in ("real-eig", "complex-pair", "defective"):
+                try:
+                    scenarios[kind] = hp.sharpness_scenario(kind, spec, ss)
+                except ValueError:
+                    pass
+            cert = hp.compare_rates(spec, ss)
+            assert set(scenarios) == kinds and cert.cond_sq_bound is not None
+            assert len(calls) == 1
+            assert np.array_equal(calls[0][0], spec.C) and calls[0][1] == linalg.TOL.cluster
+            assert [name for name, _ in decompositions].count("eig") == 0
+            assert not [name for name, M in decompositions
+                        if M.shape == spec.D.shape and np.array_equal(M, spec.D)]
+            mus = {report.mu, tm.kappa, cert.mu, *(sc.mu for sc in scenarios.values())}
+            assert mus == {spec.eig.mu}
 
 
 class TestHoermanderTau:

@@ -3,6 +3,7 @@
 
 import dataclasses
 import inspect
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from hypofp import linalg
 
 SRC = Path(linalg.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
 SMALL = 1e-5  # float literals at or below this are threshold-sized
 
 # (file, literal) -> (occurrences, reason).  Small literals that decide nothing.
@@ -66,3 +68,14 @@ def test_one_frozen_instance_read_by_name():
     code = "".join(text.values())
     for f in dataclasses.fields(linalg.Tolerances):
         assert f"TOL.{f.name}" in code, f"Tolerances.{f.name} is never read"
+
+
+def test_readme_table_is_the_record():
+    # README's "Tolerances" table lists exactly the record's fields, in order,
+    # each with its value to the digits shown (a value cell starts with it).
+    table = README.read_text().split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (\d(?:\.(\d+))?e-\d+)\b", table, flags=re.M)
+    assert [name for name, _, _ in rows] == [f.name for f in dataclasses.fields(linalg.Tolerances)]
+    for name, shown, decimals in rows:
+        digits = len(decimals)
+        assert f"{getattr(linalg.TOL, name):.{digits}e}" == f"{float(shown):.{digits}e}", name
