@@ -85,13 +85,12 @@ def _q_chains(eig: EigenStructure, K: np.ndarray) -> list[np.ndarray]:
 
 def build_P(
     ss: SteadyState,
-    eig: EigenStructure | None = None,
     epsilon: float | None = None,
     weights: np.ndarray | None = None,
 ) -> TransportMatrix:
     """Assemble the transport matrix from the Jordan chains of Q.
 
-    ``eig`` is the eigenstructure of C (default ``ss.spec.eig``; without a
+    The chains come from ``ss.spec.eig``, C's eigenstructure (without a
     spec, a CertificateError); Q has the same eigenvalues and Jordan
     structure.  ``weights`` are optional per-chain scale factors b_j > 0, one
     per chain (else ValueError; arbitrary in the non-defective construction;
@@ -100,10 +99,9 @@ def build_P(
     minimal-real-part eigenvalue is defective; it trades rate
     (kappa = mu - epsilon) for existence of the certificate.
     """
-    if eig is None:
-        if ss.spec is None:
-            raise CertificateError("a steady state without a spec needs C's eigenstructure (eig)")
-        eig = ss.spec.eig
+    if ss.spec is None:
+        raise CertificateError("a steady state without a spec has no eigenstructure of C")
+    eig = ss.spec.eig
     mu = eig.mu
     minimal = eig.minimal_chains()
 
@@ -184,16 +182,17 @@ def lambda_P(K: np.ndarray, P: np.ndarray) -> float:
 
 
 def compare_rates(spec: SystemSpec, ss: SteadyState) -> DecayCertificate:
-    """Sandwich comparison lam_K <= mu <= cond(A~)^2 * lam_K for SPD D.
+    """Sandwich comparison lam_K <= mu <= cond(A~)^2 * lam_K for SPD D
+    (``spec.rank_D`` = d, else a LinAlgError).
 
     lam_K is the classical (uniform-convexity) constant, the largest lam with
     K^{-1} >= lam * D^{-1}.  A~ diagonalizes D^{-1/2} C D^{1/2}: it is D^{-1/2}
     times the unit eigenvectors of ``spec.eig``, columns renormalised.  Both
     roots of D come from ``spec.D_eigh``; the slacks are relative to _scale(C).
     The upper bound is omitted when C is defective."""
+    if spec.rank_D < spec.d:
+        raise np.linalg.LinAlgError(f"D is not SPD: rank {spec.rank_D} < {spec.d}")
     w, U = spec.D_eigh
-    if w[0] <= 0:
-        raise np.linalg.LinAlgError(f"matrix not SPD: min eigenvalue {w[0]:.3e}")
     root = np.sqrt(w)
     lamK = _inverse_ratio(ss.K, (U * root) @ U.T)
     eig = spec.eig
@@ -224,9 +223,7 @@ def entropy_envelope(
     return S0 / (2.0 * lam_P), 2.0 * (mu - epsilon)
 
 
-def optimize_weights(
-    ss: SteadyState, G0: np.ndarray, epsilon: float | None = None
-) -> TransportMatrix:
+def optimize_weights(ss: SteadyState, G0: np.ndarray) -> TransportMatrix:
     """Grid search over per-chain weights minimizing amplitude = S0/(2 lam_P)
     with S0 = tr(P G0) for the initial state's dissipation matrix G0 (the
     weights are free in the construction, so they are tuned per f0); each
@@ -245,7 +242,7 @@ def optimize_weights(
         w = np.ones(len(eig.chains))
         for grp, g in zip(groups, choice):
             w[grp] = g
-        tm = build_P(ss, epsilon=epsilon, weights=w)
+        tm = build_P(ss, weights=w)
         amp = np.vdot(tm.P, G0) / (2.0 * lambda_P(ss.K, tm.P))
         if amp < best_amp:
             best_amp, best = amp, tm

@@ -30,7 +30,7 @@ from .system import SteadyState, SystemSpec
 
 
 class DomainError(ValueError):
-    """A density ratio left the domain of the entropy generator."""
+    """A density ratio left the domain of the entropy generator, or e or G is not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +451,20 @@ def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: Entropy
     I = tr(D G) and S = tr(P G).  The quadratic generator is evaluated in closed
     form and reads no rule (q may be None); the others take one blocked pass
     over q, which must have the steady state's dimension.  A stack gives e (T,)
-    and G (T, d, d), a mixture a float and a (d, d) array."""
+    and G (T, d, d), a mixture a float and a (d, d) array; a non-finite one raises."""
     stack = f if isinstance(f, MixtureStack) else MixtureStack.of(f)
     S = linalg.sqrt_spd(ss.K)
     Sinv = np.linalg.inv(S)
-    if isinstance(gen, QuadraticEntropy):
-        e, G = _quadratic(stack, ss.K, S, Sinv, gen.alpha)
-    else:
-        e, G = _quadrature(stack, ss.K, S, gen, q)
-    # Summed whitened, where a K-shaped P is well conditioned; mapped to x once.
-    G = Sinv @ G @ Sinv
-    G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(gen, QuadraticEntropy):
+            e, G = _quadratic(stack, ss.K, S, Sinv, gen.alpha)
+        else:
+            e, G = _quadrature(stack, ss.K, S, gen, q)
+        # Summed whitened, where a K-shaped P is well conditioned; mapped to x once.
+        G = Sinv @ G @ Sinv
+        G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(G))):
+        raise DomainError("the entropy or its dissipation matrix is not finite at this state")
     return (e, G) if isinstance(f, MixtureStack) else (float(e[0]), G[0])
 
 

@@ -162,13 +162,10 @@ _SCENARIO_CHAIN = {  # which minimal chain of C each kind shifts along
 }
 
 
-def sharpness_scenario(
-    kind: str, spec: SystemSpec, ss: SteadyState,
-    eig: linalg.EigenStructure | None = None,
-) -> SharpnessScenario:
+def sharpness_scenario(kind: str, spec: SystemSpec, ss: SteadyState) -> SharpnessScenario:
     """Initial shift v0 realizing one of the three sharp-decay cases of the
-    minimal eigenvalue(s) of C (``eig``, default ``spec.eig``), with the
-    closed-form predicted entropy:
+    minimal eigenvalue(s) of C (``spec.eig``), with the closed-form predicted
+    entropy:
 
     - "real-eig":     v0 a real eigenvector, e(t) = e^{-2 mu t} e(0);
     - "complex-pair": v(t) = e^{-mu t}(cos(wt) v0 + sin(wt) v1), w = omega,
@@ -179,8 +176,7 @@ def sharpness_scenario(
     """
     if kind not in _SCENARIO_CHAIN:
         raise ValueError(f"unknown scenario kind {kind!r}")
-    eig = spec.eig if eig is None else eig
-    ch = next((ch for ch in eig.minimal_chains() if _SCENARIO_CHAIN[kind](ch)), None)
+    ch = next((ch for ch in spec.eig.minimal_chains() if _SCENARIO_CHAIN[kind](ch)), None)
     if ch is None:
         raise ValueError(f"no minimal eigenvalue of C for the {kind!r} scenario")
     if kind == "defective":
@@ -188,7 +184,8 @@ def sharpness_scenario(
     else:  # Re, Im of the eigenvector; Im counts only for omega > 0 (sin 0 = 0)
         U = np.stack([ch.vectors[0].real, ch.vectors[0].imag], axis=1)
     U = U / np.linalg.norm(U[:, 0])
-    return SharpnessScenario(kind=kind, v0=U[:, 0], mu=eig.mu, omega=float(ch.eigenvalue.imag),
+    return SharpnessScenario(kind=kind, v0=U[:, 0], mu=spec.eig.mu,
+                             omega=float(ch.eigenvalue.imag),
                              gram=0.5 * U.T @ np.linalg.solve(ss.K, U))
 
 

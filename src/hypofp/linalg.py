@@ -304,20 +304,23 @@ def solve_lyapunov(C: np.ndarray, D: np.ndarray) -> np.ndarray:
 
     One real Schur form C = U T U^T turns the equation into the
     quasi-triangular T X + X T^T = U^T 2D U, which LAPACK's dtrsyl solves in
-    O(d^3); one refinement step solves for the residual on the same form.  A
-    singular or overflowing dtrsyl means C has eigenvalues summing to zero
-    (not positively stable); so does a residual above TOL.residual.
+    O(d^3); one refinement step solves for the residual on the same form.  It
+    solves for D 2^-e with max |D 2^-e| in [1/2, 1) and returns K 2^e (exact),
+    so a large D cannot overflow dtrsyl.  A singular or overflowing dtrsyl
+    means the Lyapunov operator is singular to working precision; a residual
+    above TOL.residual raises too.
     """
     C = np.asarray(C, dtype=float)
-    D = np.asarray(D, dtype=float)
+    e = np.frexp(np.abs(D).max())[1]
+    D = np.ldexp(np.asarray(D, dtype=float), -e)
     T, U = scipy.linalg.schur(C, output="real")
 
     def solve(F):  # the X with C X + X C^T = F
         X, scale, info = scipy.linalg.lapack.dtrsyl(T, T, U.T @ F @ U, trana="N", tranb="T")
         if info != 0 or scale != 1.0:
             raise np.linalg.LinAlgError(
-                f"Lyapunov system singular (dtrsyl info {info}, scale {scale:.3g}): C has "
-                "eigenvalues summing to zero (not positively stable)")
+                f"Lyapunov operator singular to working precision (dtrsyl info {info}, "
+                f"scale {scale:.3g})")
         return U @ X @ U.T
 
     K = solve(2.0 * D)
@@ -326,13 +329,13 @@ def solve_lyapunov(C: np.ndarray, D: np.ndarray) -> np.ndarray:
     # The 2-norms of the residual, C, K and D from one stacked SVD.
     resid, nC, nK, nD = np.linalg.svd(
         np.stack([2.0 * D - C @ K - K @ C.T, C, K, D]), compute_uv=False)[:, 0]
-    bound = TOL.residual * (nC * nK + nD + 1e-300)
-    if not resid <= max(bound, 1e-300):  # a NaN fails too
+    bound = TOL.residual * (nC * nK + nD)
+    if not resid <= bound:  # a NaN fails too
         raise np.linalg.LinAlgError(
             f"Lyapunov residual {resid:.3e} exceeds tolerance {bound:.3e}; "
             "C is likely not positively stable"
         )
-    return K
+    return np.ldexp(K, e)
 
 
 def min_sym_eigenvalue(M: np.ndarray) -> float:

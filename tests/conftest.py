@@ -37,26 +37,18 @@ def make_random_system(rng, d, rank=None, stability_margin=0.2):
 
 
 def make_defective_minimal_system(rng, d=3):
-    """System whose drift has a defective minimal eigenvalue (a 2-chain),
-    built by conjugating an explicit Jordan form with a random basis.
-
-    Returns (spec, eig), eig the eigenstructure of C clustered at 1e-6: the
-    conjugation splits the double eigenvalue by ~sqrt(roundoff), so the
-    default clustering of ``spec.eig`` need not see the chain.  D = I, so
-    the pair is hypoelliptic."""
-    for _ in range(100):
-        S = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
-        mu = 0.5 + rng.uniform(0.0, 1.0)
-        J = np.diag(np.concatenate([[mu, mu], mu + 1.0 + np.arange(d - 2)]))
-        J[0, 1] = 1.0
-        C = S @ J @ np.linalg.inv(S)
-        try:
-            eig = linalg.eigen_structure(C, tol=1e-6)
-        except linalg.ClusteringError:
-            continue
-        if eig.mu > linalg.TOL.stability and any(ch.length > 1 for ch in eig.minimal_chains()):
-            return hp.SystemSpec(D=np.eye(d), C=C), eig
-    raise RuntimeError("failed to construct a defective-minimal system")
+    """System whose drift has a defective minimal eigenvalue (a 2-chain):
+    C = S J S^-1 for J = diag(mu, mu, mu + 1, ..., mu + d - 2) with J[0, 1] = 1,
+    mu a multiple of 1/8 in [1/2, 3/2].  S is a row-permuted integer unit
+    upper-triangular matrix, so round(inv(S)) is its exact inverse, every
+    product is exact and C is exactly defective: the default clustering of
+    ``spec.eig`` sees the chain.  D = I, so the pair is hypoelliptic.
+    Returns the spec."""
+    S = np.triu(rng.integers(-2, 3, (d, d)), 1).astype(float) + np.eye(d)
+    S = S[rng.permutation(d)]
+    J = np.diag(rng.integers(4, 13) / 8.0 + np.concatenate([[0.0, 0.0], 1.0 + np.arange(d - 2)]))
+    J[0, 1] = 1.0
+    return hp.SystemSpec(D=np.eye(d), C=S @ J @ np.round(np.linalg.inv(S)))
 
 
 def harmonic_chain(N, baths, gamma=1.0, T=1.0):

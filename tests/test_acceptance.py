@@ -172,9 +172,9 @@ def test_criterion_5_P_sweep():
             if hp.verify_P(ss, tm.P, 1.001 * mu) < 0.0:
                 inflated_fail += 1
     for _ in range(20):
-        spec, eig = make_defective_minimal_system(rng)
+        spec = make_defective_minimal_system(rng)
         ss = hp.steady_state(spec)
-        tm = hp.build_P(ss, eig=eig, epsilon=1e-2 * eig.mu)
+        tm = hp.build_P(ss, epsilon=1e-2 * spec.eig.mu)
         margin = hp.verify_P(ss, tm.P, tm.kappa)
         assert margin >= -tm.margin_tolerance
     assert inflated_fail >= 0.95 * inflated_total
@@ -286,9 +286,9 @@ def test_criterion_8_sharpness():
     assert np.all(np.abs(gaps - np.pi / omega) <= 0.01 * np.pi / omega)
 
     # (iii) defective pair: quadratic polynomial factor, fit residual <= 1e-8.
-    spec3, eig3 = make_defective_minimal_system(rng)
+    spec3 = make_defective_minimal_system(rng)
     ss3 = hp.steady_state(spec3)
-    sc3 = hp.sharpness_scenario("defective", spec3, ss3, eig=eig3)
+    sc3 = hp.sharpness_scenario("defective", spec3, ss3)
     ts3 = np.linspace(0.0, 4.0, 41)
     e3 = np.array([
         hp.entropy_log_shift(hp.evolve_shift(sc3.v0, t, spec3.C), ss3.K) for t in ts3

@@ -116,13 +116,43 @@ class TestBuildP:
 
     def test_random_defective_verify(self, rng):
         for _ in range(10):
-            spec, eig = make_defective_minimal_system(rng)
+            spec = make_defective_minimal_system(rng)
             ss = hp.steady_state(spec)
-            tm = hp.build_P(ss, eig=eig)
+            tm = hp.build_P(ss)
             assert tm.construction == "jordan"
             margin = hp.verify_P(ss, tm.P, tm.kappa)
             assert margin >= -tm.margin_tolerance
-            assert tm.kappa < eig.mu
+            assert tm.kappa < spec.eig.mu
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_defective_builder_is_exact(self, rng, d):
+        # C = S J S^-1 with exact S^-1: the default clustering of spec.eig
+        # finds the 2-chain at mu and no other minimal chain.
+        for _ in range(10):
+            eig = make_defective_minimal_system(rng, d).eig
+            assert [ch.length for ch in eig.minimal_chains()] == [2]
+
+    def test_inexactly_defective_verify_or_refuse(self):
+        # A dense conjugation S J S^-1 (S = randn + 2I) splits the double
+        # eigenvalue by about sqrt(roundoff): at the default clustering each
+        # draw is either refused as ambiguous or certified, and every
+        # certificate verifies.
+        rng = np.random.default_rng(20260824)
+        outcomes = set()
+        for _ in range(100):
+            S = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
+            mu = 0.5 + rng.uniform(0.0, 1.0)
+            J = np.diag([mu, mu, mu + 1.0])
+            J[0, 1] = 1.0
+            ss = hp.steady_state(hp.SystemSpec(D=np.eye(3), C=S @ J @ np.linalg.inv(S)))
+            try:
+                tm = hp.build_P(ss)
+            except linalg.ClusteringError:
+                outcomes.add("ambiguous")
+                continue
+            outcomes.add(tm.construction)
+            assert hp.verify_P(ss, tm.P, tm.kappa) >= -tm.margin_tolerance
+        assert {"ambiguous", "jordan"} <= outcomes
 
     def test_inflated_kappa_fails(self, rng):
         for _ in range(10):
@@ -145,7 +175,7 @@ class TestBuildP:
             np.testing.assert_allclose(hp.build_P(ss).P, P, rtol=1e-8, atol=1e-10)
 
     def test_steady_state_without_a_spec_needs_eig(self, rng):
-        # C is not recovered from K and Q: refused, unless eig is passed.
+        # C is not recovered from K and Q: a steady state without a spec is refused.
         spec, _ = make_random_system(rng, 4)
         ss = hp.steady_state(spec)
         bare = hp.SteadyState(K=ss.K, cK=ss.cK, R=ss.R, Q=ss.Q)
@@ -154,10 +184,6 @@ class TestBuildP:
             hp.build_P(bare)
         with pytest.raises(cert.CertificateError, match="without a spec"):
             hp.optimize_weights(bare, np.eye(4))
-        tm, tm_bare = hp.build_P(ss), hp.build_P(bare, eig=spec.eig)
-        assert np.array_equal(tm_bare.P, tm.P)
-        assert (tm_bare.kappa, tm_bare.epsilon, tm_bare.weights, tm_bare.construction) == (
-            tm.kappa, tm.epsilon, tm.weights, tm.construction)
 
     def test_verify_rejects_indefinite(self):
         ss = hp.steady_state(hp.SystemSpec(D=np.eye(2), C=np.eye(2)))
@@ -196,11 +222,10 @@ class TestLambdaConstants:
         # S0 is linear in P, the amplitude S0/(2 lam_P) is invariant.
         spec, _ = make_random_system(rng, 3)
         ss = hp.steady_state(spec)
-        eig = linalg.eigen_structure(spec.C, tol=1e-6)
-        n = len(eig.chains)
-        tm1 = hp.build_P(ss, eig=eig, weights=np.ones(n))
+        n = len(spec.eig.chains)
+        tm1 = hp.build_P(ss, weights=np.ones(n))
         s = 3.7
-        tm2 = hp.build_P(ss, eig=eig, weights=s * np.ones(n))
+        tm2 = hp.build_P(ss, weights=s * np.ones(n))
         assert np.allclose(tm2.P, s * tm1.P, rtol=1e-12)
         lam1 = hp.lambda_P(ss.K, tm1.P)
         lam2 = hp.lambda_P(ss.K, tm2.P)
@@ -252,6 +277,14 @@ class TestCompareRates:
         ss = hp.steady_state(spec)
         with pytest.raises(np.linalg.LinAlgError):
             hp.compare_rates(spec, ss)
+
+    def test_numerically_singular_D_rejected(self):
+        # lambda_min / lambda_max(D) = 1e-400 is rank 1 by spec.rank_D; the
+        # comparison refuses it rather than returning lambda_K = 0 and a NaN bound.
+        spec = hp.SystemSpec(D=np.diag([1e-200, 1e200]), C=np.array([[1.0, -1.0], [1.0, 1.0]]))
+        assert spec.rank_D == 1
+        with pytest.raises(np.linalg.LinAlgError, match="rank 1 < 2"):
+            hp.compare_rates(spec, hp.steady_state(spec))
 
 
 class TestEnvelope:

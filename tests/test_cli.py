@@ -434,6 +434,36 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.stdout.strip() == str(tmp_path / "kinetic.json")
 
 
+class TestHugeScales:
+    def test_huge_diffusion_solves(self, tmp_path):
+        # max D = 1e300 is solved for at D 2^-e, where dtrsyl needs no
+        # overflow scaling; K_11 = 7.5e299.
+        cfg = write_cfg(tmp_path, {"system": {"D": [[1e300, 0.0], [0.0, 0.0]],
+                                              "C": [[1.0, -1.0], [1.0, 1.0]]}})
+        assert run_cli(["analyze", "--config", cfg, "--output", tmp_path]) == 0
+        out = json.loads((tmp_path / "analyze.json").read_text())
+        assert out["steady_state"]["K"][0][0] == pytest.approx(7.5e299, rel=1e-12)
+
+    def test_singular_lyapunov_operator_message(self, tmp_path, capsys):
+        # mu = 1, but the eigenvalues 1 +- 1e150 i leave the Lyapunov operator
+        # singular to working precision; the message claims no instability.
+        cfg = write_cfg(tmp_path, {"system": {"D": [[1.0, 0.0], [0.0, 1.0]],
+                                              "C": [[1.0, -1e150], [1e150, 1.0]]}})
+        assert run_cli(["analyze", "--config", cfg, "--output", tmp_path]) == cli.EXIT_CERTIFICATE
+        err = capsys.readouterr().err
+        assert "singular to working precision" in err and "positively stable" not in err
+
+    def test_overflowing_entropy_exit_config(self, tmp_path, capsys):
+        # C = 1e200 I: the quadratic entropy of the shifted state overflows.
+        cfg = write_cfg(tmp_path, {
+            "system": {"D": [[1.0, 0.0], [0.0, 1.0]], "C": [[1e200, 0.0], [0.0, 1e200]]},
+            "entropy": {"kind": "quadratic"},
+            "initial": {"components": [{"weight": 1.0, "mean": [0.1, 0.0]}]},
+            "times": {"t_end": 1.0, "samples": 3}})
+        assert run_cli(["evolve", "--config", cfg, "--output", tmp_path]) == cli.EXIT_CONFIG
+        assert "not finite" in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_sec8(self, tmp_path):
         cfgp = write_cfg(tmp_path, SEC8)

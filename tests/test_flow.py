@@ -179,15 +179,15 @@ class TestSharpness:
         assert np.allclose(actual, pred, rtol=1e-9, atol=1e-12)
 
     def test_defective_quadratic_factor(self, rng):
-        spec, eig = make_defective_minimal_system(rng)
+        spec = make_defective_minimal_system(rng)
         ss = hp.steady_state(spec)
-        sc = hp.sharpness_scenario("defective", spec, ss, eig=eig)
+        sc = hp.sharpness_scenario("defective", spec, ss)
         ts = np.linspace(0.0, 4.0, 17)
         pred = sc.predicted_entropy(ts)
         actual = np.array([
             hp.entropy_log_shift(hp.evolve_shift(sc.v0, t, spec.C), ss.K) for t in ts
         ])
-        assert np.allclose(actual, pred, rtol=1e-5, atol=1e-10)
+        assert np.allclose(actual, pred, rtol=1e-9, atol=1e-10)
 
     def test_missing_scenarios_raise(self):
         spec = hp.SystemSpec(**SEC8)

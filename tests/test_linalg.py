@@ -317,6 +317,17 @@ class TestSolveLyapunov:
         with pytest.raises(np.linalg.LinAlgError):
             linalg.solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
 
+    @pytest.mark.parametrize("k", [-1000, 0, 1000])
+    def test_power_of_two_scaling_is_exact(self, rng, k):
+        # K(C, 2^k D) = 2^k K(C, D) bit for bit: D is solved for at a fixed
+        # binary exponent, so at 2^1000 dtrsyl does not scale down to avoid overflow.
+        C = rng.standard_normal((4, 4))
+        C += (0.2 - min(np.linalg.eigvals(C).real)) * np.eye(4)
+        B = rng.standard_normal((4, 2))
+        D = B @ B.T
+        K = linalg.solve_lyapunov(C, D)
+        assert np.array_equal(linalg.solve_lyapunov(C, np.ldexp(D, k)), np.ldexp(K, k))
+
 
 class TestSpdUtilities:
     def test_min_sym_eigenvalue(self):

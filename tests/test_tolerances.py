@@ -18,7 +18,6 @@ SMALL = 1e-5  # float literals at or below this are threshold-sized
 
 # (file, literal) -> (occurrences, reason).  Small literals that decide nothing.
 EXEMPT = {
-    ("linalg.py", "1e-300"): (2, "underflow floor of the Lyapunov residual bound (D = 0)"),
     ("system.py", "1e-300"): (1, "underflow floor of rank_D's reference eigenvalue (D = 0)"),
     ("entropy.py", "1e-300"): (1, "underflow floor: clamps roundoff-negative ratios off psi''s pole"),
     ("entropy.py", "1e-15"): (2, "Sobol points clipped off 0 and 1 before the normal quantile"),
