@@ -14,8 +14,8 @@ times those of C^T, which are the rows of V^{-1} for C's chain basis V, so
 the one eigenstructure of C per system (``SystemSpec.eig``) serves, clusters
 and all; C is never recovered from K and Q.
 
-lambda_P is the best constant in K^{-1} >= lambda_P P^{-1}; together with
-S-decay it yields the envelope  e(t) <= S(f0)/(2 lambda_P) e^{-2 kappa t}.
+lambda_P is the best constant in K^{-1} >= lambda_P P^{-1} (P >= lambda_P K,
+no K^{-1}); with S-decay it yields e(t) <= S(f0)/(2 lambda_P) e^{-2 kappa t}.
 """
 
 from __future__ import annotations
@@ -169,16 +169,19 @@ def verify_P(ss: SteadyState, P: np.ndarray, kappa: float) -> float:
     return linalg.min_sym_eigenvalue(Q @ P + P @ Q.T - 2.0 * kappa * P)
 
 
-def _inverse_ratio(K: np.ndarray, S: np.ndarray) -> float:
-    """Largest c with K^{-1} >= c * S^{-2} for the symmetric root S of an SPD
-    matrix: the smallest eigenvalue of S K^{-1} S."""
-    Kinv = np.linalg.inv(np.asarray(K, dtype=float))
-    return linalg.min_sym_eigenvalue(S @ Kinv @ S)
+def _pencil_ratio(K: np.ndarray, w: np.ndarray, U: np.ndarray) -> float:
+    """Largest c with K^{-1} >= c M^{-1} (M >= c K) for M = U diag(w) U^T, a
+    LinAlgError unless w > 0: 1 / lambda_max(W^{-1} K W^{-1}), W = M^{1/2}."""
+    if not w[0] > 0:
+        raise np.linalg.LinAlgError(f"matrix not SPD: min eigenvalue {w[0]:.3e}")
+    Winv = (U / np.sqrt(w)) @ U.T
+    X = Winv @ np.asarray(K, dtype=float) @ Winv
+    return float(1.0 / np.linalg.eigvalsh(0.5 * (X + X.T))[-1])
 
 
 def lambda_P(K: np.ndarray, P: np.ndarray) -> float:
-    """Largest c with K^{-1} >= c * P^{-1}; raises unless P is SPD."""
-    return _inverse_ratio(K, linalg.sqrt_spd(P))
+    """Largest c with K^{-1} >= c P^{-1}: ``_pencil_ratio`` with P's eigh, no K^{-1}."""
+    return _pencil_ratio(K, *np.linalg.eigh(0.5 * (P + np.transpose(P))))
 
 
 def compare_rates(spec: SystemSpec, ss: SteadyState) -> DecayCertificate:
@@ -186,22 +189,21 @@ def compare_rates(spec: SystemSpec, ss: SteadyState) -> DecayCertificate:
     (``spec.rank_D`` = d, else a LinAlgError).
 
     lam_K is the classical (uniform-convexity) constant, the largest lam with
-    K^{-1} >= lam * D^{-1}.  A~ diagonalizes D^{-1/2} C D^{1/2}: it is D^{-1/2}
-    times the unit eigenvectors of ``spec.eig``, columns renormalised.  Both
-    roots of D come from ``spec.D_eigh``; the slacks are relative to _scale(C).
-    The upper bound is omitted when C is defective."""
+    K^{-1} >= lam * D^{-1}, as 1 / lambda_max(D^{-1/2} K D^{-1/2}) with no K^{-1}.
+    A~ diagonalizes D^{-1/2} C D^{1/2}: it is D^{-1/2} times the unit eigenvectors
+    of ``spec.eig``, columns renormalised.  Both roots of D come from ``spec.D_eigh``;
+    the slacks are relative to _scale(C).  No upper bound when C is defective."""
     if spec.rank_D < spec.d:
         raise np.linalg.LinAlgError(f"D is not SPD: rank {spec.rank_D} < {spec.d}")
     w, U = spec.D_eigh
-    root = np.sqrt(w)
-    lamK = _inverse_ratio(ss.K, (U * root) @ U.T)
+    lamK = _pencil_ratio(ss.K, w, U)
     eig = spec.eig
     mu = eig.mu
     if lamK > mu + TOL.lambda_K_slack * eig.scale:
         raise CertificateError(f"lambda_K = {lamK} exceeds mu = {mu}")
     cond_sq_bound = None
     if all(ch.length == 1 for ch in eig.chains):
-        A = (U / root) @ U.T @ np.stack([ch.vectors[0] for ch in eig.chains], axis=1)
+        A = (U / np.sqrt(w)) @ U.T @ np.stack([ch.vectors[0] for ch in eig.chains], axis=1)
         cond_sq_bound = float(np.linalg.cond(A / np.linalg.norm(A, axis=0)) ** 2 * lamK)
         if mu > cond_sq_bound + TOL.bound_slack * eig.scale:
             raise CertificateError(

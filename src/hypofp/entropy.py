@@ -9,7 +9,7 @@ steady-shaped components; ratios f/f_inf and their gradients are then
 analytic.  For the quadratic generator every functional is a sum of
 Gaussian integrals over pairs of components and is evaluated exactly.  For
 the others, integrals are sums over a standard-normal rule in whitened
-coordinates y, mapped to x = sqrtK y by the steady state's own K, so the
+coordinates y, mapped to x = S y by the steady state's root S = ss.sqrtK, so the
 weight is exactly f_inf; the rule depends only on (d, order) and is built
 once.  ``functionals`` gets e and the dissipation matrix G (I = tr(D G)) of
 a state, or of a stack of T states (a trajectory), in one pass.
@@ -81,10 +81,6 @@ class LogEntropy:
             return 2.0 * a / (s + b) ** 3
         raise ValueError("order must be 0..4")
 
-    def w(self, ratio):
-        r = np.asarray(ratio, dtype=float)
-        return 2.0 * math.sqrt(self.alpha) * (np.sqrt(r + self.beta) - math.sqrt(1.0 + self.beta))
-
 
 @dataclass(frozen=True)
 class QuadraticEntropy:
@@ -113,10 +109,6 @@ class QuadraticEntropy:
         if order in (3, 4):
             return np.zeros_like(s)
         raise ValueError("order must be 0..4")
-
-    def w(self, ratio):
-        r = np.asarray(ratio, dtype=float)
-        return math.sqrt(2.0 * self.alpha) * (r - 1.0)
 
 
 @dataclass(frozen=True)
@@ -157,12 +149,6 @@ class PowerEntropy:
         if order == 4:
             return coef * (p - 2.0) * (p - 3.0) * sb ** (p - 4.0)
         raise ValueError("order must be 0..4")
-
-    def w(self, ratio):
-        r = np.asarray(ratio, dtype=float)
-        a, b, p = self.alpha, self.beta, self.p
-        c = 2.0 * math.sqrt(a * (p - 1.0) / p)
-        return c * ((r + b) ** (p / 2.0) - (1.0 + b) ** (p / 2.0))
 
 
 EntropyGenerator = LogEntropy | QuadraticEntropy | PowerEntropy
@@ -215,7 +201,7 @@ def shifted_steady(ss: SteadyState, v0: np.ndarray) -> GaussianMixture:
 
 def affine_steady(ss: SteadyState, v0: np.ndarray) -> GaussianMixture:
     """(1 + x.K^{-1} v0) f_inf, the linear-perturbation state (unit mass)."""
-    a = np.linalg.solve(ss.K, np.asarray(v0, float))
+    a = ss.sqrtK_inv @ (ss.sqrtK_inv @ np.asarray(v0, float))
     return GaussianMixture((GaussianComponent(1.0, np.zeros(ss.d), ss.K, affine=a),))
 
 
@@ -323,15 +309,16 @@ def rule_for(gen: EntropyGenerator, K: np.ndarray, order: int = 64) -> Quadratur
 # Functionals
 
 
-def _fold(f: MixtureStack, K: np.ndarray, S: np.ndarray):
-    """The states in the whitened frame x = S y of f_inf = N(0, K), S = sqrtK.
+def _fold(f: MixtureStack, ss: SteadyState):
+    """The states in the whitened frame x = S y of f_inf = N(0, K), S = ss.sqrtK.
 
     With yt = (y, 1), a component w N(v, A) has ratio w exp(yt.H yt / 2) and
     S grad_x of it is that ratio times (H yt)[:d], where
         H = [[G, b], [b^T, logdet K - logdet A - v.Ainv v]],
         G = I - S Ainv S,  b = S Ainv v.
-    Returns H (T, m, d+1, d+1) from one stacked solve and slogdet, the
-    weights, and (c, S a) for each affine component c."""
+    Returns H (T, m, d+1, d+1) from one stacked solve and slogdet of the A,
+    the weights, and (c, S a) for each affine component c."""
+    S = ss.sqrtK
     d = len(S)
     AinvS = np.linalg.solve(f.covs, np.concatenate(
         [np.broadcast_to(S, f.covs.shape), f.means[..., None]], axis=-1))
@@ -339,7 +326,7 @@ def _fold(f: MixtureStack, K: np.ndarray, S: np.ndarray):
     H = np.empty(f.means.shape[:2] + (d + 1, d + 1))
     H[..., :d, :d] = 0.5 * (G + np.swapaxes(G, -1, -2))
     H[..., :d, d] = H[..., d, :d] = (S @ AinvS[..., d:])[..., 0]
-    H[..., d, d] = (float(np.linalg.slogdet(K)[1]) - np.linalg.slogdet(f.covs)[1]
+    H[..., d, d] = (ss.logdet_K - np.linalg.slogdet(f.covs)[1]
                     - np.einsum("tci,tci->tc", f.means, AinvS[..., d]))
     return H, f.weights, [(c, a @ S.T) for c, a in f.affine]
 
@@ -361,7 +348,7 @@ def ratio_and_grad(f, X: np.ndarray):
     return rho.sum(axis=1), h + np.einsum("gcn,gcin->gin", rho, Z[:, :, :d])
 
 
-def _quadratic(f: MixtureStack, K: np.ndarray, S: np.ndarray, Sinv: np.ndarray, alpha: float):
+def _quadratic(f: MixtureStack, ss: SteadyState, alpha: float):
     """(e (T,), whitened G (T, d, d)) for psi = alpha (s-1)^2, in closed form.
 
     In the whitened frame x = S y (S = sqrtK, f_inf = N(0, I)) a Gaussian
@@ -375,8 +362,8 @@ def _quadratic(f: MixtureStack, K: np.ndarray, S: np.ndarray, Sinv: np.ndarray, 
     Then e = alpha sum w_a w_b (Z - 1) and G = 2 alpha sum w_a w_b (...).  The
     integral is finite exactly when every P_c + P_c - I is positive definite
     (A_c < 2K); the off-diagonal pairs are their means."""
-    (T, m), d = f.means.shape[:2], len(S)
-    X = Sinv @ (f.covs - K) @ Sinv  # A - I, as accurate as the deviation A - K
+    (T, m), d, Sinv = f.means.shape[:2], ss.d, ss.sqrtK_inv
+    X = Sinv @ (f.covs - ss.K) @ Sinv  # A - I, as accurate as the deviation A - K
     P = np.linalg.inv(np.eye(d) + X)
     v = f.means @ Sinv
     Pv = (P @ v[..., None])[..., 0]
@@ -402,7 +389,7 @@ def _quadratic(f: MixtureStack, K: np.ndarray, S: np.ndarray, Sinv: np.ndarray, 
     G = (Zm1 + 1.0)[..., None, None] * (B[:, :, None] @ Sig @ B[:, None]
                                         + ga[..., :, None] * gb[..., None, :])
     for c, a in f.affine:
-        v[:, c] = a @ S  # first moments, whitened
+        v[:, c] = a @ ss.sqrtK  # first moments, whitened
     for c, _ in f.affine:
         at = v[:, c]
         Zm1[:, c] = Zm1[:, :, c] = (v @ at[..., None])[..., 0]
@@ -413,18 +400,18 @@ def _quadratic(f: MixtureStack, K: np.ndarray, S: np.ndarray, Sinv: np.ndarray, 
     return alpha * (Zm1.reshape(T, -1) @ W), G
 
 
-def _quadrature(f: MixtureStack, K: np.ndarray, S: np.ndarray, gen: EntropyGenerator,
+def _quadrature(f: MixtureStack, ss: SteadyState, gen: EntropyGenerator,
                 q: QuadratureRule | None):
     """(e (T,), whitened G (T, d, d)) from one blocked pass over the rule: with
     h = S grad_x r from ``ratio_and_grad``, each block of _BLOCK nodes, or of
     _BLOCK // n states on n < _BLOCK nodes, is domain-checked and adds
     psi(r) to e and (h psi''(r)) h^T to G, both weighted by the rule."""
-    d = len(S)
+    d = ss.d
     if q is None:
         raise ValueError(f"{type(gen).__name__} needs a quadrature rule")
     if q.d != d:
         raise ValueError(f"rule dimension {q.d} differs from the steady state's {d}")
-    H, w, affine = _fold(f, K, S)
+    H, w, affine = _fold(f, ss)
     lo = gen.domain_min
     nb = min(q.n, _BLOCK)
     g = _BLOCK // nb
@@ -450,18 +437,17 @@ def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: Entropy
     G = int psi''(r) grad r grad r^T f_inf dx, r = f/f_inf, symmetric PSD in x;
     I = tr(D G) and S = tr(P G).  The quadratic generator is evaluated in closed
     form and reads no rule (q may be None); the others take one blocked pass
-    over q, which must have the steady state's dimension.  A stack gives e (T,)
-    and G (T, d, d), a mixture a float and a (d, d) array; a non-finite one raises."""
+    over q, which must have the steady state's dimension.  Both whiten by the
+    state's root ``ss.sqrtK`` of K.  A stack gives e (T,) and G (T, d, d), a
+    mixture a float and a (d, d) array; a non-finite one raises."""
     stack = f if isinstance(f, MixtureStack) else MixtureStack.of(f)
-    S = linalg.sqrt_spd(ss.K)
-    Sinv = np.linalg.inv(S)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(gen, QuadraticEntropy):
-            e, G = _quadratic(stack, ss.K, S, Sinv, gen.alpha)
+            e, G = _quadratic(stack, ss, gen.alpha)
         else:
-            e, G = _quadrature(stack, ss.K, S, gen, q)
+            e, G = _quadrature(stack, ss, gen, q)
         # Summed whitened, where a K-shaped P is well conditioned; mapped to x once.
-        G = Sinv @ G @ Sinv
+        G = ss.sqrtK_inv @ G @ ss.sqrtK_inv
         G = 0.5 * (G + np.swapaxes(G, -1, -2))
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(G))):
         raise DomainError("the entropy or its dissipation matrix is not finite at this state")

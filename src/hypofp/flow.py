@@ -18,11 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import entropy as ent
 from . import linalg
 from .linalg import TOL
-from .certificates import TransportMatrix, lambda_P
+from .certificates import TransportMatrix, entropy_envelope, lambda_P
 from .entropy import EntropyGenerator, GaussianComponent, GaussianMixture, MixtureStack, QuadratureRule
 from .system import SteadyState, SystemSpec
 
@@ -97,10 +98,8 @@ def entropy_quad_affine(v: np.ndarray, K: np.ndarray) -> float:
 
 def entropy_log_cov(A: np.ndarray, K: np.ndarray) -> float:
     """Logarithmic entropy of the centered Gaussian with covariance A:
-    Tr(B)/2 - Tr(ln B)/2 - d/2 with B = sqrt(K^{-1}) A sqrt(K^{-1})."""
-    Si = np.linalg.inv(linalg.sqrt_spd(K))
-    B = Si @ np.asarray(A, dtype=float) @ Si
-    w = np.linalg.eigvalsh(0.5 * (B + B.T))
+    Tr(B)/2 - Tr(ln B)/2 - d/2 with B = sqrt(K^{-1}) A sqrt(K^{-1}) (pencil (A, K))."""
+    w = scipy.linalg.eigh(np.asarray(A, dtype=float), K, eigvals_only=True)
     if w[0] <= 0:
         raise np.linalg.LinAlgError("covariance argument not SPD")
     return float(0.5 * np.sum(w - np.log(w) - 1.0))
@@ -184,9 +183,9 @@ def sharpness_scenario(kind: str, spec: SystemSpec, ss: SteadyState) -> Sharpnes
     else:  # Re, Im of the eigenvector; Im counts only for omega > 0 (sin 0 = 0)
         U = np.stack([ch.vectors[0].real, ch.vectors[0].imag], axis=1)
     U = U / np.linalg.norm(U[:, 0])
+    W = ss.sqrtK_inv @ U
     return SharpnessScenario(kind=kind, v0=U[:, 0], mu=spec.eig.mu,
-                             omega=float(ch.eigenvalue.imag),
-                             gram=0.5 * U.T @ np.linalg.solve(ss.K, U))
+                             omega=float(ch.eigenvalue.imag), gram=0.5 * W.T @ W)
 
 
 def zero_tangent_initial(
@@ -218,18 +217,19 @@ def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0:
                    gen: EntropyGenerator, times: np.ndarray,
                    q: QuadratureRule | None = None) -> TrajectoryRecord:
     """Entropy series e(t), I(t) = tr(D G), S(t) = tr(P G) of the exact states
-    at the requested times and the certificate envelope S(f0)/(2 lambda_P)
-    e^{-2 kappa t}.  All samples, and f0 when the grid starts after t = 0, are
-    one stack: one matrix exponential and one ``functionals`` call.  The
-    quadratic generator is exact and builds no rule; the others read q (order
-    64 when None)."""
+    at the requested times and the envelope S(f0)/(2 lambda_P) e^{-2 kappa t}
+    (``entropy_envelope`` with mu = kappa, epsilon = 0; S(f0) < 0 raises).  All
+    samples, and f0 when the grid starts after t = 0, are one stack: one matrix
+    exponential and one ``functionals`` call.  The quadratic generator is exact
+    and builds no rule; the others read q (order 64 when None)."""
     times = np.asarray(times, dtype=float)
     q = ent.rule_for(gen, ss.K) if q is None else q
     grid = times if len(times) and times[0] == 0.0 else np.concatenate(([0.0], times))
     e, G = ent.functionals(_evolve(f0, grid, spec.C, ss.K), ss, gen, q)
     vals = np.column_stack([e, np.einsum("kij,tij->tk", np.stack([spec.D, cert.P]), G)])
     e, i, s = vals[len(grid) - len(times):].T
-    envelope = vals[0, 2] / (2.0 * lambda_P(ss.K, cert.P)) * np.exp(-2.0 * cert.kappa * times)
+    amplitude, rate = entropy_envelope(cert.kappa, 0.0, lambda_P(ss.K, cert.P), vals[0, 2])
+    envelope = amplitude * np.exp(-rate * times)
     return TrajectoryRecord(times=times, entropy=e, dissipation=i, modified=s, envelope=envelope)
 
 

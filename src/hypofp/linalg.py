@@ -2,7 +2,7 @@
 
 Everything here is deterministic: eigenstructure with defect detection,
 matrix exponentials, Lyapunov solves on a real Schur form (Bartels-Stewart),
-and a couple of SPD utilities.  Every kernel is a dense O(d^3) LAPACK path,
+and the smallest eigenvalue of a symmetric part.  Every kernel is a dense O(d^3) LAPACK path,
 so the oscillator chains run to d = 64 and beyond.
 """
 
@@ -346,14 +346,3 @@ def min_sym_eigenvalue(M: np.ndarray) -> float:
     w = np.linalg.eigvalsh(0.5 * (M + M.swapaxes(-1, -2)))
     return float(w[0] if w.ndim == 1 else w[..., 0].min())
 
-
-def sqrt_spd(M: np.ndarray) -> np.ndarray:
-    """Symmetric square root of an SPD matrix by spectral decomposition."""
-    M = np.asarray(M, dtype=float)
-    S = 0.5 * (M + M.T)
-    w, V = np.linalg.eigh(S)
-    if w[0] <= 0:
-        raise np.linalg.LinAlgError(
-            f"matrix not SPD: min eigenvalue {w[0]:.3e}"
-        )
-    return (V * np.sqrt(w)) @ V.T

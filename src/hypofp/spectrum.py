@@ -137,9 +137,9 @@ def poly_operator_matrix(spec: SystemSpec, ss: SteadyState, m: int) -> PolyOpera
     by two, so the matrix is block-triangular by degree and its eigenvalues
     are exactly the nu_alpha of the enumerated spectrum.
 
-    Assembled in whitened coordinates y = L^{-1} x with K = L L^T: the change
-    of variables conjugates K^{-1} C K to L^{-1} C L (same eigenvalues) and
-    keeps the basis representation well conditioned when K is not.
+    Assembled in whitened coordinates y = W^{-1} x, W = V diag(sqrt w) from
+    ``ss.K_eigh``: K^{-1} C K becomes W^{-1} C W, formed by the orthogonal V and a
+    diagonal scaling alone, so its eigenvalues stay accurate when K is not.
     """
     d = spec.d
     n = comb(d + m, m)
@@ -147,10 +147,9 @@ def poly_operator_matrix(spec: SystemSpec, ss: SteadyState, m: int) -> PolyOpera
         raise ValueError(
             f"monomial basis dimension {n} exceeds the cap {DIMENSION_CAP}"
         )
-    L = np.linalg.cholesky(ss.K)
-    Linv = np.linalg.inv(L)
-    G = Linv @ spec.C @ L  # drift matrix in y.G.grad
-    D = Linv @ spec.D @ Linv.T
+    V, r = ss.K_eigh[1], ss.sqrt_w
+    G = (V.T @ spec.C @ V) * (r / r[:, None])  # drift matrix in y.G.grad
+    D = (V.T @ spec.D @ V) / np.outer(r, r)
     flat, source, factor = _operator_pattern(d, m)
     # bincount sums the terms hitting one entry in the pattern's order.
     M = np.bincount(flat, weights=np.concatenate([G.ravel(), D.ravel()])[source] * factor,

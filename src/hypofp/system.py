@@ -94,20 +94,43 @@ class ConditionAReport:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Gaussian steady state data: covariance K, normalization cK,
-    antisymmetric part R = (CK - KC^T)/2 and Q = K C^T K^{-1}.  ``spec`` is
-    the system it was solved for, whose ``eig`` the certificates read; None
-    for one assembled from the matrices alone."""
+    """Gaussian steady state: covariance K, normalization cK, R = (CK - KC^T)/2
+    and Q = K C^T K^{-1}; ``spec`` (whose ``eig`` the certificates read) is the
+    system it was solved for, None for one assembled from matrices.  ``K_eigh``
+    is K's one eigendecomposition (w ascending, V), read-only, computed for a
+    hand-built state (eigh of a finite symmetric K does not raise).  Its cached
+    ``sqrt_w``, ``sqrtK``, ``sqrtK_inv``, ``logdet_K`` raise unless w[0] > 0."""
 
     K: np.ndarray
     cK: float
     R: np.ndarray
     Q: np.ndarray
     spec: SystemSpec | None = field(default=None, repr=False, compare=False)
+    K_eigh: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        w, V = np.linalg.eigh(self.K) if self.K_eigh is None else self.K_eigh
+        w.flags.writeable = V.flags.writeable = False
+        object.__setattr__(self, "K_eigh", (w, V))
 
     @property
     def d(self) -> int:
         return self.K.shape[0]
+
+    @cached_property
+    def _whitening(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        w, V = self.K_eigh
+        if not w[0] > 0:
+            raise np.linalg.LinAlgError(f"steady-state covariance not SPD: min eigenvalue {w[0]:.3e}")
+        r = np.sqrt(w)
+        S, Sinv = (V * r) @ V.T, (V / r) @ V.T
+        r.flags.writeable = S.flags.writeable = Sinv.flags.writeable = False
+        return r, S, Sinv, float(np.sum(np.log(w)))
+
+    sqrt_w = property(lambda self: self._whitening[0], doc="sqrt(w): V diag(sqrt w) is a root of K.")
+    sqrtK = property(lambda self: self._whitening[1], doc="Symmetric root V sqrt(w) V^T of K.")
+    sqrtK_inv = property(lambda self: self._whitening[2], doc="Its inverse V diag(w^-1/2) V^T.")
+    logdet_K = property(lambda self: self._whitening[3], doc="log det K = sum log w.")
 
 
 def normalize_diffusion(spec: SystemSpec) -> tuple[SystemSpec, np.ndarray]:
@@ -202,15 +225,15 @@ def check_condition_A(spec: SystemSpec) -> ConditionAReport:
 
 def steady_state(spec: SystemSpec) -> SteadyState:
     """Steady-state covariance K (unique SPD solution of 2D = CK + KC^T, by
-    the Schur-form solve of linalg.solve_lyapunov), normalization cK, the
-    antisymmetric flux matrix R, and Q = K C^T K^{-1} (from one solve with K).
+    linalg.solve_lyapunov), and from its one eigendecomposition K = V diag(w) V^T
+    (``K_eigh``) normalization cK, flux matrix R and Q = K C^T V diag(1/w) V^T.
 
     K is singular when lambda_min <= rank * lambda_max (free of the units of D;
     K = 0 too).  An eigenvector of C^T in ker D makes K singular, but so does
     roundoff when K is ill-conditioned: the error states what was measured.
     """
     K = linalg.solve_lyapunov(spec.C, spec.D)
-    w = np.linalg.eigvalsh(K)
+    w, V = np.linalg.eigh(K)
     if w[0] <= TOL.rank * w[-1]:
         why = (f"lambda_min / lambda_max = {w[0] / w[-1]:.3e} <= {TOL.rank:.0e}" if w[-1] > 0
                else "no positive eigenvalue")
@@ -220,12 +243,12 @@ def steady_state(spec: SystemSpec) -> SteadyState:
         )
     # In the log domain, as det K and (2 pi)^(-d/2) leave the float range long
     # before cK does; a cK above the float range is inf, one below it 0.0.
-    log_cK = -0.5 * (spec.d * math.log(2.0 * math.pi) + float(np.linalg.slogdet(K)[1]))
+    log_cK = -0.5 * (spec.d * math.log(2.0 * math.pi) + float(np.sum(np.log(w))))
     cK = math.exp(log_cK) if log_cK <= _LOG_FLOAT_MAX else math.inf
     M = spec.C @ K - K @ spec.C.T  # antisymmetric up to roundoff
     R = 0.25 * (M - M.T)  # exactly antisymmetric (CK - KC^T)/2
-    Q = np.linalg.solve(K, spec.C @ K).T
-    return SteadyState(K=K, cK=cK, R=R, Q=Q, spec=spec)
+    Q = ((V / w) @ (V.T @ (spec.C @ K))).T  # (K^{-1} C K)^T
+    return SteadyState(K=K, cK=cK, R=R, Q=Q, spec=spec, K_eigh=(w, V))
 
 
 def green_covariance(spec: SystemSpec, t: float) -> np.ndarray:

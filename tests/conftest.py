@@ -67,6 +67,15 @@ def harmonic_chain(N, baths, gamma=1.0, T=1.0):
     return spec, T * np.block([[np.linalg.inv(Phi), Z], [Z, np.eye(N)]])
 
 
+def spd_sqrt(M):
+    """Symmetric square root of an SPD matrix by its eigendecomposition, for
+    references that whiten by a matrix other than a steady state's K."""
+    M = np.asarray(M, dtype=float)
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    assert w[0] > 0, "matrix not SPD"
+    return (V * np.sqrt(w)) @ V.T
+
+
 def quadratic_pair_sums(components, K, gen, matrices):
     """(e, I_M for each M) of psi = alpha (s-1)^2, one pair of components at a
     time, in the frame x = L y of the Cholesky factor K = L L^T, where

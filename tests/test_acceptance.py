@@ -17,6 +17,7 @@ from conftest import (
     assert_multisets_close,
     make_defective_minimal_system,
     make_random_system,
+    spd_sqrt,
 )
 
 
@@ -229,7 +230,7 @@ def test_criterion_7_convex_sobolev():
         q = hp.gauss_hermite_rule(ss.K, 64)
         gen = ent.LogEntropy()
         for _ in range(5):
-            v = 0.7 * linalg.sqrt_spd(ss.K) @ rng.standard_normal(2)
+            v = 0.7 * spd_sqrt(ss.K) @ rng.standard_normal(2)
             mix = hp.GaussianMixture((
                 ent.GaussianComponent(0.5, v, ss.K),
                 ent.GaussianComponent(0.5, -v, ss.K + 0.2 * np.eye(2) * float(rng.uniform(0, 1))),
@@ -239,7 +240,7 @@ def test_criterion_7_convex_sobolev():
             assert e <= S / (2.0 * lam_P) * (1 + 1e-6)
             checked += 1
         # Equality state: v0 along the lambda_P-optimal direction.
-        Sp = linalg.sqrt_spd(tm.P)
+        Sp = spd_sqrt(tm.P)
         w_eigs, V = np.linalg.eigh(Sp @ np.linalg.inv(ss.K) @ Sp)
         v0 = Sp @ V[:, 0]
         f_log = ent.shifted_steady(ss, v0)
@@ -421,7 +422,7 @@ def test_criterion_11_counterexample():
     assert margin >= -1e-8 * np.linalg.norm(P, 2)
     # The lambda_P-optimal direction lives in the fast subspace: the shifted
     # state decays strictly faster than e^{-2 mu t}.
-    Sp = linalg.sqrt_spd(P)
+    Sp = spd_sqrt(P)
     _, V = np.linalg.eigh(Sp @ np.linalg.inv(ss.K) @ Sp)
     v0 = Sp @ V[:, 0]
     ts = np.linspace(0.5, 2.5, 21)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -372,3 +374,48 @@ def test_rank_one_sweep(d):
         if all(np.sort(np.abs(eigs - eigs[i]))[1] > 1e-6 for i in minimal):
             assert tm.kappa == pytest.approx(mu, rel=1e-12)
     assert certified >= 4
+
+
+def _positive_definite(M) -> bool:
+    """Whether the symmetric matrix M (rows of Fractions) is positive
+    definite, exactly: every pivot of its LDL^T factorisation is positive."""
+    A = [row[:] for row in M]
+    for k in range(len(A)):
+        if A[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(A)):
+            f = A[i][k] / A[k][k]
+            for j in range(k + 1, i + 1):
+                A[i][j] -= f * A[j][k]
+    return True
+
+
+def test_lambda_P_passes_an_exact_bracket_when_K_is_ill_conditioned():
+    # lambda_P(K, P) is the largest c with P - c K >= 0.  Rank-1 draws at
+    # d = 6..10 with cond K in [1e7, 1e12] against a well-conditioned SPD P:
+    # the pencil of the two stored matrices is then determined to roundoff,
+    # and the bracket judges how lambda_P treats K.  In rational arithmetic,
+    # P - c K is positive definite at c = lambda_P (1 - 1e-6) and not at
+    # c = lambda_P (1 + 1e-6).  The K^{-1} formula lambda_min(W K^{-1} W)
+    # misses the bracket on 3 of these 12 draws (cond K 7e10, 2e11 and 6e11);
+    # on 43 such draws the pencil form was within 3e-15 of a 50-digit value
+    # and the K^{-1} formula up to 4e-5 off.
+    rng = np.random.default_rng(2100)
+    conds = []
+    while len(conds) < 12:
+        d = int(rng.integers(6, 11))
+        spec = _draw_controllable(rng, d, 1)
+        K = linalg.solve_lyapunov(spec.C, spec.D)
+        cond = np.linalg.cond(K)
+        if not 1e7 <= cond <= 1e12:
+            continue
+        conds.append(cond)
+        A = rng.standard_normal((d, d))
+        P = A @ A.T + d * np.eye(d)
+        lam = hp.lambda_P(K, P)
+        for c, definite in ((lam * (1.0 - 1e-6), True), (lam * (1.0 + 1e-6), False)):
+            c = Fraction(c)
+            M = [[Fraction(p) - c * Fraction(k) for p, k in zip(rp, rk)]
+                 for rp, rk in zip(P.tolist(), K.tolist())]
+            assert _positive_definite(M) == definite, (d, cond, float(c) / lam)
+    assert max(conds) > 1e11

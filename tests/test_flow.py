@@ -4,7 +4,8 @@ import pytest
 
 import hypofp as hp
 from hypofp import entropy as ent, flow, linalg
-from conftest import make_defective_minimal_system, make_random_system, quadratic_pair_sums
+from conftest import (make_defective_minimal_system, make_random_system, quadratic_pair_sums,
+                      spd_sqrt)
 
 SEC8 = dict(D=np.diag([0.25, 1.0]), C=np.array([[0.25, -4.0], [4.0, 1.0]]))
 FIG1B = dict(D=np.diag([1.0, 0.0]), C=np.array([[1.0, -1.0], [1.0, 0.0]]))
@@ -292,7 +293,7 @@ class TestTrajectory:
 def _per_sample_functionals(comps, ss, gen, q, matrices):
     """One state's (e, I_M...) as the per-sample pass computed them: one
     solve and slogdet per component, then the blocked node loop."""
-    S = linalg.sqrt_spd(ss.K)
+    S = spd_sqrt(ss.K)
     d = len(S)
     logdetK = float(np.linalg.slogdet(ss.K)[1])
     H = np.empty((len(comps), d + 1, d + 1))

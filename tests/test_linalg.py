@@ -335,15 +335,3 @@ class TestSpdUtilities:
         assert linalg.min_sym_eigenvalue(np.diag([2.0, -3.0])) == pytest.approx(-3.0)
         val = linalg.min_sym_eigenvalue(np.array([[2.0, 1.0], [1.0, 1.0]]))
         assert val == pytest.approx((3.0 - np.sqrt(5.0)) / 2.0, abs=1e-12)
-
-    def test_sqrt_spd(self):
-        assert np.allclose(linalg.sqrt_spd(np.eye(2)), np.eye(2))
-        assert np.allclose(linalg.sqrt_spd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-        M = np.array([[2.0, 1.0], [1.0, 2.0]])
-        S = linalg.sqrt_spd(M)
-        assert np.linalg.norm(S @ S - M, 2) <= 1e-10 * np.linalg.norm(M, 2)
-        assert sorted(np.linalg.eigvalsh(S)) == pytest.approx([1.0, np.sqrt(3.0)])
-
-    def test_sqrt_spd_rejects_indefinite(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            linalg.sqrt_spd(np.diag([1.0, -0.5]))

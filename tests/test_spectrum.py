@@ -25,13 +25,14 @@ def reference_multi_indices(d, m_max):
 
 
 def reference_poly_matrix(spec, ss, basis):
-    """Loop assembly of the generator on monomials, one term at a time."""
+    """Loop assembly of the generator on monomials, one term at a time, in the
+    frame W = V diag(sqrt w) of the state's ``K_eigh`` (the frame
+    poly_operator_matrix whitens by, so the assembly is compared bit for bit)."""
     d, n = spec.d, len(basis)
     index = {alpha: i for i, alpha in enumerate(basis)}
-    L = np.linalg.cholesky(ss.K)
-    Linv = np.linalg.inv(L)
-    G = Linv @ spec.C @ L
-    D = Linv @ spec.D @ Linv.T
+    V, r = ss.K_eigh[1], ss.sqrt_w
+    G = (V.T @ spec.C @ V) * (r / r[:, None])
+    D = (V.T @ spec.D @ V) / np.outer(r, r)
     M = np.zeros((n, n))
     for col, alpha in enumerate(basis):
         a = np.array(alpha)

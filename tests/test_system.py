@@ -283,6 +283,65 @@ class TestSteadyState:
             with pytest.raises(np.linalg.LinAlgError, match="no positive eigenvalue"):
                 hp.steady_state(hp.SystemSpec(D=np.zeros((2, 2)), C=np.eye(2)))
 
+    @pytest.mark.parametrize("d, rank", [(2, 1), (3, 3), (6, 2), (10, 10)])
+    def test_K_eigh_is_read_only_and_factors_K(self, rng, d, rank):
+        spec, _ = make_random_system(rng, d, rank)
+        ss = hp.steady_state(spec)
+        w, V = ss.K_eigh
+        assert not (w.flags.writeable or V.flags.writeable)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        assert np.all(np.diff(w) >= 0.0)
+        u = np.finfo(float).eps
+        nK = np.linalg.norm(ss.K, 2)
+        assert np.linalg.norm((V * w) @ V.T - ss.K, 2) <= 10 * d * u * nK
+        assert np.linalg.norm(V.T @ V - np.eye(d), 2) <= 10 * d * u
+        # The root, its inverse and log det K all come from (w, V).
+        S, Sinv = ss.sqrtK, ss.sqrtK_inv
+        assert np.linalg.norm(S - S.T, 2) <= 10 * d * u * np.sqrt(nK)
+        assert np.linalg.norm(S @ S - ss.K, 2) <= 10 * d * u * nK
+        assert np.linalg.norm(Sinv @ S - np.eye(d), 2) <= 10 * d * u * np.linalg.cond(S)
+        assert ss.logdet_K == pytest.approx(np.linalg.slogdet(ss.K)[1], rel=1e-12, abs=1e-12)
+
+    def test_one_decomposition_of_K(self, rng, monkeypatch):
+        # steady_state hands its one eigh of K to the state, which keeps it;
+        # nothing else factors, inverts or solves with K.
+        spec, _ = make_random_system(rng, 5, 1)
+        calls = []
+        for name in ("eigh", "eigvalsh", "slogdet", "solve", "inv", "cholesky"):
+            inner = getattr(np.linalg, name)
+
+            def counted(*args, _inner=inner, _name=name, **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        ss = hp.steady_state(spec)
+        ss.sqrt_w, ss.sqrtK, ss.sqrtK_inv, ss.logdet_K
+        assert calls == ["eigh"]
+
+    def test_root_of_a_hand_built_state(self):
+        ss = hp.SteadyState(K=np.diag([4.0, 9.0]), cK=np.nan, R=np.zeros((2, 2)), Q=np.eye(2))
+        assert np.allclose(ss.sqrtK, np.diag([2.0, 3.0]), rtol=1e-15, atol=0.0)
+        assert np.allclose(ss.sqrtK_inv, np.diag([0.5, 1.0 / 3.0]), rtol=1e-15, atol=0.0)
+        assert ss.logdet_K == pytest.approx(math.log(36.0), rel=1e-15)
+        M = np.array([[2.0, 1.0], [1.0, 2.0]])
+        S = hp.SteadyState(K=M, cK=np.nan, R=np.zeros((2, 2)), Q=np.eye(2)).sqrtK
+        assert np.linalg.norm(S @ S - M, 2) <= 1e-15 * np.linalg.norm(M, 2)
+        assert sorted(np.linalg.eigvalsh(S)) == pytest.approx([1.0, np.sqrt(3.0)], rel=1e-15)
+        assert not S.flags.writeable
+
+    @pytest.mark.parametrize("K", [np.diag([1.0, -0.5]), np.zeros((2, 2)),
+                                   np.array([[1.0, 2.0], [2.0, 1.0]])],
+                             ids=["negative", "zero", "indefinite"])
+    def test_root_of_an_indefinite_hand_built_state_raises(self, K):
+        # The state constructs, as a benchmark's hand-built fallback needs;
+        # only reading the root (or log det K) raises.
+        ss = hp.SteadyState(K=K, cK=np.nan, R=np.zeros((2, 2)), Q=np.eye(2))
+        assert np.allclose((ss.K_eigh[1] * ss.K_eigh[0]) @ ss.K_eigh[1].T, K, atol=1e-15)
+        for read in ("sqrt_w", "sqrtK", "sqrtK_inv", "logdet_K"):
+            with pytest.raises(np.linalg.LinAlgError, match="not SPD"):
+                getattr(ss, read)
+
 
 CHAINS = [(N, baths) for N in (2, 4, 8, 16) for baths in (1, 2)]
 
