@@ -324,9 +324,9 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
     samples = _read(tsec, "times", "samples", _int, 200)
     if samples < 2:
         raise ConfigError("times.samples: need at least 2 samples")
-    order = _read(_section(cfg, "quadrature", {}), "quadrature", "order", _int, 64)
+    order = _read(_section(cfg, "quadrature", {}), "quadrature", "order", _int, None)
     tm, _ = _certificate(cfg, ss)
-    q = entropy.rule_for(gen, ss.K, order)
+    q = None if order is None else entropy.rule_for(gen, ss.K, order)  # None: adaptive at d <= 3
     times = np.linspace(0.0, t_end, samples)
     rec = flow.run_trajectory(spec, ss, tm, f0, gen, times, q=q)
     if fmt == "json":

@@ -234,7 +234,7 @@ class QuadratureRule:
     The logarithmic and power generators integrate e and G over it; the
     quadratic one is exact and takes no rule.  Tensor Gauss-Hermite for d <= 3;
     one scrambled-Sobol quasi-Monte Carlo point set (fixed seed, equal
-    weights) for d >= 4; no error estimate.
+    weights) for d >= 4.  No error estimate (``run_trajectory``'s adaptive one compares orders).
     ``nodes`` is whitened and nodes-last, (d+1, n) with columns (y, 1).  The
     rule carries no covariance: ``functionals`` maps y to x = sqrtK y with
     the steady state's K, so one rule serves every steady state of its
@@ -261,6 +261,8 @@ class QuadratureRule:
 MAX_ORDER = 128
 # Nodes per block in ``functionals``: its temporaries stay in cache.
 _BLOCK = 8192
+# Tensor orders ``functionals_by_order`` visits; the last is the adaptive cap.
+ADAPTIVE_ORDERS = (16, 32, 48, 64)
 
 
 @lru_cache(maxsize=4)
@@ -400,27 +402,26 @@ def _quadratic(f: MixtureStack, ss: SteadyState, alpha: float):
     return alpha * (Zm1.reshape(T, -1) @ W), G
 
 
-def _quadrature(f: MixtureStack, ss: SteadyState, gen: EntropyGenerator,
-                q: QuadratureRule | None):
-    """(e (T,), whitened G (T, d, d)) from one blocked pass over the rule: with
-    h = S grad_x r from ``ratio_and_grad``, each block of _BLOCK nodes, or of
-    _BLOCK // n states on n < _BLOCK nodes, is domain-checked and adds
-    psi(r) to e and (h psi''(r)) h^T to G, both weighted by the rule."""
+def _quadrature(fold, ss: SteadyState, gen: EntropyGenerator, q: QuadratureRule | None):
+    """(e (T,), whitened G (T, d, d)) of the ``_fold``ed states from one blocked
+    pass over q: with h = S grad_x r from ``ratio_and_grad``, each block of _BLOCK
+    nodes, or of _BLOCK // n states on n < _BLOCK nodes, is domain-checked and
+    adds psi(r) to e and (h psi''(r)) h^T to G, both weighted by the rule."""
     d = ss.d
     if q is None:
         raise ValueError(f"{type(gen).__name__} needs a quadrature rule")
     if q.d != d:
         raise ValueError(f"rule dimension {q.d} differs from the steady state's {d}")
-    H, w, affine = _fold(f, ss)
+    H, w, affine = fold
     lo = gen.domain_min
     nb = min(q.n, _BLOCK)
     g = _BLOCK // nb
     e, G = np.zeros(len(H)), np.zeros((len(H), d, d))
     for t in range(0, len(H), g):
-        fold = (H[t:t + g], w, [(c, a[t:t + g]) for c, a in affine])
+        part = (H[t:t + g], w, [(c, a[t:t + g]) for c, a in affine])
         for start in range(0, q.n, nb):
             wq = q.weights[start:start + nb]
-            r, h = ratio_and_grad(fold, q.nodes[:, start:start + nb].T)
+            r, h = ratio_and_grad(part, q.nodes[:, start:start + nb].T)
             if np.any(r < lo - TOL.domain):
                 raise DomainError(f"density ratio fell below {lo} at a quadrature node; signed "
                                   "mixtures are admissible only with the quadratic generator")
@@ -428,6 +429,15 @@ def _quadrature(f: MixtureStack, ss: SteadyState, gen: EntropyGenerator,
             # psi'' has a pole at the domain edge; clamp roundoff-negative ratios.
             r = np.maximum(r, lo + 1e-300)
             G[t:t + g] += (h * (wq * gen.psi(r, 2))[:, None]) @ np.swapaxes(h, -1, -2)
+    return e, G
+
+
+def _physical(ss: SteadyState, e: np.ndarray, G: np.ndarray):
+    """(e, G), G summed whitened (where a K-shaped P is well conditioned) mapped to x."""
+    G = ss.sqrtK_inv @ G @ ss.sqrtK_inv
+    G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(G))):
+        raise DomainError("the entropy or its dissipation matrix is not finite at this state")
     return e, G
 
 
@@ -442,16 +452,20 @@ def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: Entropy
     mixture a float and a (d, d) array; a non-finite one raises."""
     stack = f if isinstance(f, MixtureStack) else MixtureStack.of(f)
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(gen, QuadraticEntropy):
-            e, G = _quadratic(stack, ss, gen.alpha)
-        else:
-            e, G = _quadrature(stack, ss, gen, q)
-        # Summed whitened, where a K-shaped P is well conditioned; mapped to x once.
-        G = ss.sqrtK_inv @ G @ ss.sqrtK_inv
-        G = 0.5 * (G + np.swapaxes(G, -1, -2))
-    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(G))):
-        raise DomainError("the entropy or its dissipation matrix is not finite at this state")
+        e, G = _physical(ss, *(_quadratic(stack, ss, gen.alpha) if isinstance(gen, QuadraticEntropy)
+                               else _quadrature(_fold(stack, ss), ss, gen, q)))
     return (e, G) if isinstance(f, MixtureStack) else (float(e[0]), G[0])
+
+
+def functionals_by_order(f: MixtureStack, ss: SteadyState, gen: EntropyGenerator):
+    """(order, e, G) of ``functionals`` on the rule of each ADAPTIVE_ORDERS order
+    in turn, from one ``_fold``: only the blocked pass, domain check included, repeats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fold = _fold(f, ss)
+    for order in ADAPTIVE_ORDERS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, G = _physical(ss, *_quadrature(fold, ss, gen, gauss_hermite_rule(ss.K, order)))
+        yield order, e, G
 
 
 def relative_entropy(f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator,

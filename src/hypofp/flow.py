@@ -206,11 +206,21 @@ def zero_tangent_initial(
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
+    """``run_trajectory``'s series, their rule's order and its error estimate (see there)."""
+
     times: np.ndarray
     entropy: np.ndarray
     dissipation: np.ndarray
     modified: np.ndarray
     envelope: np.ndarray
+    quadrature_order: int | None = None
+    quadrature_error: float | None = None
+
+
+def _deviation(vals: np.ndarray, prev: np.ndarray) -> float:
+    """max |vals - prev| / max(|vals(t)|, |vals(f0)|) over rows (e, I, S); no 0 / 0."""
+    dev, scale = np.abs(vals - prev), np.maximum(np.abs(vals), np.abs(vals[0]))
+    return float(np.max(np.divide(dev, scale, out=np.where(dev > 0, np.inf, 0.0), where=scale > 0)))
 
 
 def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0: GaussianMixture,
@@ -220,17 +230,36 @@ def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0:
     at the requested times and the envelope S(f0)/(2 lambda_P) e^{-2 kappa t}
     (``entropy_envelope`` with mu = kappa, epsilon = 0; S(f0) < 0 raises).  All
     samples, and f0 when the grid starts after t = 0, are one stack: one matrix
-    exponential and one ``functionals`` call.  The quadratic generator is exact
-    and builds no rule; the others read q (order 64 when None)."""
+    exponential and one fold.  The quadratic generator is exact and builds no
+    rule; the others read q and record its order.  With q None, d >= 4 reads
+    the order-64 rule, and d <= 3 the first ``ent.ADAPTIVE_ORDERS`` rule whose
+    series are within TOL.quadrature of the previous order's (``_deviation``);
+    that is the error estimate.  Else it reads order 64, and the estimate is
+    its largest deviation from any lower order."""
     times = np.asarray(times, dtype=float)
-    q = ent.rule_for(gen, ss.K) if q is None else q
     grid = times if len(times) and times[0] == 0.0 else np.concatenate(([0.0], times))
-    e, G = ent.functionals(_evolve(f0, grid, spec.C, ss.K), ss, gen, q)
-    vals = np.column_stack([e, np.einsum("kij,tij->tk", np.stack([spec.D, cert.P]), G)])
+    f = _evolve(f0, grid, spec.C, ss.K)
+    quadratic, DP = isinstance(gen, ent.QuadraticEntropy), np.stack([spec.D, cert.P])
+    if q is None and ss.d <= 3 and not quadratic:
+        passes = ent.functionals_by_order(f, ss, gen)
+    else:  # one pass; the d >= 4 default and the closed form record no order
+        passes = [(None if q is None or quadratic else q.order,
+                   *ent.functionals(f, ss, gen, ent.rule_for(gen, ss.K) if q is None else q))]
+    seen, err = [], None
+    for order, e, G in passes:
+        seen.append(np.column_stack([e, np.einsum("kij,tij->tk", DP, G)]))
+        if len(seen) > 1:
+            err = _deviation(seen[-1], seen[-2])
+            if err <= TOL.quadrature:
+                break
+            # Unresolved orders need not converge monotonically: compare with every lower one.
+            err = max(_deviation(seen[-1], prev) for prev in seen[:-1])
+    vals = seen[-1]
     e, i, s = vals[len(grid) - len(times):].T
     amplitude, rate = entropy_envelope(cert.kappa, 0.0, lambda_P(ss.K, cert.P), vals[0, 2])
     envelope = amplitude * np.exp(-rate * times)
-    return TrajectoryRecord(times=times, entropy=e, dissipation=i, modified=s, envelope=envelope)
+    return TrajectoryRecord(times=times, entropy=e, dissipation=i, modified=s, envelope=envelope,
+                            quadrature_order=order, quadrature_error=err)
 
 
 def refine_maximum(fun, a: float, b: float) -> float:

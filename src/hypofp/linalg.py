@@ -56,6 +56,8 @@ class Tolerances:
     mass_drift: float = 1e-8  # kinetic FD: |mass(t_end) - mass(0)| / max(t_end, 1)
     ratio_floor: float = 1e-14  # kinetic FD: density ratio floor above the domain edge (absolute)
     bracket: float = 1e-12  # golden-section search stops at width bracket * max(1, |a| + |b|)
+    # |X_n(t) - X_prev(t)| <= quadrature * max(|X_n(t)|, |X_n(f0)|), X in (e, I, S), all t:
+    quadrature: float = 1e-8  # the adaptive Gauss-Hermite order (d <= 3) stops at n
 
 
 TOL = Tolerances()

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypofp import cli, linalg, system
+from hypofp import certificates, cli, entropy, flow, linalg, system
 from conftest import harmonic_chain
 
 FIG1B = {"system": {"D": [[1.0, 0.0], [0.0, 0.0]], "C": [[1.0, -1.0], [1.0, 0.0]]}}
@@ -193,6 +194,35 @@ class TestEvolve:
         assert run_cli(["evolve", "--config", cfg, "--output", d2]) == 0
         assert (d1 / "evolve.csv").read_bytes() == (d2 / "evolve.csv").read_bytes()
 
+
+    def test_set_order_is_that_rule_and_unset_is_adaptive(self, tmp_path):
+        # quadrature.order 64 writes run_trajectory's order-64 series bit for
+        # bit; null (as unset) picks the order, within TOL.quadrature of it.
+        out = {}
+        for name, order in (("fixed", 64), ("adaptive", None)):
+            cfg = write_cfg(tmp_path, self._fig1b_evolve({"quadrature": {"order": order}}), f"{name}.json")
+            assert run_cli(["evolve", "--config", cfg, "--output", tmp_path / name]) == 0
+            out[name] = (tmp_path / name / "evolve.csv").read_bytes()
+        spec = system.SystemSpec(D=np.array(FIG1B["system"]["D"]), C=np.array(FIG1B["system"]["C"]))
+        ss = system.steady_state(spec)
+        f0 = entropy.GaussianMixture((entropy.GaussianComponent(1.0, np.array([1.3, 0.6]), ss.K),))
+        rec = flow.run_trajectory(spec, ss, certificates.build_P(ss), f0, entropy.LogEntropy(),
+                                  np.linspace(0.0, 8.0, 200), q=entropy.gauss_hermite_rule(ss.K, 64))
+        cols = np.column_stack([rec.times, rec.entropy, rec.dissipation, rec.modified, rec.envelope])
+        want = "t,e_psi,I_psi,S_psi,envelope\n" + "".join(",".join("%.17g" % x for x in row) + "\n"
+                                                         for row in cols)
+        assert out["fixed"] == want.encode()
+        got = np.loadtxt(io.BytesIO(out["adaptive"]), delimiter=",", skiprows=1)[:, 1:]
+        dev = np.abs(got - cols[:, 1:]) / np.maximum(np.abs(cols[:, 1:]), np.abs(cols[0, 1:]))
+        assert np.max(dev) <= linalg.TOL.quadrature
+
+    def test_state_negative_inside_order_16_exit_config(self, tmp_path, capsys):
+        # K = I: (1 + x_1 / 2) f_inf is negative for x_1 < -2, inside order
+        # 16's outermost node 6.63, the first rule the adaptive order visits.
+        cfg = write_cfg(tmp_path, self._fig1b_evolve(
+            {"initial": {"components": [{"weight": 1.0, "affine": [0.5, 0.0]}]}}))
+        assert run_cli(["evolve", "--config", cfg, "--output", tmp_path]) == cli.EXIT_CONFIG
+        assert "density ratio fell below" in capsys.readouterr().err
 
     @pytest.mark.parametrize("order", [0, 100000, "x"])
     def test_quadratic_checks_the_order_it_does_not_read(self, tmp_path, capsys, order):

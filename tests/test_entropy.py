@@ -532,7 +532,7 @@ def test_quadratic_closed_form_matches_gauss_hermite(rng, d):
     for name, comps in _quadratic_cases(rng, ss).items():
         f = hp.GaussianMixture(comps)
         got = _e_I_S(f, ss, gen, q, spec.D, P)
-        e, G = ent._quadrature(ent.MixtureStack.of(f), ss, gen, q)
+        e, G = ent._quadrature(ent._fold(ent.MixtureStack.of(f), ss), ss, gen, q)
         want = [e[0], np.vdot(spec.D, Sinv @ G[0] @ Sinv), np.vdot(P, Sinv @ G[0] @ Sinv)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
 

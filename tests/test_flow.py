@@ -487,11 +487,22 @@ def test_trajectory_raises_when_a_covariance_loses_definiteness(traj):
         flow.run_trajectory(spec, ss, tm, bad, ent.QuadraticEntropy(), np.linspace(0.0, 1.0, 3))
 
 
+# The benchmark's d = 3 system: D = diag(1, 0, 0), hypoelliptic with tau = 2.
+D3 = dict(D=np.diag([1.0, 0.0, 0.0]), C=np.array([[2.0, -1.0, 0.0], [1.0, 1.0, -1.0], [0.0, 1.0, 0.5]]))
+
+
 @pytest.mark.parametrize("times", [np.array([0.0]), np.linspace(0.0, 2.0, 7),
                                    np.linspace(0.5, 2.0, 200)])
 def test_one_exponential_and_one_fold_per_trajectory(traj, monkeypatch, times):
+    # An explicit rule, and the adaptive order at d = 2 and d = 3: one stack,
+    # one exponential and one fold, however many rules the order search visits.
     spec, ss, tm, _ = traj
-    calls = {"matrix_exponential": 0, "expm": 0, "_fold": 0}
+    spec3 = hp.SystemSpec(**D3)
+    ss3 = hp.steady_state(spec3)
+    # d = 3 visits all four orders, so it takes at most 7 samples.
+    cases = [(spec, ss, tm, hp.gauss_hermite_rule(ss.K, 16), times), (spec, ss, tm, None, times),
+             (spec3, ss3, hp.build_P(ss3), None, times[:7])]
+    calls = dict.fromkeys(["matrix_exponential", "expm", "_fold", "gauss_hermite_rule"], 0)
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -504,12 +515,105 @@ def test_one_exponential_and_one_fold_per_trajectory(traj, monkeypatch, times):
     counted(linalg, "matrix_exponential")
     counted(scipy.linalg, "expm")
     counted(ent, "_fold")
-    q = hp.gauss_hermite_rule(ss.K, 16)
-    f0 = hp.GaussianMixture((ent.GaussianComponent(0.7, TRAJ_V0, ss.K),
-                             ent.GaussianComponent(0.3, -TRAJ_V0, 0.8 * ss.K)))
-    rec = flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), times, q=q)
-    assert len(rec.entropy) == len(times)
-    assert calls == {"matrix_exponential": 1, "expm": 1, "_fold": 1}
+    counted(ent, "gauss_hermite_rule")
+    for spec, ss, tm, q, times in cases:
+        calls.update(dict.fromkeys(calls, 0))
+        v0 = np.eye(ss.d)[0]  # TRAJ_V0 at d = 2
+        f0 = hp.GaussianMixture((ent.GaussianComponent(0.7, v0, ss.K),
+                                 ent.GaussianComponent(0.3, -v0, 0.8 * ss.K)))
+        rec = flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), times, q=q)
+        assert len(rec.entropy) == len(times)
+        rules = 0 if q else ent.ADAPTIVE_ORDERS.index(rec.quadrature_order) + 1
+        assert q or rules >= 2
+        assert calls == {"matrix_exponential": 1, "expm": 1, "_fold": 1, "gauss_hermite_rule": rules}
+
+
+# Whitened mean scale and covariance eigenvalue range of each component: the
+# benchmark pool's states, states localised far below K, and states wider than K.
+STATE_KINDS = {"workload": (0.3, 0.7, 1.0), "localised": (1.0, 0.03, 0.12), "wide": (0.5, 1.2, 1.9)}
+# Relative roundoff of the order-128 reference's sums over up to 2.1 M nodes:
+# where the estimate is below it, the two agree to roundoff.
+SUM_ROUNDOFF = 1e-13
+
+
+def _kind_mixture(rng, L, kind):
+    scale, lo, hi = STATE_KINDS[kind]
+    w = rng.uniform(0.2, 0.8)
+    comps = []
+    for weight in (w, 1.0 - w):
+        _, V = np.linalg.eigh(rng.standard_normal((len(L), len(L))) * (1.0 + np.eye(len(L))))
+        A = L @ (V * rng.uniform(lo, hi, len(L))) @ V.T @ L.T
+        comps.append(ent.GaussianComponent(weight, L @ (scale * rng.standard_normal(len(L))),
+                                           0.5 * (A + A.T)))
+    return hp.GaussianMixture(tuple(comps))
+
+
+def _rows(rec):
+    return np.column_stack([rec.entropy, rec.dissipation, rec.modified])
+
+
+@pytest.mark.parametrize("kind", list(STATE_KINDS))
+@pytest.mark.parametrize("gen", [ent.LogEntropy(), ent.PowerEntropy(p=1.5)], ids=["log", "power"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_adaptive_order_is_one_fixed_rule_and_its_estimate_bounds_the_error(d, gen, kind):
+    spec = hp.SystemSpec(**(D3 if d == 3 else FIG1B))
+    ss = hp.steady_state(spec)
+    tm = hp.build_P(ss)
+    rng = np.random.default_rng(2200 + 10 * d + list(STATE_KINDS).index(kind))
+    f0 = _kind_mixture(rng, np.linalg.cholesky(ss.K), kind)
+    times = np.linspace(0.0, 3.0, 4)
+    rec = flow.run_trajectory(spec, ss, tm, f0, gen, times)
+    assert rec.quadrature_order in ent.ADAPTIVE_ORDERS[1:]
+    # The series are those of the fixed rule of that order, bit for bit.
+    fixed = flow.run_trajectory(spec, ss, tm, f0, gen, times,
+                                q=hp.gauss_hermite_rule(ss.K, rec.quadrature_order))
+    assert fixed.quadrature_order == rec.quadrature_order and fixed.quadrature_error is None
+    for name in ("entropy", "dissipation", "modified", "envelope"):
+        assert np.array_equal(getattr(rec, name), getattr(fixed, name)), name
+    # The estimate bounds the deviation from order 128 in the same scale.
+    ref = _rows(flow.run_trajectory(spec, ss, tm, f0, gen, times, q=hp.gauss_hermite_rule(ss.K, 128)))
+    dev = np.max(np.abs(_rows(rec) - ref) / np.maximum(np.abs(ref), np.abs(ref[0])))
+    assert dev <= max(rec.quadrature_error, SUM_ROUNDOFF)
+    if kind == "localised":  # no order converges: order 64, with its estimate
+        assert rec.quadrature_order == 64 and rec.quadrature_error > linalg.TOL.quadrature
+    if kind == "workload":
+        assert rec.quadrature_order <= 48 and rec.quadrature_error <= linalg.TOL.quadrature
+
+
+def test_closed_form_and_d4_build_no_extra_rule_and_record_no_estimate(rng, monkeypatch):
+    built = []
+    inner = ent.gauss_hermite_rule
+
+    def recorded(K, order=64):
+        built.append(order)
+        return inner(K, order)
+    monkeypatch.setattr(ent, "gauss_hermite_rule", recorded)
+    times = np.linspace(0.0, 1.0, 3)
+    for d, gen, q, want_built, want_order in [
+            (2, ent.QuadraticEntropy(), None, [], None),
+            (3, ent.QuadraticEntropy(), 16, [], None),  # a rule the closed form does not read
+            (4, ent.LogEntropy(), None, [64], None),  # the default Sobol rule
+            (4, ent.LogEntropy(), 8, [], 8)]:
+        spec, _ = make_random_system(rng, d, rank=d)
+        ss = hp.steady_state(spec)
+        rule = None if q is None else inner(ss.K, q)
+        built.clear()
+        f0 = _mixture(rng, np.linalg.cholesky(ss.K), (0.6, 0.4))
+        rec = flow.run_trajectory(spec, ss, hp.build_P(ss), f0, gen, times, q=rule)
+        assert built == want_built
+        assert rec.quadrature_order == want_order and rec.quadrature_error is None
+
+
+@pytest.mark.parametrize("gen", [ent.LogEntropy(), ent.PowerEntropy(p=1.5)], ids=["log", "power"])
+def test_adaptive_order_refuses_a_state_negative_inside_order_16(gen):
+    # K = I: 1.2 f_inf - 0.2 N(0, 1.5 I) is negative for |y| > 3.63, inside
+    # order 16's outermost node 6.63, so the first rule visited refuses it.
+    spec = hp.SystemSpec(D=np.eye(2), C=np.array([[1.0, -1.0], [1.0, 1.0]]))
+    ss = hp.steady_state(spec)
+    f0 = hp.GaussianMixture((ent.GaussianComponent(1.2, np.zeros(2), ss.K),
+                             ent.GaussianComponent(-0.2, np.zeros(2), 1.5 * ss.K)))
+    with pytest.raises(ent.DomainError, match="density ratio fell below"):
+        flow.run_trajectory(spec, ss, hp.build_P(ss), f0, gen, np.linspace(0.0, 1.0, 3))
 
 
 @pytest.mark.parametrize("d, order, per_block", [(2, 16, 32), (3, 24, 1), (4, 16, 2)])
