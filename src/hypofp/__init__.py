@@ -2,8 +2,7 @@
 linear Fokker-Planck equations with degenerate diffusion."""
 
 from .system import SystemSpec, SteadyState, ConditionAReport
-from .system import check_condition_A, steady_state, normalize_diffusion
-from .system import hoermander_tau, green_covariance
+from .system import check_condition_A, steady_state, hoermander_tau, green_covariance
 from .entropy import (
     LogEntropy,
     QuadraticEntropy,
@@ -25,7 +24,7 @@ from .certificates import (
     entropy_envelope,
     optimize_weights,
 )
-from .spectrum import enumerate_spectrum, poly_operator_matrix, degree_one_eigenfunction
+from .spectrum import enumerate_spectrum, poly_operator_matrix
 from .flow import (
     evolve_shift,
     evolve_cov,
@@ -34,9 +33,7 @@ from .flow import (
     sharpness_scenario,
     zero_tangent_initial,
     entropy_log_shift,
-    entropy_quad_affine,
     entropy_log_cov,
-    entropy_rate_shift,
     dissipation_log_shift,
     dissipation_log_cov,
     tangency_times,
@@ -47,19 +44,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemSpec", "SteadyState", "ConditionAReport",
-    "check_condition_A", "steady_state", "normalize_diffusion",
-    "hoermander_tau", "green_covariance",
+    "check_condition_A", "steady_state", "hoermander_tau", "green_covariance",
     "LogEntropy", "QuadraticEntropy", "PowerEntropy",
     "GaussianComponent", "GaussianMixture", "gauss_hermite_rule",
     "relative_entropy", "entropy_dissipation_I", "modified_dissipation_S",
     "TransportMatrix", "DecayCertificate", "build_P", "verify_P",
     "lambda_P", "compare_rates", "entropy_envelope",
     "optimize_weights",
-    "enumerate_spectrum", "poly_operator_matrix", "degree_one_eigenfunction",
+    "enumerate_spectrum", "poly_operator_matrix",
     "evolve_shift", "evolve_cov", "evolve_mixture", "run_trajectory",
     "sharpness_scenario", "zero_tangent_initial",
-    "entropy_log_shift", "entropy_quad_affine", "entropy_log_cov",
-    "entropy_rate_shift", "dissipation_log_shift",
+    "entropy_log_shift", "entropy_log_cov", "dissipation_log_shift",
     "dissipation_log_cov", "tangency_times",
     "KineticSpec", "assemble_linear", "kappa0", "build_P_kinetic",
     "kinetic_rate", "fd_simulate",

@@ -334,6 +334,7 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
         _write_json(path, {
             "t": rec.times, "e_psi": rec.entropy, "I_psi": rec.dissipation,
             "S_psi": rec.modified, "envelope": rec.envelope,
+            "quadrature_order": rec.quadrature_order, "quadrature_error": rec.quadrature_error,
         })
     else:
         path = os.path.join(outdir, "evolve.csv")

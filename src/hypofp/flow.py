@@ -14,7 +14,6 @@ too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +24,7 @@ from . import linalg
 from .linalg import TOL
 from .certificates import TransportMatrix, entropy_envelope, lambda_P
 from .entropy import EntropyGenerator, GaussianComponent, GaussianMixture, MixtureStack, QuadratureRule
-from .system import SteadyState, SystemSpec
-
-
-def _time(t: float, name: str = "t") -> float:
-    """``t``, checked to be a finite time >= 0 (NaN fails the comparison)."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {t!r}")
-    return t
+from .system import SteadyState, SystemSpec, _time
 
 
 def evolve_shift(v0: np.ndarray, t: float, C: np.ndarray) -> np.ndarray:
@@ -90,12 +82,6 @@ def entropy_log_shift(v: np.ndarray, K: np.ndarray) -> float:
     return 0.5 * float(v @ np.linalg.solve(K, v))
 
 
-def entropy_quad_affine(v: np.ndarray, K: np.ndarray) -> float:
-    """Quadratic entropy of the linear-perturbation state
-    (1 + x.K^{-1}v) f_inf: v.K^{-1}v."""
-    return 2.0 * entropy_log_shift(v, K)
-
-
 def entropy_log_cov(A: np.ndarray, K: np.ndarray) -> float:
     """Logarithmic entropy of the centered Gaussian with covariance A:
     Tr(B)/2 - Tr(ln B)/2 - d/2 with B = sqrt(K^{-1}) A sqrt(K^{-1}) (pencil (A, K))."""
@@ -103,13 +89,6 @@ def entropy_log_cov(A: np.ndarray, K: np.ndarray) -> float:
     if w[0] <= 0:
         raise np.linalg.LinAlgError("covariance argument not SPD")
     return float(0.5 * np.sum(w - np.log(w) - 1.0))
-
-
-def entropy_rate_shift(v: np.ndarray, K: np.ndarray, D: np.ndarray) -> float:
-    """d/dt [v.K^{-1}v] along v' = -Cv equals -2 v.K^{-1} D K^{-1} v; this is
-    (minus twice) the dissipation of the shifted state and vanishes exactly
-    when K^{-1}v lies in ker D."""
-    return -2.0 * dissipation_log_shift(v, K, D)
 
 
 def dissipation_log_shift(v: np.ndarray, K: np.ndarray, M: np.ndarray) -> float:

@@ -39,11 +39,11 @@ class Tolerances:
     roundoff: float = 8.0 * float(np.finfo(float).eps)
     stability: float = 1e-10  # min Re eig(C) > stability (absolute): C is positively stable
     # Identities that hold up to roundoff, times max(1, size): D = D^T, D >= 0,
-    # D w = 0, D in normal form, weights summing to 1, equal conjugate weights
-    # (size: the smaller one), an affine component's zero mean.
+    # D w = 0, weights summing to 1, equal conjugate weights (size: the smaller
+    # one), an affine component's zero mean.
     exact: float = 1e-12
-    # Backward residual over the size of its terms: ||C|| ||K|| + ||D|| for
-    # 2D = CK + KC^T; max(1, ||C||) ||w|| for Cw = lam w (2-norms).
+    # Backward residual of 2D = CK + KC^T over the size of its terms,
+    # ||C|| ||K|| + ||D|| (2-norms).
     residual: float = 1e-10
     margin: float = 1e-8  # certificate margin >= -margin * ||P||_2: P is valid
     steady: float = 1e-10  # ||A - K||_2 <= steady * _scale(K): A is the steady K

@@ -13,6 +13,10 @@ generated directly in that order, so the cost is linear in the number of
 eigenvalues listed.  The operator matrix's index pattern depends only on
 (d, m): it is built once per process, and each matrix is one gather and
 one scatter of the whitened drift and diffusion entries.
+
+The degree-one eigenfunctions (x.K^{-1}w) f_inf, w a real eigenvector of C
+with Cw = lambda w, need no code here: ``flow.evolve_mixture`` carries the
+affine factor of ``affine_steady(ss, w)`` to e^{-lambda t} K^{-1}w.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .linalg import TOL
-from .entropy import GaussianMixture, affine_steady
 from .system import SteadyState, SystemSpec
 
 DIMENSION_CAP = 2000
@@ -155,27 +157,3 @@ def poly_operator_matrix(spec: SystemSpec, ss: SteadyState, m: int) -> PolyOpera
     M = np.bincount(flat, weights=np.concatenate([G.ravel(), D.ravel()])[source] * factor,
                     minlength=n * n).reshape(n, n)
     return PolyOperatorMatrix(basis=_multi_indices(d, m), M=M)
-
-
-@dataclass(frozen=True)
-class AffineEigenfunction:
-    """Descriptor of the degree-one eigenfunction (x.K^{-1}w) f_inf."""
-
-    eigenvalue: complex
-    w: np.ndarray
-    state: GaussianMixture  # unit-mass carrier (1 + x.K^{-1}w) f_inf
-
-
-def degree_one_eigenfunction(spec: SystemSpec, ss: SteadyState,
-                             w: np.ndarray) -> AffineEigenfunction:
-    """For an eigenvector w of C (Cw = lam w, real), f = (x.K^{-1}w) f_inf is
-    an eigenfunction of the generator with eigenvalue -lam: the perturbation
-    coefficient evolves as e^{-lam t} w."""
-    w = np.asarray(w, dtype=float)
-    Cw = spec.C @ w
-    nw = np.linalg.norm(w)
-    lam = float(w @ Cw) / float(w @ w)
-    resid = np.linalg.norm(Cw - lam * w)
-    if resid > TOL.residual * max(1.0, np.linalg.norm(spec.C, 2)) * nw:
-        raise ValueError(f"w is not an eigenvector of C (residual {resid:.3e})")
-    return AffineEigenfunction(eigenvalue=complex(-lam), w=w, state=affine_steady(ss, w))

@@ -26,6 +26,13 @@ from .linalg import TOL
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp of anything above overflows
 
 
+def _time(t: float, name: str = "t") -> float:
+    """``t``, checked to be a finite time >= 0 (NaN fails the comparison)."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {t!r}")
+    return t
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """The pair (D, C); D must be symmetric PSD.  The spec owns read-only
@@ -133,31 +140,6 @@ class SteadyState:
     logdet_K = property(lambda self: self._whitening[3], doc="log det K = sum log w.")
 
 
-def normalize_diffusion(spec: SystemSpec) -> tuple[SystemSpec, np.ndarray]:
-    """Change of variables making D a rank-k "defect identity" diag(1..1,0..0).
-
-    Returns (new_spec, T) with D' = T^{-1} D T^{-T}, C' = T^{-1} C T.  The
-    eigenvalues of C are preserved.  If D already has the target form, T is
-    the identity.
-    """
-    D, C, d, k = spec.D, spec.C, spec.d, spec.rank_D
-    target = np.diag(np.concatenate([np.ones(k), np.zeros(d - k)]))
-    if np.linalg.norm(D - target, 2) <= TOL.exact * linalg._scale(D):
-        return spec, np.eye(d)
-    w, U = spec.D_eigh
-    # Descending eigenvalues: positive ones first.
-    order = np.argsort(w)[::-1]
-    w, U = w[order], U[:, order]
-    scales = np.concatenate([np.sqrt(w[:k]), np.ones(d - k)])
-    T = U * scales
-    T_inv = np.linalg.inv(T)
-    D_new = T_inv @ D @ T_inv.T
-    # Snap to the exact defect identity (eigh roundoff only).
-    D_new = np.where(np.abs(D_new - target) < TOL.exact, target, D_new)
-    C_new = T_inv @ C @ T
-    return SystemSpec(D=D_new, C=C_new), T
-
-
 def hoermander_tau(spec: SystemSpec) -> tuple[int | None, int, float, float]:
     """Orthogonal controllability staircase of (C, D) (Van Dooren 1981; Paige,
     IEEE TAC 26, 1981): (tau, dim, margin, gap).
@@ -261,9 +243,7 @@ def green_covariance(spec: SystemSpec, t: float) -> np.ndarray:
     symmetric PSD at every t; it is positive definite for t > 0 exactly when
     the system is hypoelliptic.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    d, k = spec.d, 0
+    t, d, k = _time(t), spec.d, 0
     nC = float(np.linalg.norm(spec.C, 2))
     while t * nC > 2.0 ** k:
         k += 1

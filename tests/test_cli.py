@@ -159,9 +159,27 @@ class TestEvolve:
         rc = run_cli(["evolve", "--config", cfg, "--output", tmp_path, "--format", "json"])
         assert rc == 0
         out = json.loads((tmp_path / "evolve.json").read_text())
-        assert set(out) == {"t", "e_psi", "I_psi", "S_psi", "envelope"}
+        assert set(out) == {"t", "e_psi", "I_psi", "S_psi", "envelope",
+                            "quadrature_order", "quadrature_error"}
         assert len(out["t"]) == 200
         assert out["e_psi"][0] == pytest.approx(0.5 * (1.3 ** 2 + 0.6 ** 2), rel=1e-8)
+
+    def test_json_records_the_quadrature(self, tmp_path):
+        # d = 3 unset: the adaptive order and its error estimate; an explicit
+        # order records no estimate.
+        cfg = {"system": {"D": np.diag([1.0, 1.0, 0.0]).tolist(),
+                          "C": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.0, 3.0]]},
+               "initial": {"components": [{"weight": 1.0, "mean": [0.8, -0.4, 0.5]}]},
+               "times": {"t_end": 2.0, "samples": 9}}
+        for name, order in (("adaptive", None), ("fixed", 32)):
+            path = write_cfg(tmp_path, {**cfg, "quadrature": {"order": order}}, f"{name}.json")
+            assert run_cli(["evolve", "--config", path, "--output", tmp_path / name,
+                            "--format", "json"]) == 0
+        adaptive = json.loads((tmp_path / "adaptive" / "evolve.json").read_text())
+        fixed = json.loads((tmp_path / "fixed" / "evolve.json").read_text())
+        assert adaptive["quadrature_order"] in entropy.ADAPTIVE_ORDERS
+        assert 0.0 <= adaptive["quadrature_error"] <= linalg.TOL.quadrature
+        assert fixed["quadrature_order"] == 32 and fixed["quadrature_error"] is None
 
     def test_svg_emitted(self, tmp_path):
         cfg = write_cfg(tmp_path, self._fig1b_evolve({"times": {"t_end": 2.0, "samples": 40}}))

@@ -128,7 +128,7 @@ class TestQuadratureFunctionals:
         f = ent.affine_steady(ss, v0)
         gen = ent.QuadraticEntropy()
         assert hp.relative_entropy(f, ss, gen, q) == pytest.approx(
-            flow.entropy_quad_affine(v0, ss.K), rel=1e-10
+            2 * flow.entropy_log_shift(v0, ss.K), rel=1e-10
         )
         assert hp.entropy_dissipation_I(f, ss, spec, gen, q) == pytest.approx(
             2.0 * flow.dissipation_log_shift(v0, ss.K, spec.D), rel=1e-10

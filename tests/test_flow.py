@@ -87,7 +87,7 @@ class TestClosedForms:
         K = np.diag([2.0, 0.5])
         v = np.array([2.0, 1.0])
         assert hp.entropy_log_shift(v, K) == pytest.approx(0.5 * (4 / 2 + 1 / 0.5))
-        assert hp.entropy_quad_affine(v, K) == pytest.approx(4.0)
+        assert 2 * hp.entropy_log_shift(v, K) == pytest.approx(4.0)
 
     def test_cov_entropy_scalar(self):
         # d=1, A = 2K: (2 - ln 2 - 1)/2.
@@ -116,15 +116,15 @@ class TestClosedForms:
         spec, ss = fig1b
         v = np.array([0.8, -0.6])
         h = 1e-6
-        g = lambda t: hp.entropy_quad_affine(hp.evolve_shift(v, t, spec.C), ss.K)
+        g = lambda t: 2 * hp.entropy_log_shift(hp.evolve_shift(v, t, spec.C), ss.K)
         num = (g(1.0 + h) - g(1.0 - h)) / (2 * h)
         vt = hp.evolve_shift(v, 1.0, spec.C)
-        assert num == pytest.approx(hp.entropy_rate_shift(vt, ss.K, spec.D), rel=1e-6)
+        assert num == pytest.approx(-2 * hp.dissipation_log_shift(vt, ss.K, spec.D), rel=1e-6)
 
     def test_rate_vanishes_on_kernel(self, fig1b):
         spec, ss = fig1b
         w = np.array([0.0, 1.0])  # ker D
-        assert hp.entropy_rate_shift(ss.K @ w, ss.K, spec.D) == pytest.approx(0.0, abs=1e-14)
+        assert -2 * hp.dissipation_log_shift(ss.K @ w, ss.K, spec.D) == pytest.approx(0.0, abs=1e-14)
 
     def test_entropy_decay_exponent(self, fig1b):
         # e(t) decays like ||e^{-Ct}||^2 for shifts; fitted exponent >= 2 mu.
@@ -208,7 +208,7 @@ class TestZeroTangent:
         for t_star in (0.5, 1.5, 3.0):
             v0 = hp.zero_tangent_initial(t_star, w, ss, spec)
             vt = hp.evolve_shift(v0, t_star, spec.C)
-            assert hp.entropy_rate_shift(vt, ss.K, spec.D) == pytest.approx(0.0, abs=1e-10)
+            assert -2 * hp.dissipation_log_shift(vt, ss.K, spec.D) == pytest.approx(0.0, abs=1e-10)
             assert hp.entropy_log_shift(vt, ss.K) > 0
 
     def test_rejects_nonkernel_direction(self, fig1b):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hypofp as hp
-from hypofp import linalg, spectrum
+from hypofp import entropy as ent, linalg, spectrum
 from conftest import assert_multisets_close, make_random_system
 
 SEC8 = dict(D=np.diag([0.25, 1.0]), C=np.array([[0.25, -4.0], [4.0, 1.0]]))
@@ -221,32 +221,16 @@ class TestPolyOperatorMatrix:
 
 
 class TestDegreeOneEigenfunction:
-    def test_sec8_no_real_eigenvector(self):
-        spec = hp.SystemSpec(**SEC8)
-        with pytest.raises(ValueError):
-            hp.degree_one_eigenfunction(spec, hp.steady_state(spec), np.array([1.0, 0.0]))
-
-    def test_triangular_example(self):
-        C = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 1.0, 3.0]])
-        spec = hp.SystemSpec(D=np.diag([1.0, 1.0, 0.0]), C=C)
-        ss = hp.steady_state(spec)
-        ef = hp.degree_one_eigenfunction(spec, ss, np.array([1.0, 0.0, 0.0]))
-        assert ef.eigenvalue == pytest.approx(-1.0, abs=1e-12)
-        comp = ef.state.components[0]
-        assert comp.affine is not None
-        assert np.allclose(comp.mean, 0.0) and np.allclose(comp.cov, ss.K)
-
     def test_evolution_consistency(self):
-        # Evolving the affine carrier for time t multiplies the perturbation
-        # by e^{-lam t}, confirming the eigenvalue.
+        # (x.K^{-1}w) f_inf is an eigenfunction with eigenvalue -lam when
+        # Cw = lam w: evolving the affine carrier for time t multiplies its
+        # coefficient K^{-1}w by e^{-lam t}.
         C = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 1.0, 3.0]])
         spec = hp.SystemSpec(D=np.diag([1.0, 1.0, 0.0]), C=C)
         ss = hp.steady_state(spec)
-        w = np.array([0.0, 1.0, -1.0])  # eigenvector for lam = 2
-        ef = hp.degree_one_eigenfunction(spec, ss, w)
-        assert ef.eigenvalue == pytest.approx(-2.0, abs=1e-12)
         t = 0.7
-        evolved = hp.evolve_mixture(ef.state, t, spec.C, ss.K)
-        a0 = ef.state.components[0].affine
-        a_t = evolved.components[0].affine
-        assert np.allclose(a_t, np.exp(-2.0 * t) * a0, rtol=1e-10)
+        for lam, w in ((1.0, np.array([1.0, 0.0, 0.0])), (2.0, np.array([0.0, 1.0, -1.0]))):
+            assert np.array_equal(C @ w, lam * w)
+            evolved = hp.evolve_mixture(ent.affine_steady(ss, w), t, spec.C, ss.K)
+            a_t = evolved.components[0].affine
+            assert np.allclose(a_t, np.exp(-lam * t) * np.linalg.solve(ss.K, w), rtol=1e-10)

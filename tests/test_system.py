@@ -12,39 +12,6 @@ FIG1B = dict(D=np.diag([1.0, 0.0]), C=np.array([[1.0, -1.0], [1.0, 0.0]]))
 SEC8 = dict(D=np.diag([0.25, 1.0]), C=np.array([[0.25, -4.0], [4.0, 1.0]]))
 
 
-class TestNormalizeDiffusion:
-    def test_already_normalized(self):
-        spec = hp.SystemSpec(**FIG1B)
-        out, T = hp.normalize_diffusion(spec)
-        assert np.array_equal(T, np.eye(2))
-        assert np.array_equal(out.D, spec.D)
-
-    def test_scaling(self):
-        spec = hp.SystemSpec(D=np.diag([4.0, 0.0]), C=np.eye(2))
-        out, T = hp.normalize_diffusion(spec)
-        assert np.allclose(out.D, np.diag([1.0, 0.0]))
-        assert np.allclose(out.C, np.eye(2))
-        assert np.allclose(np.abs(T), np.diag([2.0, 1.0]))
-
-    def test_full_rank_identity(self):
-        spec = hp.SystemSpec(D=np.eye(2), C=np.eye(2))
-        out, T = hp.normalize_diffusion(spec)
-        assert np.array_equal(T, np.eye(2))
-
-    def test_congruence_and_eigenvalue_invariance(self, rng):
-        for _ in range(10):
-            spec, _ = make_random_system(rng, 3)
-            out, T = hp.normalize_diffusion(spec)
-            Ti = np.linalg.inv(T)
-            assert np.allclose(out.D, Ti @ spec.D @ Ti.T, atol=1e-10)
-            assert np.allclose(out.C, Ti @ spec.C @ T, atol=1e-10)
-            ev0 = np.sort_complex(np.linalg.eigvals(spec.C))
-            ev1 = np.sort_complex(np.linalg.eigvals(out.C))
-            assert np.max(np.abs(ev0 - ev1)) <= 1e-10 * max(np.abs(ev0).max(), 1.0)
-            # Rank-condition invariance under the congruence.
-            assert hp.hoermander_tau(spec)[:2] == hp.hoermander_tau(out)[:2]
-
-
 class TestSpecOwnsItsData:
     def test_caller_mutation_does_not_reach_spec(self):
         D, C = FIG1B["D"].copy(), FIG1B["C"].copy()
@@ -397,6 +364,29 @@ class TestGreenCovariance:
         for t in (0.01, 0.1, 1.0, 5.0):
             W = hp.green_covariance(spec, t)
             assert linalg.min_sym_eigenvalue(W) > 0
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_singular_without_hypoellipticity(self, d):
+        # W(t) > 0 for t > 0 exactly when (C, D) is hypoelliptic; the test
+        # above covers "<=".  For "=>": C block upper triangular with D inside
+        # its invariant leading block of size k < d leaves the trailing d - k
+        # directions unreached, so W(t) is singular; a random orthogonal Q
+        # hides the blocks from both W and the staircase.
+        rng = np.random.default_rng(2300 + d)
+        for _ in range(5):
+            k = int(rng.integers(1, d))
+            C = np.triu(rng.standard_normal((d, d)), 0)
+            C[:k, :k] = rng.standard_normal((k, k))
+            C[k:, k:] = rng.standard_normal((d - k, d - k))
+            C += (0.2 - np.linalg.eigvals(C).real.min()) * np.eye(d)
+            B = np.zeros((d, int(rng.integers(1, k + 1))))
+            B[:k] = rng.standard_normal((k, B.shape[1]))
+            Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            spec = hp.SystemSpec(D=Q @ B @ B.T @ Q.T, C=Q @ C @ Q.T)
+            assert hp.check_condition_A(spec).verdict != "hypoelliptic"
+            for t in (0.1, 1.0, 10.0):
+                w = np.linalg.eigvalsh(hp.green_covariance(spec, t))
+                assert w[0] <= linalg.TOL.roundoff * d * w[-1], (k, t, w[0] / w[-1])
 
 
 def panel_rule(spec, t):
