@@ -10,9 +10,6 @@ from .entropy import (
     GaussianComponent,
     GaussianMixture,
     gauss_hermite_rule,
-    relative_entropy,
-    entropy_dissipation_I,
-    modified_dissipation_S,
 )
 from .certificates import (
     TransportMatrix,
@@ -47,7 +44,6 @@ __all__ = [
     "check_condition_A", "steady_state", "hoermander_tau", "green_covariance",
     "LogEntropy", "QuadraticEntropy", "PowerEntropy",
     "GaussianComponent", "GaussianMixture", "gauss_hermite_rule",
-    "relative_entropy", "entropy_dissipation_I", "modified_dissipation_S",
     "TransportMatrix", "DecayCertificate", "build_P", "verify_P",
     "lambda_P", "compare_rates", "entropy_envelope",
     "optimize_weights",

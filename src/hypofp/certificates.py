@@ -43,10 +43,7 @@ class TransportMatrix:
     epsilon: float
     weights: tuple[float, ...]
     construction: str  # "eigen-sum" | "jordan"
-
-    @property
-    def margin_tolerance(self) -> float:
-        return TOL.margin * float(np.linalg.norm(self.P, 2))
+    margin_tolerance: float  # verify_P's margin is accepted down to -margin_tolerance
 
 
 @dataclass(frozen=True)
@@ -156,12 +153,14 @@ def build_P(
         epsilon=float(epsilon),
         weights=tuple(float(x) for x in w_arr),
         construction="jordan" if any_jordan else "eigen-sum",
+        # The margin is a rate times P: its roundoff grows with ||C|| (the time unit).
+        margin_tolerance=max(TOL.margin, TOL.roundoff * d * eig.scale) * float(np.linalg.norm(P, 2)),
     )
 
 
 def verify_P(ss: SteadyState, P: np.ndarray, kappa: float) -> float:
     """PSD margin of the certificate inequality: smallest eigenvalue of
-    Q P + P Q^T - 2 kappa P.  Valid iff >= -TOL.margin * ||P||."""
+    Q P + P Q^T - 2 kappa P.  Valid iff >= -``TransportMatrix.margin_tolerance``."""
     P = np.asarray(P, dtype=float)
     if linalg.min_sym_eigenvalue(P) <= 0:
         raise CertificateError("P must be SPD")

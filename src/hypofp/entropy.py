@@ -11,8 +11,8 @@ Gaussian integrals over pairs of components and is evaluated exactly.  For
 the others, integrals are sums over a standard-normal rule in whitened
 coordinates y, mapped to x = S y by the steady state's root S = ss.sqrtK, so the
 weight is exactly f_inf; the rule depends only on (d, order) and is built
-once.  ``functionals`` gets e and the dissipation matrix G (I = tr(D G)) of
-a state, or of a stack of T states (a trajectory), in one pass.
+once.  ``functionals`` gets e and the dissipation matrix G (I = tr(D G)) of a
+state or a stack (a trajectory) in one pass; ``functionals_by_rule``, per rule.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import TOL
-from .system import SteadyState, SystemSpec
+from .system import SteadyState
 
 
 class DomainError(ValueError):
@@ -261,7 +261,7 @@ class QuadratureRule:
 MAX_ORDER = 128
 # Nodes per block in ``functionals``: its temporaries stay in cache.
 _BLOCK = 8192
-# Tensor orders ``functionals_by_order`` visits; the last is the adaptive cap.
+# Tensor orders of ``run_trajectory``'s order search; the last is its cap.
 ADAPTIVE_ORDERS = (16, 32, 48, 64)
 
 
@@ -441,6 +441,22 @@ def _physical(ss: SteadyState, e: np.ndarray, G: np.ndarray):
     return e, G
 
 
+def functionals_by_rule(f: MixtureStack, ss: SteadyState, gen: EntropyGenerator, rules):
+    """(q, e, G) of ``functionals`` for each rule q of the (possibly lazy) ``rules``
+    in turn, from one ``_fold``: only the blocked pass, domain check included,
+    repeats.  The quadratic generator folds nothing and reads no rule.  The
+    errstate covers each computation, never a yield: under numpy 2 it is a
+    context variable, and it would hold in the caller while this is suspended."""
+    quadratic = isinstance(gen, QuadraticEntropy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fold = None if quadratic else _fold(f, ss)
+    for q in rules:
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, G = _physical(ss, *(_quadratic(f, ss, gen.alpha) if quadratic
+                                   else _quadrature(fold, ss, gen, q)))
+        yield q, e, G
+
+
 def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: EntropyGenerator,
                 q: QuadratureRule | None):
     """(e, G): e = int psi(r) f_inf dx and the dissipation matrix
@@ -448,41 +464,9 @@ def functionals(f: GaussianMixture | MixtureStack, ss: SteadyState, gen: Entropy
     I = tr(D G) and S = tr(P G).  The quadratic generator is evaluated in closed
     form and reads no rule (q may be None); the others take one blocked pass
     over q, which must have the steady state's dimension.  Both whiten by the
-    state's root ``ss.sqrtK`` of K.  A stack gives e (T,) and G (T, d, d), a
+    state's root ``ss.sqrtK`` of K.  This is the one-rule case of
+    ``functionals_by_rule``.  A stack gives e (T,) and G (T, d, d), a
     mixture a float and a (d, d) array; a non-finite one raises."""
     stack = f if isinstance(f, MixtureStack) else MixtureStack.of(f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e, G = _physical(ss, *(_quadratic(stack, ss, gen.alpha) if isinstance(gen, QuadraticEntropy)
-                               else _quadrature(_fold(stack, ss), ss, gen, q)))
+    _, e, G = next(functionals_by_rule(stack, ss, gen, [q]))
     return (e, G) if isinstance(f, MixtureStack) else (float(e[0]), G[0])
-
-
-def functionals_by_order(f: MixtureStack, ss: SteadyState, gen: EntropyGenerator):
-    """(order, e, G) of ``functionals`` on the rule of each ADAPTIVE_ORDERS order
-    in turn, from one ``_fold``: only the blocked pass, domain check included, repeats."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        fold = _fold(f, ss)
-    for order in ADAPTIVE_ORDERS:
-        with np.errstate(over="ignore", invalid="ignore"):
-            e, G = _physical(ss, *_quadrature(fold, ss, gen, gauss_hermite_rule(ss.K, order)))
-        yield order, e, G
-
-
-def relative_entropy(f: GaussianMixture, ss: SteadyState, gen: EntropyGenerator,
-                     q: QuadratureRule | None) -> float:
-    """e(f) = int psi(f/f_inf) f_inf dx (see ``functionals``)."""
-    return functionals(f, ss, gen, q)[0]
-
-
-def entropy_dissipation_I(f: GaussianMixture, ss: SteadyState, spec: SystemSpec,
-                          gen: EntropyGenerator, q: QuadratureRule | None) -> float:
-    """I(f) = int psi''(f/f_inf) grad(f/f_inf) . D grad(f/f_inf) f_inf dx,
-    the (nonnegative) entropy dissipation: tr(D G)."""
-    return float(np.vdot(spec.D, functionals(f, ss, gen, q)[1]))
-
-
-def modified_dissipation_S(f: GaussianMixture, ss: SteadyState, P: np.ndarray,
-                           gen: EntropyGenerator, q: QuadratureRule | None) -> float:
-    """S(f): the dissipation functional with D replaced by the SPD transport
-    matrix P, tr(P G); the engine of the hypocoercive decay estimates."""
-    return float(np.vdot(P, functionals(f, ss, gen, q)[1]))

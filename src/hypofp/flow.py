@@ -5,7 +5,8 @@ mean follows v(t) = e^{-Ct} v0, each covariance follows
 A(t) = K + e^{-Ct}(A0 - K)e^{-C^T t}, and an affine factor (1 + x.K^{-1}v)
 on a steady-shaped component keeps its form with the same v(t).  Every
 output time is exact, with no time-stepping, and a trajectory is one stack:
-one matrix exponential for all times and one ``functionals`` call (e and G).
+one matrix exponential for all times and one fold, then e and G from each
+rule ``functionals_by_rule`` is given (one, or the orders of a search).
 
 Closed-form entropies for the basic state families and the three sharpness
 scenarios (real minimal eigenvalue, complex pair, defective pair) live here
@@ -218,14 +219,12 @@ def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0:
     times = np.asarray(times, dtype=float)
     grid = times if len(times) and times[0] == 0.0 else np.concatenate(([0.0], times))
     f = _evolve(f0, grid, spec.C, ss.K)
-    quadratic, DP = isinstance(gen, ent.QuadraticEntropy), np.stack([spec.D, cert.P])
-    if q is None and ss.d <= 3 and not quadratic:
-        passes = ent.functionals_by_order(f, ss, gen)
-    else:  # one pass; the d >= 4 default and the closed form record no order
-        passes = [(None if q is None or quadratic else q.order,
-                   *ent.functionals(f, ss, gen, ent.rule_for(gen, ss.K) if q is None else q))]
+    DP = np.stack([spec.D, cert.P])
+    rules = ([None] if isinstance(gen, ent.QuadraticEntropy) else [q] if q is not None
+             else [ent.rule_for(gen, ss.K)] if ss.d > 3
+             else (ent.gauss_hermite_rule(ss.K, order) for order in ent.ADAPTIVE_ORDERS))
     seen, err = [], None
-    for order, e, G in passes:
+    for rule, e, G in ent.functionals_by_rule(f, ss, gen, rules):
         seen.append(np.column_stack([e, np.einsum("kij,tij->tk", DP, G)]))
         if len(seen) > 1:
             err = _deviation(seen[-1], seen[-2])
@@ -237,6 +236,8 @@ def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0:
     e, i, s = vals[len(grid) - len(times):].T
     amplitude, rate = entropy_envelope(cert.kappa, 0.0, lambda_P(ss.K, cert.P), vals[0, 2])
     envelope = amplitude * np.exp(-rate * times)
+    # The closed form and the d >= 4 default record no order.
+    order = None if rule is None or (q is None and ss.d > 3) else rule.order
     return TrajectoryRecord(times=times, entropy=e, dissipation=i, modified=s, envelope=envelope,
                             quadrature_order=order, quadrature_error=err)
 

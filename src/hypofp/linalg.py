@@ -45,7 +45,8 @@ class Tolerances:
     # Backward residual of 2D = CK + KC^T over the size of its terms,
     # ||C|| ||K|| + ||D|| (2-norms).
     residual: float = 1e-10
-    margin: float = 1e-8  # certificate margin >= -margin * ||P||_2: P is valid
+    # Certificate margin >= -max(margin, roundoff * d * _scale(C)) * ||P||_2: P is valid.
+    margin: float = 1e-8
     steady: float = 1e-10  # ||A - K||_2 <= steady * _scale(K): A is the steady K
     domain: float = 1e-13  # density ratios may undershoot the entropy's domain by this (absolute)
     lambda_K_slack: float = 1e-10  # compare_rates: lambda_K <= mu + lambda_K_slack * _scale(C)

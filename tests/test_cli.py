@@ -42,6 +42,18 @@ class TestAnalyze:
         assert out["certificate"]["rate"] == pytest.approx(1.25, abs=1e-10)
         assert out["certificate"]["margin"] >= -1e-8 * np.linalg.norm(out["certificate"]["P"], 2)
 
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e8, 1e12])
+    @pytest.mark.parametrize("base, mu", [(FIG1B, 0.5), (SEC8, 0.625)], ids=["fig1b", "sec8"])
+    def test_certificate_accepted_in_any_time_unit(self, tmp_path, base, mu, s):
+        # (sC, sD) is the same system with time measured in units of 1/s: K is
+        # unchanged and the margin, a rate times P, carries roundoff ~ u s ||C|| ||P||.
+        cfg = write_cfg(tmp_path, {"system": {k: (s * np.array(v)).tolist()
+                                              for k, v in base["system"].items()}})
+        assert run_cli(["analyze", "--config", cfg, "--output", tmp_path]) == 0
+        out = json.loads((tmp_path / "analyze.json").read_text())
+        assert out["condition"]["verdict"] == "hypoelliptic"
+        assert out["certificate"]["rate"] == pytest.approx(2.0 * mu * s, rel=1e-8)
+
     def test_det_K_underflow(self, tmp_path):
         # det K = 1e-400 underflows; cK = 1 / (2 pi 1e-200) is a float.
         cfg = write_cfg(tmp_path, {"system": {"D": [[1e-200, 0.0], [0.0, 1e-200]],

@@ -106,31 +106,30 @@ class TestQuadratureFunctionals:
         _, ss, q = fig1b
         f = ent.shifted_steady(ss, np.zeros(2))
         for gen in (ent.LogEntropy(), ent.QuadraticEntropy(), ent.PowerEntropy(p=1.5)):
-            assert hp.relative_entropy(f, ss, gen, q) == pytest.approx(0.0, abs=1e-13)
-            assert hp.modified_dissipation_S(f, ss, np.eye(2), gen, q) == pytest.approx(0.0, abs=1e-13)
+            e, G = ent.functionals(f, ss, gen, q)
+            assert e == pytest.approx(0.0, abs=1e-13)
+            assert np.vdot(np.eye(2), G) == pytest.approx(0.0, abs=1e-13)
 
     def test_shifted_log_closed_form(self, fig1b):
         spec, ss, q = fig1b
         v0 = np.array([0.7, -0.4])
         f = ent.shifted_steady(ss, v0)
         gen = ent.LogEntropy()
-        e = hp.relative_entropy(f, ss, gen, q)
+        e, G = ent.functionals(f, ss, gen, q)
         assert e == pytest.approx(flow.entropy_log_shift(v0, ss.K), rel=1e-10)
-        I = hp.entropy_dissipation_I(f, ss, spec, gen, q)
+        I = np.vdot(spec.D, G)
         assert I == pytest.approx(flow.dissipation_log_shift(v0, ss.K, spec.D), rel=1e-10)
         P = np.array([[1.0, -0.5], [-0.5, 1.0]])
-        S = hp.modified_dissipation_S(f, ss, P, gen, q)
+        S = np.vdot(P, G)
         assert S == pytest.approx(flow.dissipation_log_shift(v0, ss.K, P), rel=1e-10)
 
     def test_affine_quadratic_closed_form(self, fig1b):
         spec, ss, q = fig1b
         v0 = np.array([1.0, 0.3])
         f = ent.affine_steady(ss, v0)
-        gen = ent.QuadraticEntropy()
-        assert hp.relative_entropy(f, ss, gen, q) == pytest.approx(
-            2 * flow.entropy_log_shift(v0, ss.K), rel=1e-10
-        )
-        assert hp.entropy_dissipation_I(f, ss, spec, gen, q) == pytest.approx(
+        e, G = ent.functionals(f, ss, ent.QuadraticEntropy(), q)
+        assert e == pytest.approx(2 * flow.entropy_log_shift(v0, ss.K), rel=1e-10)
+        assert np.vdot(spec.D, G) == pytest.approx(
             2.0 * flow.dissipation_log_shift(v0, ss.K, spec.D), rel=1e-10
         )
 
@@ -140,20 +139,15 @@ class TestQuadratureFunctionals:
         spec, ss, q = fig1b
         w = np.array([0.0, 1.0])
         f = ent.shifted_steady(ss, ss.K @ w)
-        I = hp.entropy_dissipation_I(f, ss, spec, ent.LogEntropy(), q)
+        I = np.vdot(spec.D, ent.functionals(f, ss, ent.LogEntropy(), q)[1])
         assert abs(I) <= 1e-8
 
     def test_rule_of_other_dimension_rejected(self, fig1b):
-        spec, ss, _ = fig1b
+        _, ss, _ = fig1b
         q = hp.gauss_hermite_rule(np.eye(3), 16)
         f = ent.shifted_steady(ss, np.array([0.7, -0.4]))
-        gen = ent.LogEntropy()
         with pytest.raises(ValueError, match="rule dimension 3"):
-            hp.relative_entropy(f, ss, gen, q)
-        with pytest.raises(ValueError, match="rule dimension 3"):
-            hp.entropy_dissipation_I(f, ss, spec, gen, q)
-        with pytest.raises(ValueError, match="rule dimension 3"):
-            hp.modified_dissipation_S(f, ss, np.eye(2), gen, q)
+            ent.functionals(f, ss, ent.LogEntropy(), q)
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_one_rule_serves_every_steady_state_of_its_dimension(self, rng, d):
@@ -187,12 +181,7 @@ class TestQuadratureFunctionals:
         P = np.array([[1.0, -0.5], [-0.5, 1.0]])
         vals = {}
         for order in (64, 128):
-            q = hp.gauss_hermite_rule(ss.K, order)
-            vals[order] = (
-                hp.relative_entropy(mix, ss, gen, q),
-                hp.entropy_dissipation_I(mix, ss, spec, gen, q),
-                hp.modified_dissipation_S(mix, ss, P, gen, q),
-            )
+            vals[order] = _e_I_S(mix, ss, gen, hp.gauss_hermite_rule(ss.K, order), spec.D, P)
         for a, b in zip(vals[64], vals[128]):
             assert abs(a - b) <= 1e-8 * max(abs(b), 1e-3)
 
@@ -203,9 +192,9 @@ class TestQuadratureFunctionals:
             ent.GaussianComponent(-0.4, np.array([1.5, 1.5]), 0.5 * ss.K),
         ))
         with pytest.raises(ent.DomainError):
-            hp.relative_entropy(mix, ss, ent.LogEntropy(), q)
+            ent.functionals(mix, ss, ent.LogEntropy(), q)
         # Quadratic handles it fine.
-        val = hp.relative_entropy(mix, ss, ent.QuadraticEntropy(), q)
+        val = ent.functionals(mix, ss, ent.QuadraticEntropy(), q)[0]
         assert np.isfinite(val)
 
     def test_s_dominates_cp_times_i(self, fig1b, rng):
@@ -221,9 +210,8 @@ class TestQuadratureFunctionals:
         for _ in range(5):
             v = rng.standard_normal(2)
             f = ent.shifted_steady(ss, v)
-            S = hp.modified_dissipation_S(f, ss, P, gen, q)
-            I = hp.entropy_dissipation_I(f, ss, spec, gen, q)
-            assert S >= c_P * I - 1e-10
+            _, G = ent.functionals(f, ss, gen, q)
+            assert np.vdot(P, G) >= c_P * np.vdot(spec.D, G) - 1e-10
 
     def test_qmc_fallback_dim4(self, rng):
         spec, _ = make_random_system(rng, 4, rank=4)
@@ -232,7 +220,7 @@ class TestQuadratureFunctionals:
         assert q.kind == "qmc-sobol"
         v0 = 0.3 * rng.standard_normal(4)
         f = ent.shifted_steady(ss, v0)
-        e = hp.relative_entropy(f, ss, ent.LogEntropy(), q)
+        e = ent.functionals(f, ss, ent.LogEntropy(), q)[0]
         assert e == pytest.approx(flow.entropy_log_shift(v0, ss.K), rel=5e-2)
 
 
@@ -394,11 +382,10 @@ def test_domain_checked_in_the_last_partial_block():
     r = (1.0 + eps) - eps * np.exp(q.nodes[0] - 0.5)
     negative = np.flatnonzero(r < -1e-3)
     assert len(negative) and negative.min() >= last and np.all(r[:last] > 0)
-    with pytest.raises(ent.DomainError):
-        hp.relative_entropy(f, ss, ent.LogEntropy(), q)
-    with pytest.raises(ent.DomainError):
-        hp.modified_dissipation_S(f, ss, np.eye(3), ent.PowerEntropy(p=1.5), q)
-    assert np.isfinite(hp.relative_entropy(f, ss, ent.QuadraticEntropy(), q))
+    for gen in (ent.LogEntropy(), ent.PowerEntropy(p=1.5)):
+        with pytest.raises(ent.DomainError):
+            ent.functionals(f, ss, gen, q)
+    assert np.isfinite(ent.functionals(f, ss, ent.QuadraticEntropy(), q)[0])
 
 
 def test_functionals_allocate_block_sized_buffers(rng):
@@ -564,10 +551,10 @@ def test_quadratic_entropy_of_a_component_wider_than_2K_raises(covs, bad):
     f = hp.GaussianMixture(tuple(ent.GaussianComponent(w, np.array([0.3, -0.2]), s * ss.K)
                                  for w, s in zip((1.2, -0.2), covs)))
     with pytest.raises(ent.DomainError, match=f"component {bad} has a covariance not below 2K"):
-        hp.relative_entropy(f, ss, ent.QuadraticEntropy(), None)
+        ent.functionals(f, ss, ent.QuadraticEntropy(), None)
     ok = hp.GaussianMixture(tuple(ent.GaussianComponent(w, np.zeros(2), 1.99 * ss.K)
                                   for w in (0.5, 0.5)))
-    assert np.isfinite(hp.relative_entropy(ok, ss, ent.QuadraticEntropy(), None))
+    assert np.isfinite(ent.functionals(ok, ss, ent.QuadraticEntropy(), None)[0])
 
 
 def _ratio_moment_entropy(weights, means, covs, K):
@@ -642,7 +629,7 @@ def test_power_entropy_within_the_admitted_undershoot():
     r = ent.ratio_and_grad(H, q.nodes.T)[0]
     assert -linalg.TOL.domain < r.min() < 0.0
     for gen in (ent.LogEntropy(), ent.PowerEntropy(p=1.5), ent.PowerEntropy(p=1.2, beta=0.0)):
-        e = hp.relative_entropy(f, ss, gen, q)
+        e = ent.functionals(f, ss, gen, q)[0]
         assert np.isfinite(e) and e > 0.0
     # psi(s, 0) is its limit at the domain edge below it; derivatives still raise.
     gen = ent.PowerEntropy(p=1.5, beta=0.2)

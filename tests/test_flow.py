@@ -101,7 +101,7 @@ class TestClosedForms:
         A = np.array([[1.4, 0.2], [0.2, 0.9]])
         f = hp.GaussianMixture((ent.GaussianComponent(1.0, np.zeros(2), A),))
         q = hp.gauss_hermite_rule(ss.K, 64)
-        e_quad = hp.relative_entropy(f, ss, ent.LogEntropy(), q)
+        e_quad = ent.functionals(f, ss, ent.LogEntropy(), q)[0]
         assert e_quad == pytest.approx(hp.entropy_log_cov(A, ss.K), rel=1e-8)
 
     def test_cov_dissipation_matches_quadrature(self, fig1b):
@@ -109,7 +109,7 @@ class TestClosedForms:
         A = np.array([[1.4, 0.2], [0.2, 0.9]])
         f = hp.GaussianMixture((ent.GaussianComponent(1.0, np.zeros(2), A),))
         q = hp.gauss_hermite_rule(ss.K, 64)
-        i_quad = hp.entropy_dissipation_I(f, ss, spec, ent.LogEntropy(), q)
+        i_quad = np.vdot(spec.D, ent.functionals(f, ss, ent.LogEntropy(), q)[1])
         assert i_quad == pytest.approx(hp.dissipation_log_cov(A, ss.K, spec.D), rel=1e-8)
 
     def test_entropy_rate_matches_difference(self, fig1b):
@@ -453,9 +453,9 @@ def test_domain_error_in_a_middle_sample(samples):
     times = np.linspace(0.0, 0.008, samples)
     t_bad = times[samples // 2] = np.pi / 80.0
     for t in (0.0, times[-1]):
-        assert np.isfinite(hp.relative_entropy(hp.evolve_mixture(f0, t, spec.C, ss.K), ss, gen, q))
+        assert np.isfinite(ent.functionals(hp.evolve_mixture(f0, t, spec.C, ss.K), ss, gen, q)[0])
     with pytest.raises(ent.DomainError):
-        hp.relative_entropy(hp.evolve_mixture(f0, t_bad, spec.C, ss.K), ss, gen, q)
+        ent.functionals(hp.evolve_mixture(f0, t_bad, spec.C, ss.K), ss, gen, q)
     with pytest.raises(ent.DomainError):
         flow.run_trajectory(spec, ss, tm, f0, gen, times, q=q)
     # The quadratic generator takes signed states, in closed form.
@@ -602,6 +602,22 @@ def test_closed_form_and_d4_build_no_extra_rule_and_record_no_estimate(rng, monk
         rec = flow.run_trajectory(spec, ss, hp.build_P(ss), f0, gen, times, q=rule)
         assert built == want_built
         assert rec.quadrature_order == want_order and rec.quadrature_error is None
+
+
+def test_a_search_stopped_early_leaves_the_callers_errstate():
+    # Under numpy 2 errstate is a context variable: one held across a yield of
+    # functionals_by_rule would stay set in the caller while it is suspended.
+    spec = hp.SystemSpec(**D3)
+    ss = hp.steady_state(spec)
+    f0 = _kind_mixture(np.random.default_rng(1), np.linalg.cholesky(ss.K), "workload")
+    before = np.geterr()
+    rec = flow.run_trajectory(spec, ss, hp.build_P(ss), f0, ent.LogEntropy(), np.linspace(0.0, 3.0, 4))
+    assert rec.quadrature_order == 32 and np.geterr() == before
+    rules = (hp.gauss_hermite_rule(ss.K, order) for order in ent.ADAPTIVE_ORDERS)
+    passes = ent.functionals_by_rule(ent.MixtureStack.of(f0), ss, ent.LogEntropy(), rules)
+    for order in ent.ADAPTIVE_ORDERS[:2]:
+        q, e, _ = next(passes)
+        assert q.order == order and np.isfinite(e[0]) and np.geterr() == before
 
 
 @pytest.mark.parametrize("gen", [ent.LogEntropy(), ent.PowerEntropy(p=1.5)], ids=["log", "power"])
