@@ -10,6 +10,7 @@ from .entropy import (
     GaussianComponent,
     GaussianMixture,
     gauss_hermite_rule,
+    gaussian_log_functionals,
 )
 from .certificates import (
     TransportMatrix,
@@ -29,10 +30,6 @@ from .flow import (
     run_trajectory,
     sharpness_scenario,
     zero_tangent_initial,
-    entropy_log_shift,
-    entropy_log_cov,
-    dissipation_log_shift,
-    dissipation_log_cov,
     tangency_times,
 )
 from .kinetic import KineticSpec, assemble_linear, kappa0, build_P_kinetic, kinetic_rate, fd_simulate
@@ -43,15 +40,13 @@ __all__ = [
     "SystemSpec", "SteadyState", "ConditionAReport",
     "check_condition_A", "steady_state", "hoermander_tau", "green_covariance",
     "LogEntropy", "QuadraticEntropy", "PowerEntropy",
-    "GaussianComponent", "GaussianMixture", "gauss_hermite_rule",
+    "GaussianComponent", "GaussianMixture", "gauss_hermite_rule", "gaussian_log_functionals",
     "TransportMatrix", "DecayCertificate", "build_P", "verify_P",
     "lambda_P", "compare_rates", "entropy_envelope",
     "optimize_weights",
     "enumerate_spectrum", "poly_operator_matrix",
     "evolve_shift", "evolve_cov", "evolve_mixture", "run_trajectory",
-    "sharpness_scenario", "zero_tangent_initial",
-    "entropy_log_shift", "entropy_log_cov", "dissipation_log_shift",
-    "dissipation_log_cov", "tangency_times",
+    "sharpness_scenario", "zero_tangent_initial", "tangency_times",
     "KineticSpec", "assemble_linear", "kappa0", "build_P_kinetic",
     "kinetic_rate", "fd_simulate",
 ]

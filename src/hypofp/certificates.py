@@ -211,17 +211,15 @@ def compare_rates(spec: SystemSpec, ss: SteadyState) -> DecayCertificate:
     return DecayCertificate(mu=mu, lambda_K=float(lamK), cond_sq_bound=cond_sq_bound)
 
 
-def entropy_envelope(
-    mu: float, epsilon: float, lam_P: float, S0: float
-) -> tuple[float, float]:
+def entropy_envelope(kappa: float, lam_P: float, S0: float) -> tuple[float, float]:
     """(amplitude, rate) of the dominating curve amplitude * e^{-rate t}:
-    amplitude = S0 / (2 lambda_P), rate = 2 (mu - epsilon)."""
+    amplitude = S0 / (2 lambda_P), rate = 2 kappa (``TransportMatrix.kappa``)."""
     if not np.isfinite(S0) or S0 < 0:
         raise CertificateError(
             "initial modified dissipation must be finite and nonnegative; "
             "the initial state is not compatible with this generator"
         )
-    return S0 / (2.0 * lam_P), 2.0 * (mu - epsilon)
+    return S0 / (2.0 * lam_P), 2.0 * kappa
 
 
 def optimize_weights(ss: SteadyState, G0: np.ndarray) -> TransportMatrix:

@@ -328,7 +328,7 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
     tm, _ = _certificate(cfg, ss)
     q = None if order is None else entropy.rule_for(gen, ss.K, order)  # None: adaptive at d <= 3
     times = np.linspace(0.0, t_end, samples)
-    rec = flow.run_trajectory(spec, ss, tm, f0, gen, times, q=q)
+    rec = flow.run_trajectory(ss, tm, f0, gen, times, q=q)
     if fmt == "json":
         path = os.path.join(outdir, "evolve.json")
         _write_json(path, {

@@ -13,6 +13,7 @@ coordinates y, mapped to x = S y by the steady state's root S = ss.sqrtK, so the
 weight is exactly f_inf; the rule depends only on (d, order) and is built
 once.  ``functionals`` gets e and the dissipation matrix G (I = tr(D G)) of a
 state or a stack (a trajectory) in one pass; ``functionals_by_rule``, per rule.
+``gaussian_log_functionals`` is the log generator's closed form at one Gaussian.
 """
 
 from __future__ import annotations
@@ -177,6 +178,11 @@ class GaussianComponent:
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
         if self.affine is not None:
             object.__setattr__(self, "affine", np.asarray(self.affine, dtype=float))
+        d = self.cov.shape[0] if self.cov.ndim else 0
+        for name, x, shape in (("covariance", self.cov, (d, d)), ("mean", self.mean, (d,)),
+                               ("affine factor", self.affine, (d,))):
+            if x is not None and (x.shape != shape or not np.all(np.isfinite(x))):
+                raise ValueError(f"component {name} must be finite of shape {shape}, got {x.shape}")
         if linalg.min_sym_eigenvalue(self.cov) <= 0:
             raise ValueError("component covariance must be SPD")
 
@@ -188,6 +194,9 @@ class GaussianMixture:
     def __post_init__(self):
         comps = tuple(self.components)
         object.__setattr__(self, "components", comps)
+        dims = sorted({len(c.mean) for c in comps})
+        if len(dims) > 1:
+            raise ValueError(f"mixture components have dimensions {dims}, not one")
         total = sum(c.weight for c in comps)
         # Written so that a NaN or infinite weight (NaN or inf total) fails.
         if not abs(total - 1.0) <= TOL.exact:
@@ -221,6 +230,11 @@ class MixtureStack:
         return cls(np.array([x.weight for x in c]), np.array([[x.mean for x in c]]),
                    np.array([[x.cov for x in c]]),
                    tuple((i, x.affine[None]) for i, x in enumerate(c) if x.affine is not None))
+
+
+def _check_dimension(d: int, ss: SteadyState) -> None:
+    if d != ss.d:
+        raise ValueError(f"state dimension {d} differs from the steady state's {ss.d}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +416,23 @@ def _quadratic(f: MixtureStack, ss: SteadyState, alpha: float):
     return alpha * (Zm1.reshape(T, -1) @ W), G
 
 
+def gaussian_log_functionals(v: np.ndarray, A: np.ndarray, ss: SteadyState) -> tuple[float, np.ndarray]:
+    """(e, G) of ``functionals`` for the log generator (alpha = 1, beta = 0) at one
+    Gaussian N(v, A), in closed form.  With S = ss.sqrtK, u = S^-1 v and the deviation
+    X = S^-1 (A - K) S^-1 = Q diag(x) Q^T as in ``_quadratic`` (w = 1 + x would lose
+    every digit of w - log w - 1 near w = 1): e = (sum(x - log1p x) + |u|^2) / 2 and
+    G = S^-1 (u u^T + Q diag(x^2 / (1 + x)) Q^T) S^-1; exactly 0 at (0, K)."""
+    c = GaussianComponent(1.0, v, A)
+    _check_dimension(len(c.mean), ss)
+    Sinv = ss.sqrtK_inv
+    x, Q = np.linalg.eigh(Sinv @ (c.cov - ss.K) @ Sinv)
+    u = Sinv @ c.mean
+    with np.errstate(divide="ignore", invalid="ignore"):  # 1 + x <= 0 by roundoff: not finite
+        e = 0.5 * (float(np.sum(x - np.log1p(x))) + float(u @ u))
+        G = (Q * (x * x / (1.0 + x))) @ Q.T + np.outer(u, u)
+    return _physical(ss, e, G)
+
+
 def _quadrature(fold, ss: SteadyState, gen: EntropyGenerator, q: QuadratureRule | None):
     """(e (T,), whitened G (T, d, d)) of the ``_fold``ed states from one blocked
     pass over q: with h = S grad_x r from ``ratio_and_grad``, each block of _BLOCK
@@ -447,6 +478,7 @@ def functionals_by_rule(f: MixtureStack, ss: SteadyState, gen: EntropyGenerator,
     repeats.  The quadratic generator folds nothing and reads no rule.  The
     errstate covers each computation, never a yield: under numpy 2 it is a
     context variable, and it would hold in the caller while this is suspended."""
+    _check_dimension(f.means.shape[-1], ss)
     quadratic = isinstance(gen, QuadraticEntropy)
     with np.errstate(over="ignore", invalid="ignore"):
         fold = None if quadratic else _fold(f, ss)

@@ -8,9 +8,9 @@ output time is exact, with no time-stepping, and a trajectory is one stack:
 one matrix exponential for all times and one fold, then e and G from each
 rule ``functionals_by_rule`` is given (one, or the orders of a search).
 
-Closed-form entropies for the basic state families and the three sharpness
-scenarios (real minimal eigenvalue, complex pair, defective pair) live here
-too.
+The three sharpness scenarios (real minimal eigenvalue, complex pair,
+defective pair) live here too.  Each function that reads the system but
+``evolve_shift`` (C alone) takes it as one steady state ss: C, D from ss.spec.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import entropy as ent
 from . import linalg
@@ -42,69 +41,42 @@ def _flow_cov(A0: np.ndarray, E: np.ndarray, K: np.ndarray) -> np.ndarray:
     return A
 
 
-def evolve_cov(A0: np.ndarray, t: float, C: np.ndarray, K: np.ndarray) -> np.ndarray:
+def _system(ss: SteadyState) -> SystemSpec:
+    """The system ss is the steady state of: the flow's C and D are its own."""
+    if ss.spec is None:
+        raise ValueError("a steady state without a spec has no system (C, D) to read")
+    return ss.spec
+
+
+def evolve_cov(A0: np.ndarray, t: float, ss: SteadyState) -> np.ndarray:
     """Covariance evolution A(t) = K + e^{-Ct}(A0 - K)e^{-C^T t}; stays SPD
     for SPD A0 (it interpolates toward K)."""
-    return _flow_cov(A0, linalg.matrix_exponential(C, -_time(t)), K)
+    return _flow_cov(A0, linalg.matrix_exponential(_system(ss).C, -_time(t)), ss.K)
 
 
-def _evolve(m0: GaussianMixture, times, C: np.ndarray, K: np.ndarray) -> MixtureStack:
+def _evolve(m0: GaussianMixture, times, ss: SteadyState) -> MixtureStack:
     """m0 at every time as one stack, from one matrix exponential; an affine
     factor (1 + a.x) on a steady-shaped component becomes (1 + x.K^-1 E K a)."""
-    E = linalg.matrix_exponential(C, -np.array([_time(float(t)) for t in times]))
+    E = linalg.matrix_exponential(_system(ss).C, -np.array([_time(float(t)) for t in times]))
     f = MixtureStack.of(m0)
-    means, covs = f.means @ np.swapaxes(E, -1, -2), _flow_cov(f.covs[0], E[:, None], K)
+    ent._check_dimension(f.means.shape[-1], ss)
+    means, covs = f.means @ np.swapaxes(E, -1, -2), _flow_cov(f.covs[0], E[:, None], ss.K)
     for c, _ in f.affine:
         if (np.linalg.norm(f.means[0, c]) > TOL.exact
-                or np.linalg.norm(f.covs[0, c] - K, 2) > TOL.steady * linalg._scale(K)):
+                or np.linalg.norm(f.covs[0, c] - ss.K, 2) > TOL.steady * linalg._scale(ss.K)):
             raise ValueError("affine factors are only supported on steady-shaped "
                              "components (mean 0, covariance K)")
         means[:, c], covs[:, c] = f.means[0, c], f.covs[0, c]
     return MixtureStack(f.weights, means, covs, tuple(
-        (c, np.linalg.solve(K, (E @ (K @ a[0])).T).T) for c, a in f.affine))
+        (c, (ss.sqrtK_inv @ (ss.sqrtK_inv @ (E @ (ss.K @ a[0])).T)).T) for c, a in f.affine))
 
 
-def evolve_mixture(m0: GaussianMixture, t: float, C: np.ndarray, K: np.ndarray) -> GaussianMixture:
+def evolve_mixture(m0: GaussianMixture, t: float, ss: SteadyState) -> GaussianMixture:
     """Componentwise exact evolution: the T = 1 case of the stacked flow."""
-    f = _evolve(m0, [t], C, K)
+    f = _evolve(m0, [t], ss)
     affine = {c: a[0] for c, a in f.affine}
     return GaussianMixture(tuple(GaussianComponent(w, f.means[0, c], f.covs[0, c], affine.get(c))
                                  for c, w in enumerate(f.weights)))
-
-
-# ---------------------------------------------------------------------------
-# Closed-form entropies and dissipations
-
-
-def entropy_log_shift(v: np.ndarray, K: np.ndarray) -> float:
-    """Logarithmic entropy of the shifted steady state f_inf(. - v):
-    v.K^{-1}v / 2."""
-    v = np.asarray(v, dtype=float)
-    return 0.5 * float(v @ np.linalg.solve(K, v))
-
-
-def entropy_log_cov(A: np.ndarray, K: np.ndarray) -> float:
-    """Logarithmic entropy of the centered Gaussian with covariance A:
-    Tr(B)/2 - Tr(ln B)/2 - d/2 with B = sqrt(K^{-1}) A sqrt(K^{-1}) (pencil (A, K))."""
-    w = scipy.linalg.eigh(np.asarray(A, dtype=float), K, eigvals_only=True)
-    if w[0] <= 0:
-        raise np.linalg.LinAlgError("covariance argument not SPD")
-    return float(0.5 * np.sum(w - np.log(w) - 1.0))
-
-
-def dissipation_log_shift(v: np.ndarray, K: np.ndarray, M: np.ndarray) -> float:
-    """Closed form of the (possibly P-weighted) dissipation of f_inf(. - v)
-    with logarithmic generator (alpha=1, beta=0): v.K^{-1} M K^{-1} v."""
-    u = np.linalg.solve(K, np.asarray(v, dtype=float))
-    return float(u @ M @ u)
-
-
-def dissipation_log_cov(A: np.ndarray, K: np.ndarray, M: np.ndarray) -> float:
-    """Closed form of the M-weighted dissipation of the centered Gaussian
-    with covariance A (logarithmic generator):  Tr[(A^{-1}-K^{-1}) M
-    (A^{-1}-K^{-1}) A].  Robust for extreme A where quadrature fails."""
-    G = np.linalg.inv(A) - np.linalg.inv(K)
-    return float(np.trace(G @ M @ G @ A))
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +113,9 @@ _SCENARIO_CHAIN = {  # which minimal chain of C each kind shifts along
 }
 
 
-def sharpness_scenario(kind: str, spec: SystemSpec, ss: SteadyState) -> SharpnessScenario:
+def sharpness_scenario(kind: str, ss: SteadyState) -> SharpnessScenario:
     """Initial shift v0 realizing one of the three sharp-decay cases of the
-    minimal eigenvalue(s) of C (``spec.eig``), with the closed-form predicted
+    minimal eigenvalue(s) of C (``ss.spec.eig``), with the closed-form predicted
     entropy:
 
     - "real-eig":     v0 a real eigenvector, e(t) = e^{-2 mu t} e(0);
@@ -155,6 +127,7 @@ def sharpness_scenario(kind: str, spec: SystemSpec, ss: SteadyState) -> Sharpnes
     """
     if kind not in _SCENARIO_CHAIN:
         raise ValueError(f"unknown scenario kind {kind!r}")
+    spec = _system(ss)
     ch = next((ch for ch in spec.eig.minimal_chains() if _SCENARIO_CHAIN[kind](ch)), None)
     if ch is None:
         raise ValueError(f"no minimal eigenvalue of C for the {kind!r} scenario")
@@ -168,12 +141,11 @@ def sharpness_scenario(kind: str, spec: SystemSpec, ss: SteadyState) -> Sharpnes
                              omega=float(ch.eigenvalue.imag), gram=0.5 * W.T @ W)
 
 
-def zero_tangent_initial(
-    t_star: float, w: np.ndarray, ss: SteadyState, spec: SystemSpec
-) -> np.ndarray:
+def zero_tangent_initial(t_star: float, w: np.ndarray, ss: SteadyState) -> np.ndarray:
     """Initial shift v0 = e^{C t*} K w for w in ker D: the entropy of the
     shifted state then has vanishing time-derivative exactly at t*, while the
     entropy itself stays positive (non-convex decay)."""
+    spec = _system(ss)
     w = np.asarray(w, dtype=float)
     if np.linalg.norm(spec.D @ w) > TOL.exact * linalg._scale(spec.D) * np.linalg.norm(w):
         raise ValueError("w must lie in ker D")
@@ -203,12 +175,12 @@ def _deviation(vals: np.ndarray, prev: np.ndarray) -> float:
     return float(np.max(np.divide(dev, scale, out=np.where(dev > 0, np.inf, 0.0), where=scale > 0)))
 
 
-def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0: GaussianMixture,
+def run_trajectory(ss: SteadyState, cert: TransportMatrix, f0: GaussianMixture,
                    gen: EntropyGenerator, times: np.ndarray,
                    q: QuadratureRule | None = None) -> TrajectoryRecord:
     """Entropy series e(t), I(t) = tr(D G), S(t) = tr(P G) of the exact states
     at the requested times and the envelope S(f0)/(2 lambda_P) e^{-2 kappa t}
-    (``entropy_envelope`` with mu = kappa, epsilon = 0; S(f0) < 0 raises).  All
+    (``entropy_envelope``; S(f0) < 0 raises).  All
     samples, and f0 when the grid starts after t = 0, are one stack: one matrix
     exponential and one fold.  The quadratic generator is exact and builds no
     rule; the others read q and record its order.  With q None, d >= 4 reads
@@ -218,8 +190,8 @@ def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0:
     its largest deviation from any lower order."""
     times = np.asarray(times, dtype=float)
     grid = times if len(times) and times[0] == 0.0 else np.concatenate(([0.0], times))
-    f = _evolve(f0, grid, spec.C, ss.K)
-    DP = np.stack([spec.D, cert.P])
+    f = _evolve(f0, grid, ss)
+    DP = np.stack([ss.spec.D, cert.P])
     rules = ([None] if isinstance(gen, ent.QuadraticEntropy) else [q] if q is not None
              else [ent.rule_for(gen, ss.K)] if ss.d > 3
              else (ent.gauss_hermite_rule(ss.K, order) for order in ent.ADAPTIVE_ORDERS))
@@ -234,7 +206,7 @@ def run_trajectory(spec: SystemSpec, ss: SteadyState, cert: TransportMatrix, f0:
             err = max(_deviation(seen[-1], prev) for prev in seen[:-1])
     vals = seen[-1]
     e, i, s = vals[len(grid) - len(times):].T
-    amplitude, rate = entropy_envelope(cert.kappa, 0.0, lambda_P(ss.K, cert.P), vals[0, 2])
+    amplitude, rate = entropy_envelope(cert.kappa, lambda_P(ss.K, cert.P), vals[0, 2])
     envelope = amplitude * np.exp(-rate * times)
     # The closed form and the d >= 4 default record no order.
     order = None if rule is None or (q is None and ss.d > 3) else rule.order

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hypofp as hp
 from hypofp import linalg
@@ -74,6 +75,31 @@ def spd_sqrt(M):
     w, V = np.linalg.eigh(0.5 * (M + M.T))
     assert w[0] > 0, "matrix not SPD"
     return (V * np.sqrt(w)) @ V.T
+
+
+def bare_steady(K):
+    """The steady state of (D, C) = (K, I), covariance K, without its spec:
+    R = 0 and Q = I.  For functions that read K alone, and for those that
+    must refuse a steady state without a system."""
+    K = np.asarray(K, dtype=float)
+    d = len(K)
+    cK = float(np.exp(-0.5 * (d * np.log(2.0 * np.pi) + np.linalg.slogdet(K)[1])))
+    return hp.SteadyState(K=K, cK=cK, R=np.zeros((d, d)), Q=np.eye(d))
+
+
+def log_gaussian_reference(v, A, K, matrices):
+    """(e, tr(M G) for each M) of the logarithmic entropy at N(v, A) as the sum
+    of the separate closed forms for the shift f_inf(. - v) and for the
+    centred N(0, A) (the mean and covariance parts add):
+    e = v.K^-1 v / 2 + sum(w - log w - 1) / 2 over the eigenvalues w of the
+    pencil (A, K), and tr(M G) = u.M u + tr[(A^-1 - K^-1) M (A^-1 - K^-1) A]
+    with u = K^-1 v."""
+    v, A = np.asarray(v, dtype=float), np.asarray(A, dtype=float)
+    w = scipy.linalg.eigh(A, K, eigvals_only=True)
+    u = np.linalg.solve(K, v)
+    Gc = np.linalg.inv(A) - np.linalg.inv(K)
+    e = 0.5 * float(v @ u) + 0.5 * float(np.sum(w - np.log(w) - 1.0))
+    return np.array([e] + [float(u @ M @ u + np.trace(Gc @ M @ Gc @ A)) for M in matrices])
 
 
 def quadratic_pair_sums(components, K, gen, matrices):

@@ -59,18 +59,18 @@ def test_criterion_1_rotational_example():
     tm = hp.build_P(ss)
     lam_P = hp.lambda_P(ss.K, tm.P)
     v0 = np.array([1.0, 0.0])
-    S0 = hp.dissipation_log_shift(v0, ss.K, tm.P)
+    S0 = np.vdot(tm.P, hp.gaussian_log_functionals(v0, ss.K, ss)[1])
     amp = S0 / (2.0 * lam_P)
 
     times = np.linspace(0.0, 8.0, 400)
     e_vals = np.array([
-        hp.entropy_log_shift(hp.evolve_shift(v0, t, spec.C), ss.K) for t in times
+        hp.gaussian_log_functionals(hp.evolve_shift(v0, t, spec.C), ss.K, ss)[0] for t in times
     ])
     env = amp * np.exp(-1.25 * times)
     assert np.all(e_vals <= env * (1 + 1e-9)), "envelope violated"
 
     def ratio(t):
-        return hp.entropy_log_shift(hp.evolve_shift(v0, t, spec.C), ss.K) / (
+        return hp.gaussian_log_functionals(hp.evolve_shift(v0, t, spec.C), ss.K, ss)[0] / (
             amp * np.exp(-1.25 * t)
         )
 
@@ -93,12 +93,12 @@ def test_criterion_2_degenerate_example():
     q = hp.gauss_hermite_rule(ss.K, 64)
     gen = ent.LogEntropy()
     t_star = 1.0
-    v0 = hp.zero_tangent_initial(t_star, np.array([0.0, 1.0]), ss, spec)
+    v0 = hp.zero_tangent_initial(t_star, np.array([0.0, 1.0]), ss)
     for t in np.linspace(0.0, 4.0, 9):
         vt = hp.evolve_shift(v0, t, spec.C)
         f = ent.shifted_steady(ss, vt)
         e_quad = ent.functionals(f, ss, gen, q)[0]
-        assert e_quad == pytest.approx(hp.entropy_log_shift(vt, ss.K), abs=1e-8)
+        assert e_quad == pytest.approx(hp.gaussian_log_functionals(vt, ss.K, ss)[0], abs=1e-8)
 
     # Dissipation vanishes exactly where (K^{-1} v(t))_1 = 0 while e > 0.01.
     v_star = hp.evolve_shift(v0, t_star, spec.C)
@@ -262,10 +262,10 @@ def test_criterion_8_sharpness():
     C = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 1.0, 3.0]])
     spec = hp.SystemSpec(D=np.diag([1.0, 1.0, 0.0]), C=C)
     ss = hp.steady_state(spec)
-    sc = hp.sharpness_scenario("real-eig", spec, ss)
+    sc = hp.sharpness_scenario("real-eig", ss)
     ts = np.linspace(0.0, 5.0, 41)
     e_vals = np.array([
-        hp.entropy_log_shift(hp.evolve_shift(sc.v0, t, spec.C), ss.K) for t in ts
+        hp.gaussian_log_functionals(hp.evolve_shift(sc.v0, t, spec.C), ss.K, ss)[0] for t in ts
     ])
     scaled = e_vals * np.exp(2 * sc.mu * ts)
     assert np.ptp(scaled) <= 1e-10 * scaled[0]
@@ -273,12 +273,12 @@ def test_criterion_8_sharpness():
     # (ii) complex pair: tangency period pi/omega within 1%.
     spec2 = hp.SystemSpec(**SEC8)
     ss2 = hp.steady_state(spec2)
-    sc2 = hp.sharpness_scenario("complex-pair", spec2, ss2)
+    sc2 = hp.sharpness_scenario("complex-pair", ss2)
     omega = sc2.omega
 
     def ratio(t):
         v = hp.evolve_shift(sc2.v0, t, spec2.C)
-        return hp.entropy_log_shift(v, ss2.K) * np.exp(2 * sc2.mu * t)
+        return hp.gaussian_log_functionals(v, ss2.K, ss2)[0] * np.exp(2 * sc2.mu * t)
 
     times = np.linspace(0.0, 8.0, 400)
     vals = np.array([ratio(t) for t in times])
@@ -289,10 +289,10 @@ def test_criterion_8_sharpness():
     # (iii) defective pair: quadratic polynomial factor, fit residual <= 1e-8.
     spec3 = make_defective_minimal_system(rng)
     ss3 = hp.steady_state(spec3)
-    sc3 = hp.sharpness_scenario("defective", spec3, ss3)
+    sc3 = hp.sharpness_scenario("defective", ss3)
     ts3 = np.linspace(0.0, 4.0, 41)
     e3 = np.array([
-        hp.entropy_log_shift(hp.evolve_shift(sc3.v0, t, spec3.C), ss3.K) for t in ts3
+        hp.gaussian_log_functionals(hp.evolve_shift(sc3.v0, t, spec3.C), ss3.K, ss3)[0] for t in ts3
     ])
     scaled3 = e3 * np.exp(2 * sc3.mu * ts3)
     coeffs = np.polyfit(ts3, scaled3, 2)
@@ -310,7 +310,7 @@ def test_criterion_9_s_decay_and_scaling():
         tm = hp.build_P(ss)
         times = np.linspace(0.0, 8.0, 200)
         S_vals = np.array([
-            hp.dissipation_log_shift(hp.evolve_shift(v0, t, spec.C), ss.K, tm.P)
+            np.vdot(tm.P, hp.gaussian_log_functionals(hp.evolve_shift(v0, t, spec.C), ss.K, ss)[1])
             for t in times
         ])
         bound = S_vals[0] * np.exp(-2.0 * tm.kappa * times)
@@ -326,10 +326,10 @@ def test_criterion_9_s_decay_and_scaling():
     ts = np.geomspace(1e-4, 1.0, 120)
     for delta in (0.1, 0.01, 0.001):
         A0 = delta ** 2 * ss.K
-        e0 = hp.entropy_log_cov(A0, ss.K)
+        e0 = hp.gaussian_log_functionals(np.zeros(2), A0, ss)[0]
         vals = [
             t ** (2 * tau + 1)
-            * hp.dissipation_log_cov(hp.evolve_cov(A0, t, spec.C, ss.K), ss.K, tm.P)
+            * np.vdot(tm.P, hp.gaussian_log_functionals(np.zeros(2), hp.evolve_cov(A0, t, ss), ss)[1])
             / e0
             for t in ts
         ]
@@ -379,7 +379,7 @@ def test_criterion_10_kinetic():
     series = kin.fd_simulate(ks, grid, f0, t_end=t_end, dt=0.004, n_records=10)
     exact = kin.gaussian_on_grid(
         hp.evolve_shift(mean0, t_end, spec.C),
-        hp.evolve_cov(cov0, t_end, spec.C, ss.K),
+        hp.evolve_cov(cov0, t_end, ss),
         grid,
     )
     l2 = float(np.sqrt(np.sum((series.f_final - exact) ** 2) * grid.cell))
@@ -427,7 +427,7 @@ def test_criterion_11_counterexample():
     v0 = Sp @ V[:, 0]
     ts = np.linspace(0.5, 2.5, 21)
     e_vals = np.array([
-        hp.entropy_log_shift(hp.evolve_shift(v0, t, spec.C), ss.K) for t in ts
+        hp.gaussian_log_functionals(hp.evolve_shift(v0, t, spec.C), ss.K, ss)[0] for t in ts
     ])
     fitted = -np.polyfit(ts, np.log(e_vals), 1)[0]
     mu2 = 2.0

@@ -291,15 +291,15 @@ class TestCompareRates:
 
 class TestEnvelope:
     def test_arithmetic(self):
-        amp, rate = hp.entropy_envelope(mu=0.625, epsilon=0.0, lam_P=2.0, S0=8.0)
+        amp, rate = hp.entropy_envelope(kappa=0.625, lam_P=2.0, S0=8.0)
         assert amp == pytest.approx(2.0)
         assert rate == pytest.approx(1.25)
 
     def test_invalid_S0(self):
         with pytest.raises(cert.CertificateError):
-            hp.entropy_envelope(1.0, 0.0, 1.0, -1.0)
+            hp.entropy_envelope(1.0, 1.0, -1.0)
         with pytest.raises(cert.CertificateError):
-            hp.entropy_envelope(1.0, 0.0, 1.0, np.inf)
+            hp.entropy_envelope(1.0, 1.0, np.inf)
 
 
 class TestOptimizeWeights:
@@ -314,7 +314,7 @@ class TestOptimizeWeights:
         u = np.linalg.solve(ss.K, v0)
 
         def S0_of_P(P):
-            return hp.dissipation_log_shift(v0, ss.K, P)
+            return np.vdot(P, hp.gaussian_log_functionals(v0, ss.K, ss)[1])
 
         tm0 = hp.build_P(ss)
         amp0 = S0_of_P(tm0.P) / (2.0 * hp.lambda_P(ss.K, tm0.P))

@@ -150,7 +150,7 @@ class TestEvolve:
 
         spec = hp.SystemSpec(D=np.diag([1.0, 0.0]), C=np.array([[1.0, -1.0], [1.0, 0.0]]))
         ss = hp.steady_state(spec)
-        v0 = hp.zero_tangent_initial(1.0, np.array([0.0, 1.0]), ss, spec)
+        v0 = hp.zero_tangent_initial(1.0, np.array([0.0, 1.0]), ss)
         cfg = write_cfg(tmp_path, self._fig1b_evolve(
             {"initial": {"components": [{"weight": 1.0, "mean": list(v0)}]},
              "times": {"t_end": 4.0, "samples": 161}}
@@ -236,7 +236,7 @@ class TestEvolve:
         spec = system.SystemSpec(D=np.array(FIG1B["system"]["D"]), C=np.array(FIG1B["system"]["C"]))
         ss = system.steady_state(spec)
         f0 = entropy.GaussianMixture((entropy.GaussianComponent(1.0, np.array([1.3, 0.6]), ss.K),))
-        rec = flow.run_trajectory(spec, ss, certificates.build_P(ss), f0, entropy.LogEntropy(),
+        rec = flow.run_trajectory(ss, certificates.build_P(ss), f0, entropy.LogEntropy(),
                                   np.linspace(0.0, 8.0, 200), q=entropy.gauss_hermite_rule(ss.K, 64))
         cols = np.column_stack([rec.times, rec.entropy, rec.dissipation, rec.modified, rec.envelope])
         want = "t,e_psi,I_psi,S_psi,envelope\n" + "".join(",".join("%.17g" % x for x in row) + "\n"

@@ -10,7 +10,7 @@ import scipy.linalg
 
 import hypofp as hp
 from hypofp import entropy as ent, flow, linalg
-from conftest import make_random_system, quadratic_pair_sums, spd_sqrt
+from conftest import log_gaussian_reference, make_random_system, quadratic_pair_sums, spd_sqrt
 
 GENERATORS = [
     ent.LogEntropy(),
@@ -116,22 +116,22 @@ class TestQuadratureFunctionals:
         f = ent.shifted_steady(ss, v0)
         gen = ent.LogEntropy()
         e, G = ent.functionals(f, ss, gen, q)
-        assert e == pytest.approx(flow.entropy_log_shift(v0, ss.K), rel=1e-10)
+        e_closed, G_closed = hp.gaussian_log_functionals(v0, ss.K, ss)
+        assert e == pytest.approx(e_closed, rel=1e-10)
         I = np.vdot(spec.D, G)
-        assert I == pytest.approx(flow.dissipation_log_shift(v0, ss.K, spec.D), rel=1e-10)
+        assert I == pytest.approx(np.vdot(spec.D, G_closed), rel=1e-10)
         P = np.array([[1.0, -0.5], [-0.5, 1.0]])
         S = np.vdot(P, G)
-        assert S == pytest.approx(flow.dissipation_log_shift(v0, ss.K, P), rel=1e-10)
+        assert S == pytest.approx(np.vdot(P, G_closed), rel=1e-10)
 
     def test_affine_quadratic_closed_form(self, fig1b):
         spec, ss, q = fig1b
         v0 = np.array([1.0, 0.3])
         f = ent.affine_steady(ss, v0)
         e, G = ent.functionals(f, ss, ent.QuadraticEntropy(), q)
-        assert e == pytest.approx(2 * flow.entropy_log_shift(v0, ss.K), rel=1e-10)
-        assert np.vdot(spec.D, G) == pytest.approx(
-            2.0 * flow.dissipation_log_shift(v0, ss.K, spec.D), rel=1e-10
-        )
+        e_log, G_log = hp.gaussian_log_functionals(v0, ss.K, ss)
+        assert e == pytest.approx(2 * e_log, rel=1e-10)
+        assert np.vdot(spec.D, G) == pytest.approx(2.0 * np.vdot(spec.D, G_log), rel=1e-10)
 
     def test_kernel_shift_dissipation_vanishes(self, fig1b):
         # v* = K w with w in ker D: the gradient direction K^{-1}v* sits in
@@ -221,7 +221,7 @@ class TestQuadratureFunctionals:
         v0 = 0.3 * rng.standard_normal(4)
         f = ent.shifted_steady(ss, v0)
         e = ent.functionals(f, ss, ent.LogEntropy(), q)[0]
-        assert e == pytest.approx(flow.entropy_log_shift(v0, ss.K), rel=5e-2)
+        assert e == pytest.approx(hp.gaussian_log_functionals(v0, ss.K, ss)[0], rel=5e-2)
 
 
 class TestMixtureValidation:
@@ -239,6 +239,32 @@ class TestMixtureValidation:
     def test_cov_must_be_spd(self):
         with pytest.raises(ValueError):
             ent.GaussianComponent(1.0, np.zeros(2), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("mean, affine", [
+        (np.zeros(3), None), (np.zeros(2), np.ones(3)), (np.array([np.nan, 0.0]), None),
+        (np.zeros(2), np.array([0.0, np.inf])), (np.zeros((2, 1)), None)],
+        ids=["mean-3d", "affine-3d", "mean-nan", "affine-inf", "mean-column"])
+    def test_mean_and_affine_are_finite_vectors_of_the_cov_dimension(self, mean, affine):
+        with pytest.raises(ValueError, match=r"must be finite of shape \(2,\)"):
+            ent.GaussianComponent(1.0, mean, np.eye(2), affine=affine)
+
+    def test_cov_must_be_square(self):
+        with pytest.raises(ValueError, match=r"covariance must be finite of shape \(2, 2\)"):
+            ent.GaussianComponent(1.0, np.zeros(2), np.ones((2, 3)))
+
+    def test_components_share_one_dimension(self):
+        with pytest.raises(ValueError, match=r"dimensions \[2, 3\]"):
+            hp.GaussianMixture((ent.GaussianComponent(0.5, np.zeros(2), np.eye(2)),
+                                ent.GaussianComponent(0.5, np.zeros(3), np.eye(3))))
+
+    def test_state_of_another_dimension_is_refused(self, fig1b):
+        _, ss, q = fig1b
+        f = hp.GaussianMixture((ent.GaussianComponent(1.0, np.zeros(3), np.eye(3)),))
+        for gen in (ent.LogEntropy(), ent.QuadraticEntropy()):
+            with pytest.raises(ValueError, match="state dimension 3 differs from the steady state's 2"):
+                ent.functionals(f, ss, gen, q)
+        with pytest.raises(ValueError, match="state dimension 3 differs from the steady state's 2"):
+            hp.gaussian_log_functionals(np.zeros(3), np.eye(3), ss)
 
 
 def test_rule_order_above_cap_raises_before_allocating(monkeypatch):
@@ -413,7 +439,7 @@ def test_functionals_allocate_block_sized_buffers(rng):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_log_dissipation_matrix_of_a_shifted_steady_state(rng, d):
     # grad log r = K^-1 v is constant, so G = u u^T with u = K^-1 v; I and S
-    # are flow.dissipation_log_shift with M = D and M = P.
+    # are tr(M G) of entropy.gaussian_log_functionals at (v, K) with M = D and M = P.
     spec, _ = make_random_system(rng, d, rank=1)
     ss = hp.steady_state(spec)
     q = hp.gauss_hermite_rule(ss.K, 64)
@@ -423,13 +449,14 @@ def test_log_dissipation_matrix_of_a_shifted_steady_state(rng, d):
     _, G = ent.functionals(ent.shifted_steady(ss, v), ss, ent.LogEntropy(), q)
     np.testing.assert_allclose(G, np.outer(u, u), rtol=1e-10, atol=1e-10 * (u @ u))
     P = hp.build_P(ss).P
-    assert np.vdot(P, G) == pytest.approx(flow.dissipation_log_shift(v, ss.K, P), rel=1e-10)
+    G_closed = hp.gaussian_log_functionals(v, ss.K, ss)[1]
+    assert np.vdot(P, G) == pytest.approx(np.vdot(P, G_closed), rel=1e-10)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_log_dissipation_matrix_of_a_centred_gaussian(rng, d):
     # f = N(0, A): grad log r = (K^-1 - A^-1) x, so G = B A B with B = A^-1 - K^-1,
-    # flow.dissipation_log_cov with M left open.
+    # entropy.gaussian_log_functionals's G at (0, A).
     spec, _ = make_random_system(rng, d, rank=1)
     ss = hp.steady_state(spec)
     q = hp.gauss_hermite_rule(ss.K, 64)
@@ -439,7 +466,8 @@ def test_log_dissipation_matrix_of_a_centred_gaussian(rng, d):
     B = np.linalg.inv(A) - np.linalg.inv(ss.K)
     want = B @ A @ B
     np.testing.assert_allclose(G, want, rtol=1e-8, atol=1e-8 * np.linalg.norm(want, 2))
-    assert np.vdot(spec.D, G) == pytest.approx(flow.dissipation_log_cov(A, ss.K, spec.D), rel=1e-8)
+    G_closed = hp.gaussian_log_functionals(np.zeros(d), A, ss)[1]
+    assert np.vdot(spec.D, G) == pytest.approx(np.vdot(spec.D, G_closed), rel=1e-8)
 
 
 @pytest.mark.parametrize("gen", [ent.LogEntropy(beta=0.3), ent.QuadraticEntropy(0.7),
@@ -455,6 +483,60 @@ def test_dissipation_matrix_is_symmetric_psd(rng, gen, d):
     assert isinstance(e, float) and e > 0.0 and G.shape == (d, d)
     assert np.array_equal(G, G.T)
     assert np.linalg.eigvalsh(G)[0] >= -1e-14 * np.linalg.norm(G, 2)
+
+
+# ---------------------------------------------------------------------------
+# The log entropy of one Gaussian in closed form
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gaussian_log_functionals_match_gauss_hermite(rng, d):
+    # A general N(v, A): v != 0 and A != K.
+    spec, _ = make_random_system(rng, d, rank=1)
+    ss = hp.steady_state(spec)
+    c = _component(rng, np.linalg.cholesky(ss.K), 1.0)
+    assert np.any(c.mean) and not np.allclose(c.cov, ss.K, rtol=1e-2)
+    e, G = hp.gaussian_log_functionals(c.mean, c.cov, ss)
+    e_quad, G_quad = ent.functionals(hp.GaussianMixture((c,)), ss, ent.LogEntropy(),
+                                     hp.gauss_hermite_rule(ss.K, 64))
+    assert e == pytest.approx(e_quad, rel=1e-8)
+    P = hp.build_P(ss).P
+    for M in (spec.D, P):
+        assert np.vdot(M, G) == pytest.approx(np.vdot(M, G_quad), rel=1e-8)
+    np.testing.assert_allclose(G, G_quad, rtol=1e-8, atol=1e-8 * np.linalg.norm(G_quad, 2))
+    assert np.array_equal(G, G.T)
+
+
+def test_gaussian_log_functionals_match_the_separate_shift_and_cov_forms():
+    # The shift and covariance forms it replaced, summed (conftest), on 60
+    # seeded systems d = 2..6 with cond K <= 1e6: e, I = tr(D G), S = tr(P G)
+    # for a P-like SPD M.
+    rng = np.random.default_rng(2500)
+    worst, systems = 0.0, 0
+    while systems < 60:
+        d = 2 + systems % 5
+        spec, _ = make_random_system(rng, d)
+        ss = hp.steady_state(spec)
+        if np.linalg.cond(ss.K) > 1e6:
+            continue
+        systems += 1
+        L = np.linalg.cholesky(ss.K)
+        c = _component(rng, L, 1.0)
+        B = rng.standard_normal((d, d))
+        M = B @ B.T + np.eye(d)
+        e, G = hp.gaussian_log_functionals(c.mean, c.cov, ss)
+        got = np.array([e, np.vdot(spec.D, G), np.vdot(M, G)])
+        want = log_gaussian_reference(c.mean, c.cov, ss.K, (spec.D, M))
+        worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+    assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_gaussian_log_functionals_vanish_exactly_at_the_steady_state(rng, d):
+    spec, _ = make_random_system(rng, d)
+    ss = hp.steady_state(spec)
+    e, G = hp.gaussian_log_functionals(np.zeros(d), ss.K, ss)
+    assert e == 0.0 and not np.any(G)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +616,7 @@ def test_quadratic_closed_form_reads_no_rule(monkeypatch, rng):
     spec, _ = make_random_system(rng, 4, rank=2)
     ss = hp.steady_state(spec)
     f0 = hp.GaussianMixture(_quadratic_cases(rng, ss)["affine-signed"])
-    rec = flow.run_trajectory(spec, ss, hp.build_P(ss), f0, ent.QuadraticEntropy(),
+    rec = flow.run_trajectory(ss, hp.build_P(ss), f0, ent.QuadraticEntropy(),
                               np.linspace(0.0, 2.0, 5))
     assert np.all(np.isfinite(rec.entropy)) and rec.entropy[0] > rec.entropy[-1] > 0.0
     # A rule, when given, is not read either (its dimension does not matter).
@@ -594,7 +676,7 @@ def test_evolve_d6_states_match_the_exact_flow():
             _, V = np.linalg.eigh(rng.standard_normal((d, d)) * (1.0 + np.eye(d)))
             A = L @ (V * rng.uniform(0.6, 1.0, d)) @ V.T @ L.T
             comps.append(ent.GaussianComponent(w, L @ (0.3 * rng.standard_normal(d)), 0.5 * (A + A.T)))
-        rec = flow.run_trajectory(spec, ss, tm, hp.GaussianMixture(tuple(comps)), gen, times)
+        rec = flow.run_trajectory(ss, tm, hp.GaussianMixture(tuple(comps)), gen, times)
         exact, pairs = [], []
         for t in times:
             E = scipy.linalg.expm(-t * C)

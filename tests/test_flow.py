@@ -4,8 +4,8 @@ import pytest
 
 import hypofp as hp
 from hypofp import entropy as ent, flow, linalg
-from conftest import (make_defective_minimal_system, make_random_system, quadratic_pair_sums,
-                      spd_sqrt)
+from conftest import (bare_steady, make_defective_minimal_system, make_random_system,
+                      quadratic_pair_sums, spd_sqrt)
 
 SEC8 = dict(D=np.diag([0.25, 1.0]), C=np.array([[0.25, -4.0], [4.0, 1.0]]))
 FIG1B = dict(D=np.diag([1.0, 0.0]), C=np.array([[1.0, -1.0], [1.0, 0.0]]))
@@ -32,13 +32,13 @@ class TestEvolution:
 
     def test_cov_fixed_point(self, fig1b):
         spec, ss = fig1b
-        A = hp.evolve_cov(ss.K, 2.0, spec.C, ss.K)
+        A = hp.evolve_cov(ss.K, 2.0, ss)
         assert np.allclose(A, ss.K, atol=1e-12)
 
     def test_cov_relaxes_to_K(self, fig1b):
         spec, ss = fig1b
         A0 = np.array([[2.0, 0.3], [0.3, 0.5]])
-        A = hp.evolve_cov(A0, 40.0, spec.C, ss.K)
+        A = hp.evolve_cov(A0, 40.0, ss)
         assert np.linalg.norm(A - ss.K, 2) <= 1e-10
 
     def test_negative_time_rejected(self, fig1b):
@@ -46,15 +46,15 @@ class TestEvolution:
         with pytest.raises(ValueError):
             hp.evolve_shift(np.zeros(2), -1.0, spec.C)
         with pytest.raises(ValueError):
-            hp.evolve_cov(ss.K, -0.1, spec.C, ss.K)
+            hp.evolve_cov(ss.K, -0.1, ss)
 
     @pytest.mark.parametrize("t", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
     @pytest.mark.parametrize("call", [
         pytest.param(lambda spec, ss, t: hp.evolve_shift(np.ones(2), t, spec.C), id="evolve_shift"),
-        pytest.param(lambda spec, ss, t: hp.evolve_cov(ss.K, t, spec.C, ss.K), id="evolve_cov"),
-        pytest.param(lambda spec, ss, t: hp.evolve_mixture(ent.shifted_steady(ss, np.ones(2)), t,
-                                                           spec.C, ss.K), id="evolve_mixture"),
-        pytest.param(lambda spec, ss, t: hp.zero_tangent_initial(t, np.array([0.0, 1.0]), ss, spec),
+        pytest.param(lambda spec, ss, t: hp.evolve_cov(ss.K, t, ss), id="evolve_cov"),
+        pytest.param(lambda spec, ss, t: hp.evolve_mixture(ent.shifted_steady(ss, np.ones(2)), t, ss),
+                     id="evolve_mixture"),
+        pytest.param(lambda spec, ss, t: hp.zero_tangent_initial(t, np.array([0.0, 1.0]), ss),
                      id="zero_tangent_initial"),
         pytest.param(lambda spec, ss, t: hp.green_covariance(spec, t), id="green_covariance"),
     ])
@@ -68,10 +68,10 @@ class TestEvolution:
             ent.GaussianComponent(0.5, np.array([1.0, 0.0]), 2.0 * np.eye(2)),
             ent.GaussianComponent(0.5, np.array([-1.0, 0.0]), 0.5 * np.eye(2)),
         ))
-        mt = hp.evolve_mixture(m0, 0.8, spec.C, ss.K)
+        mt = hp.evolve_mixture(m0, 0.8, ss)
         for c0, ct in zip(m0.components, mt.components):
             assert np.allclose(ct.mean, hp.evolve_shift(c0.mean, 0.8, spec.C))
-            assert np.allclose(ct.cov, hp.evolve_cov(c0.cov, 0.8, spec.C, ss.K))
+            assert np.allclose(ct.cov, hp.evolve_cov(c0.cov, 0.8, ss))
 
     def test_affine_requires_steady_shape(self, fig1b):
         spec, ss = fig1b
@@ -79,22 +79,48 @@ class TestEvolution:
             ent.GaussianComponent(1.0, np.array([1.0, 0.0]), ss.K, affine=np.array([0.1, 0.0])),
         ))
         with pytest.raises(ValueError):
-            hp.evolve_mixture(bad, 0.5, spec.C, ss.K)
+            hp.evolve_mixture(bad, 0.5, ss)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda ss, tm: hp.evolve_cov(ss.K, 1.0, ss), id="evolve_cov"),
+    pytest.param(lambda ss, tm: hp.evolve_mixture(ent.shifted_steady(ss, np.ones(2)), 1.0, ss),
+                 id="evolve_mixture"),
+    pytest.param(lambda ss, tm: hp.sharpness_scenario("complex-pair", ss), id="sharpness_scenario"),
+    pytest.param(lambda ss, tm: hp.zero_tangent_initial(1.0, np.array([0.0, 1.0]), ss),
+                 id="zero_tangent_initial"),
+    pytest.param(lambda ss, tm: flow.run_trajectory(ss, tm, ent.shifted_steady(ss, np.ones(2)),
+                                                    ent.LogEntropy(), np.linspace(0.0, 1.0, 3)),
+                 id="run_trajectory"),
+])
+def test_steady_state_without_a_spec_is_refused(fig1b, call):
+    _, ss = fig1b
+    with pytest.raises(ValueError, match="without a spec"):
+        call(bare_steady(ss.K), hp.build_P(ss))
+
+
+def test_state_of_another_dimension_is_refused_by_the_flow(fig1b):
+    _, ss = fig1b
+    f0 = hp.GaussianMixture((ent.GaussianComponent(1.0, np.zeros(3), np.eye(3)),))
+    with pytest.raises(ValueError, match="state dimension 3 differs from the steady state's 2"):
+        hp.evolve_mixture(f0, 1.0, ss)
+    with pytest.raises(ValueError, match="state dimension 3 differs from the steady state's 2"):
+        flow.run_trajectory(ss, hp.build_P(ss), f0, ent.LogEntropy(), np.linspace(0.0, 1.0, 3))
 
 
 class TestClosedForms:
     def test_shift_entropy_value(self):
-        K = np.diag([2.0, 0.5])
+        ss = bare_steady(np.diag([2.0, 0.5]))
         v = np.array([2.0, 1.0])
-        assert hp.entropy_log_shift(v, K) == pytest.approx(0.5 * (4 / 2 + 1 / 0.5))
-        assert 2 * hp.entropy_log_shift(v, K) == pytest.approx(4.0)
+        e = hp.gaussian_log_functionals(v, ss.K, ss)[0]
+        assert e == pytest.approx(0.5 * (4 / 2 + 1 / 0.5))
+        assert 2 * e == pytest.approx(4.0)
 
     def test_cov_entropy_scalar(self):
         # d=1, A = 2K: (2 - ln 2 - 1)/2.
-        assert hp.entropy_log_cov(np.array([[2.0]]), np.array([[1.0]])) == pytest.approx(
-            0.5 * (1.0 - np.log(2.0)), rel=1e-13
-        )
-        assert hp.entropy_log_cov(np.eye(3), np.eye(3)) == 0.0
+        e = hp.gaussian_log_functionals(np.zeros(1), [[2.0]], bare_steady([[1.0]]))[0]
+        assert e == pytest.approx(0.5 * (1.0 - np.log(2.0)), rel=1e-13)
+        assert hp.gaussian_log_functionals(np.zeros(3), np.eye(3), bare_steady(np.eye(3)))[0] == 0.0
 
     def test_cov_entropy_matches_quadrature(self, fig1b):
         _, ss = fig1b
@@ -102,7 +128,7 @@ class TestClosedForms:
         f = hp.GaussianMixture((ent.GaussianComponent(1.0, np.zeros(2), A),))
         q = hp.gauss_hermite_rule(ss.K, 64)
         e_quad = ent.functionals(f, ss, ent.LogEntropy(), q)[0]
-        assert e_quad == pytest.approx(hp.entropy_log_cov(A, ss.K), rel=1e-8)
+        assert e_quad == pytest.approx(hp.gaussian_log_functionals(np.zeros(2), A, ss)[0], rel=1e-8)
 
     def test_cov_dissipation_matches_quadrature(self, fig1b):
         spec, ss = fig1b
@@ -110,21 +136,24 @@ class TestClosedForms:
         f = hp.GaussianMixture((ent.GaussianComponent(1.0, np.zeros(2), A),))
         q = hp.gauss_hermite_rule(ss.K, 64)
         i_quad = np.vdot(spec.D, ent.functionals(f, ss, ent.LogEntropy(), q)[1])
-        assert i_quad == pytest.approx(hp.dissipation_log_cov(A, ss.K, spec.D), rel=1e-8)
+        i_closed = np.vdot(spec.D, hp.gaussian_log_functionals(np.zeros(2), A, ss)[1])
+        assert i_quad == pytest.approx(i_closed, rel=1e-8)
 
     def test_entropy_rate_matches_difference(self, fig1b):
         spec, ss = fig1b
         v = np.array([0.8, -0.6])
         h = 1e-6
-        g = lambda t: 2 * hp.entropy_log_shift(hp.evolve_shift(v, t, spec.C), ss.K)
+        g = lambda t: 2 * hp.gaussian_log_functionals(hp.evolve_shift(v, t, spec.C), ss.K, ss)[0]
         num = (g(1.0 + h) - g(1.0 - h)) / (2 * h)
         vt = hp.evolve_shift(v, 1.0, spec.C)
-        assert num == pytest.approx(-2 * hp.dissipation_log_shift(vt, ss.K, spec.D), rel=1e-6)
+        G = hp.gaussian_log_functionals(vt, ss.K, ss)[1]
+        assert num == pytest.approx(-2 * np.vdot(spec.D, G), rel=1e-6)
 
     def test_rate_vanishes_on_kernel(self, fig1b):
         spec, ss = fig1b
         w = np.array([0.0, 1.0])  # ker D
-        assert -2 * hp.dissipation_log_shift(ss.K @ w, ss.K, spec.D) == pytest.approx(0.0, abs=1e-14)
+        G = hp.gaussian_log_functionals(ss.K @ w, ss.K, ss)[1]
+        assert -2 * np.vdot(spec.D, G) == pytest.approx(0.0, abs=1e-14)
 
     def test_entropy_decay_exponent(self, fig1b):
         # e(t) decays like ||e^{-Ct}||^2 for shifts; fitted exponent >= 2 mu.
@@ -134,7 +163,8 @@ class TestClosedForms:
         # so the periodic factor does not bias the slope.
         period = np.pi / (np.sqrt(3.0) / 2.0)
         ts = np.linspace(8.0, 8.0 + 2 * period, 25)
-        es = np.array([hp.entropy_log_shift(hp.evolve_shift(v0, t, spec.C), ss.K) for t in ts])
+        es = np.array([hp.gaussian_log_functionals(hp.evolve_shift(v0, t, spec.C), ss.K, ss)[0]
+                       for t in ts])
         slope = np.polyfit(ts, np.log(es), 1)[0]
         assert -slope == pytest.approx(2 * 0.5, abs=5e-2)
 
@@ -145,7 +175,8 @@ class TestClosedForms:
         A0 = ss.K + 0.3 * np.array([[1.0, 0.2], [0.2, 0.5]])
         period = np.pi / (np.sqrt(3.0) / 2.0)
         ts = np.linspace(5.0, 5.0 + 2 * period, 25)
-        es = np.array([hp.entropy_log_cov(hp.evolve_cov(A0, t, spec.C, ss.K), ss.K) for t in ts])
+        es = np.array([hp.gaussian_log_functionals(np.zeros(2), hp.evolve_cov(A0, t, ss), ss)[0]
+                       for t in ts])
         slope = np.polyfit(ts, np.log(es), 1)[0]
         assert -slope == pytest.approx(4 * 0.5, abs=1e-1)
 
@@ -155,12 +186,12 @@ class TestSharpness:
         C = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 1.0, 3.0]])
         spec = hp.SystemSpec(D=np.diag([1.0, 1.0, 0.0]), C=C)
         ss = hp.steady_state(spec)
-        sc = hp.sharpness_scenario("real-eig", spec, ss)
+        sc = hp.sharpness_scenario("real-eig", ss)
         assert sc.mu == pytest.approx(1.0)
         ts = np.linspace(0.0, 5.0, 21)
         pred = sc.predicted_entropy(ts)
         actual = np.array([
-            hp.entropy_log_shift(hp.evolve_shift(sc.v0, t, spec.C), ss.K) for t in ts
+            hp.gaussian_log_functionals(hp.evolve_shift(sc.v0, t, spec.C), ss.K, ss)[0] for t in ts
         ])
         assert np.allclose(actual, pred, rtol=1e-10)
         # e(t) e^{2 mu t} is constant.
@@ -169,24 +200,24 @@ class TestSharpness:
     def test_complex_pair_prediction(self):
         spec = hp.SystemSpec(**SEC8)
         ss = hp.steady_state(spec)
-        sc = hp.sharpness_scenario("complex-pair", spec, ss)
+        sc = hp.sharpness_scenario("complex-pair", ss)
         assert sc.mu == pytest.approx(0.625)
         assert sc.omega == pytest.approx(np.sqrt(1015.0) / 8.0, rel=1e-12)
         ts = np.linspace(0.0, 3.0, 31)
         pred = sc.predicted_entropy(ts)
         actual = np.array([
-            hp.entropy_log_shift(hp.evolve_shift(sc.v0, t, spec.C), ss.K) for t in ts
+            hp.gaussian_log_functionals(hp.evolve_shift(sc.v0, t, spec.C), ss.K, ss)[0] for t in ts
         ])
         assert np.allclose(actual, pred, rtol=1e-9, atol=1e-12)
 
     def test_defective_quadratic_factor(self, rng):
         spec = make_defective_minimal_system(rng)
         ss = hp.steady_state(spec)
-        sc = hp.sharpness_scenario("defective", spec, ss)
+        sc = hp.sharpness_scenario("defective", ss)
         ts = np.linspace(0.0, 4.0, 17)
         pred = sc.predicted_entropy(ts)
         actual = np.array([
-            hp.entropy_log_shift(hp.evolve_shift(sc.v0, t, spec.C), ss.K) for t in ts
+            hp.gaussian_log_functionals(hp.evolve_shift(sc.v0, t, spec.C), ss.K, ss)[0] for t in ts
         ])
         assert np.allclose(actual, pred, rtol=1e-9, atol=1e-10)
 
@@ -194,11 +225,11 @@ class TestSharpness:
         spec = hp.SystemSpec(**SEC8)
         ss = hp.steady_state(spec)
         with pytest.raises(ValueError):
-            hp.sharpness_scenario("real-eig", spec, ss)
+            hp.sharpness_scenario("real-eig", ss)
         with pytest.raises(ValueError):
-            hp.sharpness_scenario("defective", spec, ss)
+            hp.sharpness_scenario("defective", ss)
         with pytest.raises(ValueError):
-            hp.sharpness_scenario("nonsense", spec, ss)
+            hp.sharpness_scenario("nonsense", ss)
 
 
 class TestZeroTangent:
@@ -206,15 +237,16 @@ class TestZeroTangent:
         spec, ss = fig1b
         w = np.array([0.0, 1.0])
         for t_star in (0.5, 1.5, 3.0):
-            v0 = hp.zero_tangent_initial(t_star, w, ss, spec)
+            v0 = hp.zero_tangent_initial(t_star, w, ss)
             vt = hp.evolve_shift(v0, t_star, spec.C)
-            assert -2 * hp.dissipation_log_shift(vt, ss.K, spec.D) == pytest.approx(0.0, abs=1e-10)
-            assert hp.entropy_log_shift(vt, ss.K) > 0
+            e, G = hp.gaussian_log_functionals(vt, ss.K, ss)
+            assert -2 * np.vdot(spec.D, G) == pytest.approx(0.0, abs=1e-10)
+            assert e > 0
 
     def test_rejects_nonkernel_direction(self, fig1b):
         spec, ss = fig1b
         with pytest.raises(ValueError):
-            hp.zero_tangent_initial(1.0, np.array([1.0, 0.0]), ss, spec)
+            hp.zero_tangent_initial(1.0, np.array([1.0, 0.0]), ss)
 
 
 TRAJ_V0 = np.array([1.0, 0.0])
@@ -227,7 +259,7 @@ def traj():
     tm = hp.build_P(ss)
     f0 = ent.shifted_steady(ss, TRAJ_V0)
     times = np.linspace(0.0, 4.0, 81)
-    rec = flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), times)
+    rec = flow.run_trajectory(ss, tm, f0, ent.LogEntropy(), times)
     return spec, ss, tm, rec
 
 
@@ -267,17 +299,18 @@ class TestTrajectory:
         spec, ss, tm, rec = traj
         for t, e, i, s in zip(rec.times, rec.entropy, rec.dissipation, rec.modified):
             vt = hp.evolve_shift(TRAJ_V0, t, spec.C)
-            assert e == pytest.approx(hp.entropy_log_shift(vt, ss.K), rel=1e-10)
-            assert i == pytest.approx(hp.dissipation_log_shift(vt, ss.K, spec.D), rel=1e-10)
-            assert s == pytest.approx(hp.dissipation_log_shift(vt, ss.K, tm.P), rel=1e-10)
-        S0 = hp.dissipation_log_shift(TRAJ_V0, ss.K, tm.P)
+            e_closed, G = hp.gaussian_log_functionals(vt, ss.K, ss)
+            assert e == pytest.approx(e_closed, rel=1e-10)
+            assert i == pytest.approx(np.vdot(spec.D, G), rel=1e-10)
+            assert s == pytest.approx(np.vdot(tm.P, G), rel=1e-10)
+        S0 = np.vdot(tm.P, hp.gaussian_log_functionals(TRAJ_V0, ss.K, ss)[1])
         envelope = S0 / (2.0 * hp.lambda_P(ss.K, tm.P)) * np.exp(-2.0 * tm.kappa * rec.times)
         assert np.allclose(rec.envelope, envelope, rtol=1e-10, atol=0.0)
 
     def test_envelope_from_f0_when_grid_starts_later(self, traj):
         spec, ss, tm, rec = traj
         f0 = ent.shifted_steady(ss, TRAJ_V0)
-        late = flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), rec.times[10:20])
+        late = flow.run_trajectory(ss, tm, f0, ent.LogEntropy(), rec.times[10:20])
         assert np.allclose(late.envelope, rec.envelope[10:20], rtol=1e-12, atol=0.0)
         assert np.allclose(late.modified, rec.modified[10:20], rtol=1e-12, atol=0.0)
 
@@ -400,7 +433,7 @@ def test_stacked_trajectory_matches_per_sample_loop(rng, case):
     q = hp.gauss_hermite_rule(ss.K, order)
     L = np.linalg.cholesky(ss.K)
     f0 = _mixture(rng, L, weights, affine=0.4 * rng.standard_normal(d) if affine else None)
-    rec = flow.run_trajectory(spec, ss, tm, f0, gen, times, q=q)
+    rec = flow.run_trajectory(ss, tm, f0, gen, times, q=q)
     rows, envelope = _per_sample_trajectory(spec, ss, tm, f0, gen, times, q)
     assert not hasattr(rec, "states")
     got = np.column_stack([rec.entropy, rec.dissipation, rec.modified])
@@ -414,7 +447,7 @@ def test_evolve_mixture_matches_per_component_flow(rng):
     ss = hp.steady_state(spec)
     L = np.linalg.cholesky(ss.K)
     f0 = _mixture(rng, L, (0.5, 0.7, -0.2), affine=0.3 * rng.standard_normal(3))
-    ft = hp.evolve_mixture(f0, 0.7, spec.C, ss.K)
+    ft = hp.evolve_mixture(f0, 0.7, ss)
     E = scipy.linalg.expm(-0.7 * spec.C)
     for c0, ct in zip(f0.components, ft.components):
         assert ct.weight == c0.weight
@@ -453,13 +486,13 @@ def test_domain_error_in_a_middle_sample(samples):
     times = np.linspace(0.0, 0.008, samples)
     t_bad = times[samples // 2] = np.pi / 80.0
     for t in (0.0, times[-1]):
-        assert np.isfinite(ent.functionals(hp.evolve_mixture(f0, t, spec.C, ss.K), ss, gen, q)[0])
+        assert np.isfinite(ent.functionals(hp.evolve_mixture(f0, t, ss), ss, gen, q)[0])
     with pytest.raises(ent.DomainError):
-        ent.functionals(hp.evolve_mixture(f0, t_bad, spec.C, ss.K), ss, gen, q)
+        ent.functionals(hp.evolve_mixture(f0, t_bad, ss), ss, gen, q)
     with pytest.raises(ent.DomainError):
-        flow.run_trajectory(spec, ss, tm, f0, gen, times, q=q)
+        flow.run_trajectory(ss, tm, f0, gen, times, q=q)
     # The quadratic generator takes signed states, in closed form.
-    rec = flow.run_trajectory(spec, ss, tm, f0, ent.QuadraticEntropy(), times, q=q)
+    rec = flow.run_trajectory(ss, tm, f0, ent.QuadraticEntropy(), times, q=q)
     assert np.all(np.isfinite(rec.entropy))
 
 
@@ -469,22 +502,22 @@ def test_trajectory_rejects_bad_times(traj, t):
     f0 = ent.shifted_steady(ss, TRAJ_V0)
     for times in ([0.0, 1.0, t, 2.0], [t], [t, 0.0]):
         with pytest.raises(ValueError, match="t must be finite and nonnegative"):
-            flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), np.array(times))
+            flow.run_trajectory(ss, tm, f0, ent.LogEntropy(), np.array(times))
 
 
 def test_trajectory_raises_when_a_covariance_loses_definiteness(traj):
     # With the drift reversed e^{-Ct} grows and K + E (A0 - K) E^T turns
     # indefinite for A0 < K; far enough out the exponential overflows.
     spec, ss, tm, _ = traj
-    wrong = hp.SystemSpec(D=spec.D, C=-spec.C)
+    wrong = hp.SteadyState(K=ss.K, cK=ss.cK, R=ss.R, Q=ss.Q, spec=hp.SystemSpec(D=spec.D, C=-spec.C))
     f0 = hp.GaussianMixture((ent.GaussianComponent(1.0, np.zeros(2), 0.5 * ss.K),))
     with pytest.raises(np.linalg.LinAlgError, match="lost positive definiteness"):
-        flow.run_trajectory(wrong, ss, tm, f0, ent.LogEntropy(), np.linspace(0.0, 3.0, 7))
+        flow.run_trajectory(wrong, tm, f0, ent.LogEntropy(), np.linspace(0.0, 3.0, 7))
     with pytest.raises(OverflowError), np.errstate(over="ignore", invalid="ignore"):
-        flow.run_trajectory(wrong, ss, tm, f0, ent.LogEntropy(), np.array([0.0, 1e4]))
+        flow.run_trajectory(wrong, tm, f0, ent.LogEntropy(), np.array([0.0, 1e4]))
     bad = hp.GaussianMixture((ent.GaussianComponent(1.0, np.ones(2), ss.K, affine=np.ones(2)),))
     with pytest.raises(ValueError, match="steady-shaped"):
-        flow.run_trajectory(spec, ss, tm, bad, ent.QuadraticEntropy(), np.linspace(0.0, 1.0, 3))
+        flow.run_trajectory(ss, tm, bad, ent.QuadraticEntropy(), np.linspace(0.0, 1.0, 3))
 
 
 # The benchmark's d = 3 system: D = diag(1, 0, 0), hypoelliptic with tau = 2.
@@ -496,12 +529,11 @@ D3 = dict(D=np.diag([1.0, 0.0, 0.0]), C=np.array([[2.0, -1.0, 0.0], [1.0, 1.0, -
 def test_one_exponential_and_one_fold_per_trajectory(traj, monkeypatch, times):
     # An explicit rule, and the adaptive order at d = 2 and d = 3: one stack,
     # one exponential and one fold, however many rules the order search visits.
-    spec, ss, tm, _ = traj
-    spec3 = hp.SystemSpec(**D3)
-    ss3 = hp.steady_state(spec3)
+    _, ss, tm, _ = traj
+    ss3 = hp.steady_state(hp.SystemSpec(**D3))
     # d = 3 visits all four orders, so it takes at most 7 samples.
-    cases = [(spec, ss, tm, hp.gauss_hermite_rule(ss.K, 16), times), (spec, ss, tm, None, times),
-             (spec3, ss3, hp.build_P(ss3), None, times[:7])]
+    cases = [(ss, tm, hp.gauss_hermite_rule(ss.K, 16), times), (ss, tm, None, times),
+             (ss3, hp.build_P(ss3), None, times[:7])]
     calls = dict.fromkeys(["matrix_exponential", "expm", "_fold", "gauss_hermite_rule"], 0)
 
     def counted(module, name):
@@ -516,12 +548,12 @@ def test_one_exponential_and_one_fold_per_trajectory(traj, monkeypatch, times):
     counted(scipy.linalg, "expm")
     counted(ent, "_fold")
     counted(ent, "gauss_hermite_rule")
-    for spec, ss, tm, q, times in cases:
+    for ss, tm, q, times in cases:
         calls.update(dict.fromkeys(calls, 0))
         v0 = np.eye(ss.d)[0]  # TRAJ_V0 at d = 2
         f0 = hp.GaussianMixture((ent.GaussianComponent(0.7, v0, ss.K),
                                  ent.GaussianComponent(0.3, -v0, 0.8 * ss.K)))
-        rec = flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), times, q=q)
+        rec = flow.run_trajectory(ss, tm, f0, ent.LogEntropy(), times, q=q)
         assert len(rec.entropy) == len(times)
         rules = 0 if q else ent.ADAPTIVE_ORDERS.index(rec.quadrature_order) + 1
         assert q or rules >= 2
@@ -562,16 +594,16 @@ def test_adaptive_order_is_one_fixed_rule_and_its_estimate_bounds_the_error(d, g
     rng = np.random.default_rng(2200 + 10 * d + list(STATE_KINDS).index(kind))
     f0 = _kind_mixture(rng, np.linalg.cholesky(ss.K), kind)
     times = np.linspace(0.0, 3.0, 4)
-    rec = flow.run_trajectory(spec, ss, tm, f0, gen, times)
+    rec = flow.run_trajectory(ss, tm, f0, gen, times)
     assert rec.quadrature_order in ent.ADAPTIVE_ORDERS[1:]
     # The series are those of the fixed rule of that order, bit for bit.
-    fixed = flow.run_trajectory(spec, ss, tm, f0, gen, times,
+    fixed = flow.run_trajectory(ss, tm, f0, gen, times,
                                 q=hp.gauss_hermite_rule(ss.K, rec.quadrature_order))
     assert fixed.quadrature_order == rec.quadrature_order and fixed.quadrature_error is None
     for name in ("entropy", "dissipation", "modified", "envelope"):
         assert np.array_equal(getattr(rec, name), getattr(fixed, name)), name
     # The estimate bounds the deviation from order 128 in the same scale.
-    ref = _rows(flow.run_trajectory(spec, ss, tm, f0, gen, times, q=hp.gauss_hermite_rule(ss.K, 128)))
+    ref = _rows(flow.run_trajectory(ss, tm, f0, gen, times, q=hp.gauss_hermite_rule(ss.K, 128)))
     dev = np.max(np.abs(_rows(rec) - ref) / np.maximum(np.abs(ref), np.abs(ref[0])))
     assert dev <= max(rec.quadrature_error, SUM_ROUNDOFF)
     if kind == "localised":  # no order converges: order 64, with its estimate
@@ -599,7 +631,7 @@ def test_closed_form_and_d4_build_no_extra_rule_and_record_no_estimate(rng, monk
         rule = None if q is None else inner(ss.K, q)
         built.clear()
         f0 = _mixture(rng, np.linalg.cholesky(ss.K), (0.6, 0.4))
-        rec = flow.run_trajectory(spec, ss, hp.build_P(ss), f0, gen, times, q=rule)
+        rec = flow.run_trajectory(ss, hp.build_P(ss), f0, gen, times, q=rule)
         assert built == want_built
         assert rec.quadrature_order == want_order and rec.quadrature_error is None
 
@@ -611,7 +643,7 @@ def test_a_search_stopped_early_leaves_the_callers_errstate():
     ss = hp.steady_state(spec)
     f0 = _kind_mixture(np.random.default_rng(1), np.linalg.cholesky(ss.K), "workload")
     before = np.geterr()
-    rec = flow.run_trajectory(spec, ss, hp.build_P(ss), f0, ent.LogEntropy(), np.linspace(0.0, 3.0, 4))
+    rec = flow.run_trajectory(ss, hp.build_P(ss), f0, ent.LogEntropy(), np.linspace(0.0, 3.0, 4))
     assert rec.quadrature_order == 32 and np.geterr() == before
     rules = (hp.gauss_hermite_rule(ss.K, order) for order in ent.ADAPTIVE_ORDERS)
     passes = ent.functionals_by_rule(ent.MixtureStack.of(f0), ss, ent.LogEntropy(), rules)
@@ -629,7 +661,7 @@ def test_adaptive_order_refuses_a_state_negative_inside_order_16(gen):
     f0 = hp.GaussianMixture((ent.GaussianComponent(1.2, np.zeros(2), ss.K),
                              ent.GaussianComponent(-0.2, np.zeros(2), 1.5 * ss.K)))
     with pytest.raises(ent.DomainError, match="density ratio fell below"):
-        flow.run_trajectory(spec, ss, hp.build_P(ss), f0, gen, np.linspace(0.0, 1.0, 3))
+        flow.run_trajectory(ss, hp.build_P(ss), f0, gen, np.linspace(0.0, 1.0, 3))
 
 
 @pytest.mark.parametrize("d, order, per_block", [(2, 16, 32), (3, 24, 1), (4, 16, 2)])
@@ -647,7 +679,7 @@ def test_blocks_hold_at_most_BLOCK_values(rng, monkeypatch, d, order, per_block)
         return inner(f, X)
     monkeypatch.setattr(ent, "ratio_and_grad", recorded)
     times = np.linspace(0.0, 2.0, 75)
-    flow.run_trajectory(spec, ss, hp.build_P(ss), _mixture(rng, np.linalg.cholesky(ss.K), (0.5, 0.5)),
+    flow.run_trajectory(ss, hp.build_P(ss), _mixture(rng, np.linalg.cholesky(ss.K), (0.5, 0.5)),
                         ent.LogEntropy(), times, q=q)
     nb = min(q.n, ent._BLOCK)
     assert all(g * n <= ent._BLOCK for g, n in blocks)
@@ -667,7 +699,7 @@ def test_trajectory_allocates_block_sized_buffers(rng):
     times = np.linspace(0.0, 8.0, 200)
     tracemalloc.start()
     try:
-        flow.run_trajectory(spec, ss, tm, f0, ent.LogEntropy(), times, q=q)
+        flow.run_trajectory(ss, tm, f0, ent.LogEntropy(), times, q=q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -186,7 +186,7 @@ class TestSimulator:
         t_end = 2.0
         series = kin.fd_simulate(ks, grid, f0, t_end=t_end, dt=0.005, n_records=3)
         mean_t = hp.evolve_shift(mean0, t_end, spec.C)
-        cov_t = hp.evolve_cov(cov0, t_end, spec.C, ss.K)
+        cov_t = hp.evolve_cov(cov0, t_end, ss)
         exact = kin.gaussian_on_grid(mean_t, cov_t, grid)
         err = np.sqrt(np.sum((series.f_final - exact) ** 2) * grid.cell)
         assert err <= 5e-3

@@ -231,6 +231,6 @@ class TestDegreeOneEigenfunction:
         t = 0.7
         for lam, w in ((1.0, np.array([1.0, 0.0, 0.0])), (2.0, np.array([0.0, 1.0, -1.0]))):
             assert np.array_equal(C @ w, lam * w)
-            evolved = hp.evolve_mixture(ent.affine_steady(ss, w), t, spec.C, ss.K)
+            evolved = hp.evolve_mixture(ent.affine_steady(ss, w), t, ss)
             a_t = evolved.components[0].affine
             assert np.allclose(a_t, np.exp(-lam * t) * np.linalg.solve(ss.K, w), rtol=1e-10)

@@ -59,7 +59,7 @@ class TestSpecOwnsItsData:
             scenarios = {}
             for kind in ("real-eig", "complex-pair", "defective"):
                 try:
-                    scenarios[kind] = hp.sharpness_scenario(kind, spec, ss)
+                    scenarios[kind] = hp.sharpness_scenario(kind, ss)
                 except ValueError:
                     pass
             cert = hp.compare_rates(spec, ss)
