@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import TOL, EigenStructure
-from .system import SteadyState, SystemSpec, check_condition_A  # noqa: F401 (bench/selftest.py)
+from .system import SteadyState, SystemSpec, _check_spec, check_condition_A  # noqa: F401 (bench/selftest.py)
 
 DEFAULT_EPSILON_FACTOR = 1e-2
 
@@ -185,13 +185,14 @@ def lambda_P(K: np.ndarray, P: np.ndarray) -> float:
 
 def compare_rates(spec: SystemSpec, ss: SteadyState) -> DecayCertificate:
     """Sandwich comparison lam_K <= mu <= cond(A~)^2 * lam_K for SPD D
-    (``spec.rank_D`` = d, else a LinAlgError).
+    (``spec.rank_D`` = d, else a LinAlgError); an ss of another system is a ValueError.
 
     lam_K is the classical (uniform-convexity) constant, the largest lam with
     K^{-1} >= lam * D^{-1}, as 1 / lambda_max(D^{-1/2} K D^{-1/2}) with no K^{-1}.
     A~ diagonalizes D^{-1/2} C D^{1/2}: it is D^{-1/2} times the unit eigenvectors
     of ``spec.eig``, columns renormalised.  Both roots of D come from ``spec.D_eigh``;
     the slacks are relative to _scale(C).  No upper bound when C is defective."""
+    _check_spec(spec, ss)
     if spec.rank_D < spec.d:
         raise np.linalg.LinAlgError(f"D is not SPD: rank {spec.rank_D} < {spec.d}")
     w, U = spec.D_eigh
@@ -205,9 +206,7 @@ def compare_rates(spec: SystemSpec, ss: SteadyState) -> DecayCertificate:
         A = (U / np.sqrt(w)) @ U.T @ np.stack([ch.vectors[0] for ch in eig.chains], axis=1)
         cond_sq_bound = float(np.linalg.cond(A / np.linalg.norm(A, axis=0)) ** 2 * lamK)
         if mu > cond_sq_bound + TOL.bound_slack * eig.scale:
-            raise CertificateError(
-                f"mu = {mu} exceeds the conditioning bound {cond_sq_bound}"
-            )
+            raise CertificateError(f"mu = {mu} exceeds the conditioning bound {cond_sq_bound}")
     return DecayCertificate(mu=mu, lambda_K=float(lamK), cond_sq_bound=cond_sq_bound)
 
 

@@ -326,9 +326,7 @@ def _cmd_evolve(cfg, outdir, fmt, plot) -> list[str]:
         raise ConfigError("times.samples: need at least 2 samples")
     order = _read(_section(cfg, "quadrature", {}), "quadrature", "order", _int, None)
     tm, _ = _certificate(cfg, ss)
-    q = None if order is None else entropy.rule_for(gen, ss.K, order)  # None: adaptive at d <= 3
-    times = np.linspace(0.0, t_end, samples)
-    rec = flow.run_trajectory(ss, tm, f0, gen, times, q=q)
+    rec = flow.run_trajectory(ss, tm, f0, gen, np.linspace(0.0, t_end, samples), order=order)
     if fmt == "json":
         path = os.path.join(outdir, "evolve.json")
         _write_json(path, {

@@ -10,9 +10,9 @@ analytic.  For the quadratic generator every functional is a sum of
 Gaussian integrals over pairs of components and is evaluated exactly.  For
 the others, integrals are sums over a standard-normal rule in whitened
 coordinates y, mapped to x = S y by the steady state's root S = ss.sqrtK, so the
-weight is exactly f_inf; the rule depends only on (d, order) and is built
-once.  ``functionals`` gets e and the dissipation matrix G (I = tr(D G)) of a
-state or a stack (a trajectory) in one pass; ``functionals_by_rule``, per rule.
+weight is exactly f_inf; ``quadrature_rules`` decides which rules are read.
+``functionals`` gets e and the dissipation matrix G (I = tr(D G)) of a state or
+a stack (a trajectory) in one pass; ``functionals_by_rule``, per rule.
 ``gaussian_log_functionals`` is the log generator's closed form at one Gaussian.
 """
 
@@ -243,18 +243,11 @@ def _check_dimension(d: int, ss: SteadyState) -> None:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights integrating int g(y) N(0, I)(y) dy in d dimensions.
-
-    The logarithmic and power generators integrate e and G over it; the
-    quadratic one is exact and takes no rule.  Tensor Gauss-Hermite for d <= 3;
-    one scrambled-Sobol quasi-Monte Carlo point set (fixed seed, equal
-    weights) for d >= 4.  No error estimate (``run_trajectory``'s adaptive one compares orders).
-    ``nodes`` is whitened and nodes-last, (d+1, n) with columns (y, 1).  The
-    rule carries no covariance: ``functionals`` maps y to x = sqrtK y with
-    the steady state's K, so one rule serves every steady state of its
-    dimension.  Nodes and weights depend only on (d, order), and all rules
-    of one shape share one read-only copy.
-    """
+    """Nodes/weights integrating int g(y) N(0, I)(y) dy in d dimensions: tensor
+    Gauss-Hermite for d <= 3, one scrambled-Sobol point set (fixed seed, equal
+    weights) for d >= 4.  ``nodes`` is whitened and nodes-last, (d+1, n) with
+    columns (y, 1), mapped to x = sqrtK y by ``functionals``: one rule serves every
+    steady state of its dimension, and one (d, order) shares one read-only copy."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -275,7 +268,7 @@ class QuadratureRule:
 MAX_ORDER = 128
 # Nodes per block in ``functionals``: its temporaries stay in cache.
 _BLOCK = 8192
-# Tensor orders of ``run_trajectory``'s order search; the last is its cap.
+# Tensor orders of the order search (``quadrature_rules``); the last is its cap.
 ADAPTIVE_ORDERS = (16, 32, 48, 64)
 
 
@@ -307,18 +300,25 @@ def _check_order(order) -> None:
         raise ValueError(f"quadrature order must be an integer in [2, {MAX_ORDER}], got {order!r}")
 
 
-def gauss_hermite_rule(K: np.ndarray, order: int = 64) -> QuadratureRule:
+def gauss_hermite_rule(K: np.ndarray, order: int) -> QuadratureRule:
     """The rule of ``order`` in the dimension of the covariance K."""
     d = len(K)
     _check_order(order)
     return QuadratureRule(*_grid(d, order), "gauss-hermite" if d <= 3 else "qmc-sobol", order)
 
 
-def rule_for(gen: EntropyGenerator, K: np.ndarray, order: int = 64) -> QuadratureRule | None:
-    """The rule ``functionals`` reads for ``gen``: none for the quadratic
-    generator, which is exact; ``order`` is checked either way."""
-    _check_order(order)
-    return None if isinstance(gen, QuadraticEntropy) else gauss_hermite_rule(K, order)
+def quadrature_rules(gen: EntropyGenerator, K: np.ndarray, order: int | None = None):
+    """The rules ``functionals_by_rule`` reads for ``gen``, in turn: [None] for the
+    quadratic generator, which is exact (a given order is checked all the same);
+    the rule of a given order; order 64 at d >= 4; else the ``ADAPTIVE_ORDERS``
+    rules of an order search, each built when it is reached."""
+    if order is not None:
+        _check_order(order)
+    if isinstance(gen, QuadraticEntropy):
+        return [None]
+    if order is None and len(K) <= 3:
+        return (gauss_hermite_rule(K, n) for n in ADAPTIVE_ORDERS)
+    return [gauss_hermite_rule(K, 64 if order is None else order)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from . import entropy as ent
 from . import linalg
 from .linalg import TOL
 from .certificates import TransportMatrix, entropy_envelope, lambda_P
-from .entropy import EntropyGenerator, GaussianComponent, GaussianMixture, MixtureStack, QuadratureRule
+from .entropy import EntropyGenerator, GaussianComponent, GaussianMixture, MixtureStack
 from .system import SteadyState, SystemSpec, _time
 
 
@@ -177,24 +177,21 @@ def _deviation(vals: np.ndarray, prev: np.ndarray) -> float:
 
 def run_trajectory(ss: SteadyState, cert: TransportMatrix, f0: GaussianMixture,
                    gen: EntropyGenerator, times: np.ndarray,
-                   q: QuadratureRule | None = None) -> TrajectoryRecord:
+                   order: int | None = None) -> TrajectoryRecord:
     """Entropy series e(t), I(t) = tr(D G), S(t) = tr(P G) of the exact states
     at the requested times and the envelope S(f0)/(2 lambda_P) e^{-2 kappa t}
-    (``entropy_envelope``; S(f0) < 0 raises).  All
-    samples, and f0 when the grid starts after t = 0, are one stack: one matrix
-    exponential and one fold.  The quadratic generator is exact and builds no
-    rule; the others read q and record its order.  With q None, d >= 4 reads
-    the order-64 rule, and d <= 3 the first ``ent.ADAPTIVE_ORDERS`` rule whose
-    series are within TOL.quadrature of the previous order's (``_deviation``);
-    that is the error estimate.  Else it reads order 64, and the estimate is
-    its largest deviation from any lower order."""
+    (``entropy_envelope``; S(f0) < 0 raises).  All samples, and f0 when the
+    grid starts after t = 0, are one stack: one matrix exponential and one fold.
+    The rules, planned before any work, are ``ent.quadrature_rules(gen, ss.K,
+    order)``.  Several are an order search: it stops at the first within
+    TOL.quadrature of the previous rule (``_deviation``, the error estimate),
+    else at the last, estimated by its largest deviation from a lower order.
+    The record holds a given or searched order; the closed form records none."""
+    rules = ent.quadrature_rules(gen, ss.K, order)
     times = np.asarray(times, dtype=float)
     grid = times if len(times) and times[0] == 0.0 else np.concatenate(([0.0], times))
     f = _evolve(f0, grid, ss)
     DP = np.stack([ss.spec.D, cert.P])
-    rules = ([None] if isinstance(gen, ent.QuadraticEntropy) else [q] if q is not None
-             else [ent.rule_for(gen, ss.K)] if ss.d > 3
-             else (ent.gauss_hermite_rule(ss.K, order) for order in ent.ADAPTIVE_ORDERS))
     seen, err = [], None
     for rule, e, G in ent.functionals_by_rule(f, ss, gen, rules):
         seen.append(np.column_stack([e, np.einsum("kij,tij->tk", DP, G)]))
@@ -208,10 +205,9 @@ def run_trajectory(ss: SteadyState, cert: TransportMatrix, f0: GaussianMixture,
     e, i, s = vals[len(grid) - len(times):].T
     amplitude, rate = entropy_envelope(cert.kappa, lambda_P(ss.K, cert.P), vals[0, 2])
     envelope = amplitude * np.exp(-rate * times)
-    # The closed form and the d >= 4 default record no order.
-    order = None if rule is None or (q is None and ss.d > 3) else rule.order
     return TrajectoryRecord(times=times, entropy=e, dissipation=i, modified=s, envelope=envelope,
-                            quadrature_order=order, quadrature_error=err)
+                            quadrature_order=None if rule is None else (
+                                order if err is None else rule.order), quadrature_error=err)
 
 
 def refine_maximum(fun, a: float, b: float) -> float:

@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .system import SteadyState, SystemSpec
+from .system import SteadyState, SystemSpec, _check_spec
 
 DIMENSION_CAP = 2000
 
@@ -142,13 +142,12 @@ def poly_operator_matrix(spec: SystemSpec, ss: SteadyState, m: int) -> PolyOpera
     Assembled in whitened coordinates y = W^{-1} x, W = V diag(sqrt w) from
     ``ss.K_eigh``: K^{-1} C K becomes W^{-1} C W, formed by the orthogonal V and a
     diagonal scaling alone, so its eigenvalues stay accurate when K is not.
-    """
+    An ss of another system (``ss.spec``'s C or D not spec's) is a ValueError."""
+    _check_spec(spec, ss)
     d = spec.d
     n = comb(d + m, m)
     if n > DIMENSION_CAP:
-        raise ValueError(
-            f"monomial basis dimension {n} exceeds the cap {DIMENSION_CAP}"
-        )
+        raise ValueError(f"monomial basis dimension {n} exceeds the cap {DIMENSION_CAP}")
     V, r = ss.K_eigh[1], ss.sqrt_w
     G = (V.T @ spec.C @ V) * (r / r[:, None])  # drift matrix in y.G.grad
     D = (V.T @ spec.D @ V) / np.outer(r, r)

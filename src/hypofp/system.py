@@ -140,6 +140,14 @@ class SteadyState:
     logdet_K = property(lambda self: self._whitening[3], doc="log det K = sum log w.")
 
 
+def _check_spec(spec: SystemSpec, ss: SteadyState) -> None:
+    """ValueError when ss is the steady state of a system whose C or D is not spec's;
+    a state without a spec (``ss.spec`` None) is read as spec's."""
+    own = ss.spec or spec
+    if own is not spec and not (np.array_equal(own.C, spec.C) and np.array_equal(own.D, spec.D)):
+        raise ValueError("the steady state is that of another system: its C or D differs from spec's")
+
+
 def hoermander_tau(spec: SystemSpec) -> tuple[int | None, int, float, float]:
     """Orthogonal controllability staircase of (C, D) (Van Dooren 1981; Paige,
     IEEE TAC 26, 1981): (tau, dim, margin, gap).

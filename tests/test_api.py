@@ -1,5 +1,6 @@
 """The public API: ``hypofp.__all__`` names each export once, and each resolves;
-``flow`` reads its system from one steady state."""
+``flow`` reads its system from one steady state, and ``entropy`` alone plans
+the quadrature."""
 
 import ast
 import inspect
@@ -7,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import hypofp as hp
-from hypofp import flow
+from hypofp import cli, flow
 
 
 def test_all_names_resolve_once():
@@ -33,3 +34,15 @@ def test_flow_takes_the_system_as_one_steady_state():
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
     calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not calls & {"np.linalg.solve", "np.linalg.inv"}
+
+
+def test_entropy_alone_plans_the_quadrature():
+    # flow passes an order through and the CLI passes the config's: neither
+    # builds a rule nor knows the orders of the search.
+    for module in (flow, cli):
+        tree = ast.parse(Path(module.__file__).read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for a in node.names}
+        assert not names & {"gauss_hermite_rule", "rule_for", "ADAPTIVE_ORDERS"}, module.__name__

@@ -280,6 +280,18 @@ class TestCompareRates:
         with pytest.raises(np.linalg.LinAlgError):
             hp.compare_rates(spec, ss)
 
+    def test_steady_state_of_another_system_rejected(self):
+        # D = I: ss is that of C = I + J, spec has C = 3I + J.  Read together they
+        # would fail spec's conditioning bound (mu = 3 > 1), a fault of neither.
+        spec = hp.SystemSpec(D=np.eye(2), C=np.array([[3.0, -1.0], [1.0, 3.0]]))
+        ss = hp.steady_state(hp.SystemSpec(D=np.eye(2), C=np.array([[1.0, -1.0], [1.0, 1.0]])))
+        with pytest.raises(ValueError, match="another system"):
+            hp.compare_rates(spec, ss)
+        own = hp.steady_state(spec)
+        bare = hp.SteadyState(K=own.K, cK=own.cK, R=own.R, Q=own.Q)  # no spec: read as spec's
+        for state in (own, bare):
+            assert hp.compare_rates(spec, state).mu == pytest.approx(3.0, rel=1e-12)
+
     def test_numerically_singular_D_rejected(self):
         # lambda_min / lambda_max(D) = 1e-400 is rank 1 by spec.rank_D; the
         # comparison refuses it rather than returning lambda_K = 0 and a NaN bound.

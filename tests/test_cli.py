@@ -237,7 +237,7 @@ class TestEvolve:
         ss = system.steady_state(spec)
         f0 = entropy.GaussianMixture((entropy.GaussianComponent(1.0, np.array([1.3, 0.6]), ss.K),))
         rec = flow.run_trajectory(ss, certificates.build_P(ss), f0, entropy.LogEntropy(),
-                                  np.linspace(0.0, 8.0, 200), q=entropy.gauss_hermite_rule(ss.K, 64))
+                                  np.linspace(0.0, 8.0, 200), order=64)
         cols = np.column_stack([rec.times, rec.entropy, rec.dissipation, rec.modified, rec.envelope])
         want = "t,e_psi,I_psi,S_psi,envelope\n" + "".join(",".join("%.17g" % x for x in row) + "\n"
                                                          for row in cols)

@@ -476,7 +476,7 @@ def test_log_dissipation_matrix_of_a_centred_gaussian(rng, d):
 def test_dissipation_matrix_is_symmetric_psd(rng, gen, d):
     spec, _ = make_random_system(rng, d)
     ss = hp.steady_state(spec)
-    q = ent.rule_for(gen, ss.K, 16)
+    [q] = ent.quadrature_rules(gen, ss.K, 16)
     L = np.linalg.cholesky(ss.K)
     f = hp.GaussianMixture((_component(rng, L, 0.3), _component(rng, L, 0.7)))
     e, G = ent.functionals(f, ss, gen, q)

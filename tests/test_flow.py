@@ -433,7 +433,7 @@ def test_stacked_trajectory_matches_per_sample_loop(rng, case):
     q = hp.gauss_hermite_rule(ss.K, order)
     L = np.linalg.cholesky(ss.K)
     f0 = _mixture(rng, L, weights, affine=0.4 * rng.standard_normal(d) if affine else None)
-    rec = flow.run_trajectory(ss, tm, f0, gen, times, q=q)
+    rec = flow.run_trajectory(ss, tm, f0, gen, times, order=order)
     rows, envelope = _per_sample_trajectory(spec, ss, tm, f0, gen, times, q)
     assert not hasattr(rec, "states")
     got = np.column_stack([rec.entropy, rec.dissipation, rec.modified])
@@ -490,9 +490,9 @@ def test_domain_error_in_a_middle_sample(samples):
     with pytest.raises(ent.DomainError):
         ent.functionals(hp.evolve_mixture(f0, t_bad, ss), ss, gen, q)
     with pytest.raises(ent.DomainError):
-        flow.run_trajectory(ss, tm, f0, gen, times, q=q)
+        flow.run_trajectory(ss, tm, f0, gen, times, order=q.order)
     # The quadratic generator takes signed states, in closed form.
-    rec = flow.run_trajectory(ss, tm, f0, ent.QuadraticEntropy(), times, q=q)
+    rec = flow.run_trajectory(ss, tm, f0, ent.QuadraticEntropy(), times, order=q.order)
     assert np.all(np.isfinite(rec.entropy))
 
 
@@ -527,12 +527,12 @@ D3 = dict(D=np.diag([1.0, 0.0, 0.0]), C=np.array([[2.0, -1.0, 0.0], [1.0, 1.0, -
 @pytest.mark.parametrize("times", [np.array([0.0]), np.linspace(0.0, 2.0, 7),
                                    np.linspace(0.5, 2.0, 200)])
 def test_one_exponential_and_one_fold_per_trajectory(traj, monkeypatch, times):
-    # An explicit rule, and the adaptive order at d = 2 and d = 3: one stack,
-    # one exponential and one fold, however many rules the order search visits.
+    # An explicit order, and the adaptive order at d = 2 and d = 3: one stack,
+    # one exponential and one fold, and one rule built per order visited.
     _, ss, tm, _ = traj
     ss3 = hp.steady_state(hp.SystemSpec(**D3))
     # d = 3 visits all four orders, so it takes at most 7 samples.
-    cases = [(ss, tm, hp.gauss_hermite_rule(ss.K, 16), times), (ss, tm, None, times),
+    cases = [(ss, tm, 16, times), (ss, tm, None, times),
              (ss3, hp.build_P(ss3), None, times[:7])]
     calls = dict.fromkeys(["matrix_exponential", "expm", "_fold", "gauss_hermite_rule"], 0)
 
@@ -548,15 +548,15 @@ def test_one_exponential_and_one_fold_per_trajectory(traj, monkeypatch, times):
     counted(scipy.linalg, "expm")
     counted(ent, "_fold")
     counted(ent, "gauss_hermite_rule")
-    for ss, tm, q, times in cases:
+    for ss, tm, order, times in cases:
         calls.update(dict.fromkeys(calls, 0))
         v0 = np.eye(ss.d)[0]  # TRAJ_V0 at d = 2
         f0 = hp.GaussianMixture((ent.GaussianComponent(0.7, v0, ss.K),
                                  ent.GaussianComponent(0.3, -v0, 0.8 * ss.K)))
-        rec = flow.run_trajectory(ss, tm, f0, ent.LogEntropy(), times, q=q)
+        rec = flow.run_trajectory(ss, tm, f0, ent.LogEntropy(), times, order=order)
         assert len(rec.entropy) == len(times)
-        rules = 0 if q else ent.ADAPTIVE_ORDERS.index(rec.quadrature_order) + 1
-        assert q or rules >= 2
+        rules = 1 if order else ent.ADAPTIVE_ORDERS.index(rec.quadrature_order) + 1
+        assert order or rules >= 2
         assert calls == {"matrix_exponential": 1, "expm": 1, "_fold": 1, "gauss_hermite_rule": rules}
 
 
@@ -597,13 +597,12 @@ def test_adaptive_order_is_one_fixed_rule_and_its_estimate_bounds_the_error(d, g
     rec = flow.run_trajectory(ss, tm, f0, gen, times)
     assert rec.quadrature_order in ent.ADAPTIVE_ORDERS[1:]
     # The series are those of the fixed rule of that order, bit for bit.
-    fixed = flow.run_trajectory(ss, tm, f0, gen, times,
-                                q=hp.gauss_hermite_rule(ss.K, rec.quadrature_order))
+    fixed = flow.run_trajectory(ss, tm, f0, gen, times, order=rec.quadrature_order)
     assert fixed.quadrature_order == rec.quadrature_order and fixed.quadrature_error is None
     for name in ("entropy", "dissipation", "modified", "envelope"):
         assert np.array_equal(getattr(rec, name), getattr(fixed, name)), name
     # The estimate bounds the deviation from order 128 in the same scale.
-    ref = _rows(flow.run_trajectory(ss, tm, f0, gen, times, q=hp.gauss_hermite_rule(ss.K, 128)))
+    ref = _rows(flow.run_trajectory(ss, tm, f0, gen, times, order=128))
     dev = np.max(np.abs(_rows(rec) - ref) / np.maximum(np.abs(ref), np.abs(ref[0])))
     assert dev <= max(rec.quadrature_error, SUM_ROUNDOFF)
     if kind == "localised":  # no order converges: order 64, with its estimate
@@ -616,22 +615,21 @@ def test_closed_form_and_d4_build_no_extra_rule_and_record_no_estimate(rng, monk
     built = []
     inner = ent.gauss_hermite_rule
 
-    def recorded(K, order=64):
+    def recorded(K, order):
         built.append(order)
         return inner(K, order)
     monkeypatch.setattr(ent, "gauss_hermite_rule", recorded)
     times = np.linspace(0.0, 1.0, 3)
-    for d, gen, q, want_built, want_order in [
+    for d, gen, order, want_built, want_order in [
             (2, ent.QuadraticEntropy(), None, [], None),
-            (3, ent.QuadraticEntropy(), 16, [], None),  # a rule the closed form does not read
+            (3, ent.QuadraticEntropy(), 16, [], None),  # an order the closed form does not read
             (4, ent.LogEntropy(), None, [64], None),  # the default Sobol rule
-            (4, ent.LogEntropy(), 8, [], 8)]:
+            (4, ent.LogEntropy(), 8, [8], 8)]:
         spec, _ = make_random_system(rng, d, rank=d)
         ss = hp.steady_state(spec)
-        rule = None if q is None else inner(ss.K, q)
         built.clear()
         f0 = _mixture(rng, np.linalg.cholesky(ss.K), (0.6, 0.4))
-        rec = flow.run_trajectory(ss, hp.build_P(ss), f0, gen, times, q=rule)
+        rec = flow.run_trajectory(ss, hp.build_P(ss), f0, gen, times, order=order)
         assert built == want_built
         assert rec.quadrature_order == want_order and rec.quadrature_error is None
 
@@ -680,7 +678,7 @@ def test_blocks_hold_at_most_BLOCK_values(rng, monkeypatch, d, order, per_block)
     monkeypatch.setattr(ent, "ratio_and_grad", recorded)
     times = np.linspace(0.0, 2.0, 75)
     flow.run_trajectory(ss, hp.build_P(ss), _mixture(rng, np.linalg.cholesky(ss.K), (0.5, 0.5)),
-                        ent.LogEntropy(), times, q=q)
+                        ent.LogEntropy(), times, order=order)
     nb = min(q.n, ent._BLOCK)
     assert all(g * n <= ent._BLOCK for g, n in blocks)
     assert {n for _, n in blocks} <= {nb, q.n % nb or nb}  # full blocks, then the rest
@@ -699,7 +697,7 @@ def test_trajectory_allocates_block_sized_buffers(rng):
     times = np.linspace(0.0, 8.0, 200)
     tracemalloc.start()
     try:
-        flow.run_trajectory(ss, tm, f0, ent.LogEntropy(), times, q=q)
+        flow.run_trajectory(ss, tm, f0, ent.LogEntropy(), times, order=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

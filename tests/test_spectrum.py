@@ -219,6 +219,19 @@ class TestPolyOperatorMatrix:
         with pytest.raises(ValueError):
             hp.poly_operator_matrix(spec, ss, 40)
 
+    def test_steady_state_of_another_system_rejected(self):
+        # D = I: ss is that of C = I + J (K = I), spec has C = 3I + J.  Read as
+        # spec's, the degree-1 block would be -1 -+ i, ss's drift; a state without
+        # a spec is taken as spec's, and gives spec's own -3 -+ i.
+        spec = hp.SystemSpec(D=np.eye(2), C=np.array([[3.0, -1.0], [1.0, 3.0]]))
+        ss = hp.steady_state(hp.SystemSpec(D=np.eye(2), C=np.array([[1.0, -1.0], [1.0, 1.0]])))
+        with pytest.raises(ValueError, match="another system"):
+            hp.poly_operator_matrix(spec, ss, 1)
+        bare = hp.SteadyState(K=ss.K, cK=ss.cK, R=ss.R, Q=ss.Q)
+        for state in (bare, hp.steady_state(spec)):
+            assert_multisets_close(hp.poly_operator_matrix(spec, state, 1).eigenvalues(),
+                                   [0.0, -3.0 + 1.0j, -3.0 - 1.0j], atol=1e-12)
+
 
 class TestDegreeOneEigenfunction:
     def test_evolution_consistency(self):
