@@ -418,7 +418,11 @@ def _kinetic_run(sec, gsec, ks):
     if not (np.array_equal(cov, cov.T) and np.linalg.eigvalsh(cov)[0] > 0):
         raise ConfigError("kinetic.initial.cov: must be symmetric positive definite")
     f0 = kinetic.gaussian_on_grid(mean, cov, grid)
-    return grid, f0 / (f0.sum() * grid.cell), t_end, dt
+    mass = f0.sum() * grid.cell
+    if not 0.0 < mass < math.inf:
+        raise ConfigError(f"kinetic.initial: the Gaussian has mass {mass:.3g} on the grid's cells; "
+                          "widen cov or move mean onto the grid")
+    return grid, f0 / mass, t_end, dt
 
 
 def _cmd_kinetic(cfg, outdir, fmt, plot) -> list[str]:

@@ -13,9 +13,10 @@ that extends the certificate to non-quadratic potentials with small |Vt''|.
 A desk-scale finite-difference simulator produces discrete entropy series
 against the discretized steady state.  Each step is Strang-split: van Leer
 (MUSCL) flux-limited transport half-steps in x and v around a Crank-Nicolson
-step of the velocity friction+diffusion operator, which is tridiagonal and
-solved in banded form; all walls are zero-flux, so mass is conserved to
-round-off.  The series also carries the run's CFL number and mass drift.
+step of the velocity friction+diffusion operator, one O(nx nv^2) product
+with its propagator; between unrecorded steps, two x half-steps merge into
+one.  All walls are zero-flux, so mass is conserved to round-off.  The
+series also carries the run's CFL number and mass drift.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .linalg import TOL
@@ -223,7 +223,7 @@ class KineticSeries:
     mass: np.ndarray
     f_final: np.ndarray
     grid: PhaseGrid
-    cfl: float  # dt * max(max|v| / dx, max|V'| / dv), at most 1
+    cfl: float  # dt * max(max|v| / dx, max|V'| / dv) <= 1, the x step's Courant number
     mass_drift: float  # |mass(t_end) - mass(0)| / max(t_end, 1)
 
 
@@ -249,9 +249,11 @@ class _Sweep:
     of an (nx, nv) field whose speed is constant along ``axis`` and varies
     across the other axis.  Zero-flux walls: nothing enters or leaves the
     domain.  Calling it advances a C-contiguous field by ``dt`` in place; the
-    work arrays are kept, so repeated steps allocate nothing."""
+    work arrays are kept, so repeated steps allocate nothing, and shared with
+    ``work``, a sweep along the same axis of a field of the same shape."""
 
-    def __init__(self, speed: np.ndarray, h: float, dt: float, axis: int, shape: tuple[int, int]):
+    def __init__(self, speed: np.ndarray, h: float, dt: float, axis: int,
+                 shape: tuple[int, int], work: _Sweep | None = None):
         # The sweep runs on the flat field, where neighbours along ``axis`` are
         # ``step`` apart and face i lies between cells i and i + step.  Along
         # axis 1, the seams from the end of one line to the start of the next
@@ -265,14 +267,14 @@ class _Sweep:
         self.face_weight = 0.5 * np.sign(c) * (1.0 - np.abs(c))
         self.c_pos, self.c_neg = np.maximum(c[:-self.step], 0.0), np.minimum(c[:-self.step], 0.0)
         self.c_pos[self.seams] = self.c_neg[self.seams] = 0.0
-        self.b, self.abs_b, self.flux = (np.empty(n - self.step) for _ in range(3))
-        self.slope, self.q = np.zeros(n), np.empty(n)  # slope stays 0 in axis-0 walls
+        self.work = work.work if work is not None else (  # b, abs_b, flux, slope (0 in axis-0 walls), q
+            *(np.empty(n - self.step) for _ in range(3)), np.zeros(n), np.empty(n))
 
     def __call__(self, f: np.ndarray) -> None:
         if not f.flags.c_contiguous:
             raise ValueError("the field must be C-contiguous")
         f, k = f.reshape(-1), self.step
-        b, abs_b, flux, slope, q = self.b, self.abs_b, self.flux, self.slope, self.q
+        b, abs_b, flux, slope, q = self.work
         np.subtract(f[k:], f[:-k], out=b)
         b[self.seams] = 0.0
         np.abs(b, out=abs_b)
@@ -311,27 +313,21 @@ def _velocity_operator(ks: KineticSpec, grid: PhaseGrid) -> tuple[np.ndarray, np
 
 
 class _CrankNicolson:
-    """The Crank-Nicolson step (I - dt/2 A) f_new = (I + dt/2 A) f along
-    axis 1, for the tridiagonal A given by its three diagonals."""
+    """The Crank-Nicolson step f_new = R f, R = (I - dt/2 A)^-1 (I + dt/2 A),
+    along axis 1 for the tridiagonal A given by its three diagonals."""
 
     def __init__(self, diagonals, dt: float, shape: tuple[int, int]):
         lower, diag, upper = diagonals
-        h = 0.5 * dt
-        self.lower, self.diag, self.upper = h * lower, 1.0 + h * diag, h * upper
-        # I - dt/2 A in banded storage
-        self.ab = np.array([np.r_[0.0, -self.upper], 1.0 - h * diag, np.r_[-self.lower, 0.0]])
-        self.tmp = np.empty((shape[0], shape[1] - 1))
+        hA = 0.5 * dt * (np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1))
+        eye = np.eye(shape[1])
+        R = np.linalg.solve(eye - hA, eye + hA)
+        # R's far entries fall below the normal range; subnormals slow the product.
+        R[np.abs(R) < np.finfo(float).tiny] = 0.0
+        self.Rt = np.ascontiguousarray(R.T)
 
     def __call__(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The step of ``f``.  ``out`` is overwritten; it holds the result
-        when the banded solver works in place, as it does for C-contiguous
-        ``out``."""
-        np.multiply(f, self.diag, out=out)
-        np.multiply(f[:, 1:], self.upper, out=self.tmp)
-        out[:, :-1] += self.tmp
-        np.multiply(f[:, :-1], self.lower, out=self.tmp)
-        out[:, 1:] += self.tmp
-        return scipy.linalg.solve_banded((1, 1), self.ab, out.T, overwrite_b=True).T
+        """The step of ``f``, written to ``out`` and returned."""
+        return np.matmul(f, self.Rt, out=out)
 
 
 def _series_point(f, f_inf, ks, grid, P):
@@ -373,11 +369,13 @@ def fd_simulate(
     P: np.ndarray | None = None,
     n_records: int = 50,
 ) -> KineticSeries:
-    """Operator-split integration: flux-limited transport in x and v
-    (Strang-symmetrized), Crank-Nicolson velocity friction+diffusion,
-    zero-flux boundaries.  Mass is conserved to roundoff; a CFL violation or
-    an under-resolved steady state raises KineticError before stepping, and
-    invalid arguments (``dt``, ``t_end``, the shape of ``f0``) ValueError.
+    """Operator-split integration: Strang-symmetrized flux-limited transport
+    in x and v (one x step of ``dt`` between unrecorded steps), Crank-Nicolson
+    velocity friction+diffusion as one O(nx nv^2) product with its O(nv^2)
+    propagator, zero-flux boundaries.  Mass is conserved to roundoff; a CFL
+    violation or an under-resolved steady state raises KineticError before
+    stepping, and invalid arguments (``dt``, ``t_end``, an ``f0`` of the
+    wrong shape, not finite, negative or without mass) ValueError.
 
     Returns discrete log-entropy/dissipation series against the discretized
     steady state, the final field, the CFL number and the mass drift.
@@ -386,6 +384,8 @@ def fd_simulate(
     f = np.array(f0, dtype=float, order="C")
     if f.shape != (grid.nx, grid.nv):
         raise ValueError(f"f0 has shape {f.shape}, the grid needs {(grid.nx, grid.nv)}")
+    if not (np.isfinite(f).all() and f.min() >= 0.0 and f.sum() > 0.0):
+        raise ValueError("f0 must be finite and nonnegative with positive mass")
     if P is None:
         P = build_P_kinetic(ks.nu, ks.omega0)
     f_inf = steady_state_grid(ks, grid)
@@ -412,19 +412,24 @@ def fd_simulate(
         rows.append((t, *_series_point(f, f_inf, ks, grid, P), f.sum() * grid.cell))
 
     record(0.0)
-    x_sweep = _Sweep(grid.v, grid.dx, 0.5 * dt, 0, f.shape)
+    x_half = _Sweep(grid.v, grid.dx, 0.5 * dt, 0, f.shape)
+    x_full = _Sweep(grid.v, grid.dx, dt, 0, f.shape, work=x_half)
     # dv/dt = -V'(x) along characteristics
     v_sweep = _Sweep(-ks.Vp(grid.x), grid.dv, 0.5 * dt, 1, f.shape)
     velocity_step = _CrankNicolson(_velocity_operator(ks, grid), dt, f.shape)
     spare = np.empty_like(f)
+    x_half(f)
     for n in range(1, n_steps + 1):
-        x_sweep(f)
         v_sweep(f)
         f, spare = velocity_step(f, spare), f  # the old field's memory is free now
         v_sweep(f)
-        x_sweep(f)
         if n % rec_every == 0 or n == n_steps:
+            x_half(f)
             record(n * dt)
+            if n < n_steps:
+                x_half(f)
+        else:
+            x_full(f)
 
     times, es, iss, ss_, ms = np.array(rows).T
     drift = abs(ms[-1] - ms[0]) / max(t_end, 1.0)

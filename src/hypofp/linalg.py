@@ -2,8 +2,10 @@
 
 Everything here is deterministic: eigenstructure with defect detection,
 matrix exponentials, Lyapunov solves on a real Schur form (Bartels-Stewart),
-and the smallest eigenvalue of a symmetric part.  Every kernel is a dense O(d^3) LAPACK path,
-so the oscillator chains run to d = 64 and beyond.
+and the smallest eigenvalue of a symmetric part.  Every kernel is a dense
+LAPACK path.  All are O(d^3) except ``eigen_structure``, whose stacked SVD of
+M - lam I over the clusters is O(d^4): d SVDs of d x d matrices for a simple
+spectrum.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The public API: ``hypofp.__all__`` names each export once, and each resolves;
-``flow`` reads its system from one steady state, and ``entropy`` alone plans
-the quadrature."""
+``flow`` reads its system from one steady state, ``flow`` and ``kinetic``
+import no scipy, and ``entropy`` alone plans the quadrature."""
 
 import ast
 import inspect
@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import hypofp as hp
-from hypofp import cli, flow
+from hypofp import cli, flow, kinetic
 
 
 def test_all_names_resolve_once():
@@ -28,12 +28,21 @@ def test_flow_takes_the_system_as_one_steady_state():
              if p in ("spec", "C", "D", "K")}
     assert taken == {("evolve_shift", "C")}
     tree = ast.parse(Path(flow.__file__).read_text())
+    assert not _imports_scipy(tree)
+    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not calls & {"np.linalg.solve", "np.linalg.inv"}
+
+
+def test_kinetic_imports_no_scipy():
+    # The velocity step is one product with a propagator formed by numpy.
+    assert not _imports_scipy(ast.parse(Path(kinetic.__file__).read_text()))
+
+
+def _imports_scipy(tree):
     imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
     imported += [node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module]
-    assert not [m for m in imported if m.split(".")[0] == "scipy"]
-    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    assert not calls & {"np.linalg.solve", "np.linalg.inv"}
+    return [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 def test_entropy_alone_plans_the_quadrature():

@@ -366,6 +366,20 @@ class TestKineticCommand:
         assert out["cfl"] == pytest.approx(0.01 * 5.875 / 0.25)
         assert 0.0 <= out["mass_drift"] <= 1e-12
 
+    def test_initial_without_mass_on_the_cells(self, tmp_path, capsys):
+        # A Gaussian far narrower than a cell: every cell center reads 0.
+        cfgp = write_cfg(tmp_path, {
+            "kinetic": {
+                "nu": 1.0, "sigma": 1.0, "omega0": 1.0,
+                "grid": {"x_range": [-6, 6], "v_range": [-6, 6], "nx": 48, "nv": 48},
+                "t_end": 0.1, "dt": 0.01,
+                "initial": {"cov": [[1e-8, 0.0], [0.0, 1e-8]]},
+            }
+        })
+        assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: kinetic.initial:")
+        assert not (tmp_path / "kinetic_series.csv").exists()
+
     def test_certificate_only_omits_fd_fields(self, tmp_path):
         cfgp = write_cfg(tmp_path, {"kinetic": {"nu": 1.0, "sigma": 1.0, "omega0": 1.0}})
         assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == 0

@@ -191,6 +191,24 @@ class TestSimulator:
         err = np.sqrt(np.sum((series.f_final - exact) ** 2) * grid.cell)
         assert err <= 5e-3
 
+    def test_merged_x_steps_match_half_steps(self):
+        ks, grid = self._default()
+        f0 = kin.gaussian_on_grid(np.array([1.0, 0.0]), 0.8 * np.eye(2), grid)
+        f0 /= f0.sum() * grid.cell
+        t_end, dt = 1.0, 0.01
+        want = _strang_reference(ks, grid, f0, 100, dt)
+        # Every step recorded: no x step is merged.
+        series = kin.fd_simulate(ks, grid, f0, t_end=t_end, dt=dt, n_records=101)
+        assert np.array_equal(series.f_final, want)
+        # Only the end recorded: every x step between is one step of dt.
+        series = kin.fd_simulate(ks, grid, f0, t_end=t_end, dt=dt, n_records=2)
+        spec = hp.assemble_linear(ks)
+        exact = kin.gaussian_on_grid(hp.evolve_shift(np.array([1.0, 0.0]), t_end, spec.C),
+                                     hp.evolve_cov(0.8 * np.eye(2), t_end, hp.steady_state(spec)),
+                                     grid)
+        assert np.sqrt(np.sum((series.f_final - exact) ** 2) * grid.cell) <= 5e-3
+        assert series.mass_drift <= 1e-13
+
     def test_cfl_violation_raises(self):
         ks, grid = self._default()
         f0 = kin.steady_state_grid(ks, grid)
@@ -260,6 +278,22 @@ def _advect(f, speed, h, dt, axis):
     return out
 
 
+def _strang_reference(ks, grid, f0, n_steps, dt):
+    # Every step as x and v half-steps around the Crank-Nicolson step, in the
+    # mirrored order, with no x steps merged between steps.
+    f = np.array(f0, dtype=float, order="C")
+    x_sweep = kin._Sweep(grid.v, grid.dx, 0.5 * dt, 0, f.shape)
+    v_sweep = kin._Sweep(-ks.Vp(grid.x), grid.dv, 0.5 * dt, 1, f.shape)
+    velocity_step = kin._CrankNicolson(kin._velocity_operator(ks, grid), dt, f.shape)
+    for _ in range(n_steps):
+        x_sweep(f)
+        v_sweep(f)
+        f = velocity_step(f, np.empty_like(f))
+        v_sweep(f)
+        x_sweep(f)
+    return f
+
+
 class TestKernels:
     ks = kin.KineticSpec(nu=1.3, sigma=0.7, omega0=1.0)
     grid = kin.PhaseGrid(x_range=(-5.0, 4.0), v_range=(-6.0, 6.0), nx=24, nv=40)
@@ -295,6 +329,21 @@ class TestKernels:
         step = kin._CrankNicolson(kin._velocity_operator(self.ks, self.grid), dt, f.shape)
         got = step(f, np.empty_like(f))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_small_dt_propagator_has_no_subnormal_entry(self, rng):
+        # At nv = 256 and dt = 1e-4 the propagator's far entries underflow.
+        dt = 1e-4
+        grid = kin.PhaseGrid(x_range=(-6.0, 6.0), v_range=(-6.0, 6.0), nx=16, nv=256)
+        f = rng.uniform(0.1, 1.0, (grid.nx, grid.nv))
+        step = kin._CrankNicolson(kin._velocity_operator(self.ks, grid), dt, f.shape)
+        assert not np.any((step.Rt != 0.0) & (np.abs(step.Rt) < np.finfo(float).tiny))
+        A = _dense_velocity_operator(self.ks, grid)
+        eye = np.eye(grid.nv)
+        lu = scipy.linalg.lu_factor(eye - 0.5 * dt * A)
+        want = scipy.linalg.lu_solve(lu, (eye + 0.5 * dt * A) @ f.T).T
+        got = step(f, np.empty_like(f))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert got.sum() == pytest.approx(f.sum(), rel=1e-14)
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_advect_matches_two_sided_limiter(self, rng, axis):
@@ -347,6 +396,18 @@ class TestSimulatorInputs:
         f0 = kin.steady_state_grid(self.ks, self.grid)
         with pytest.raises(ValueError, match="shape"):
             kin.fd_simulate(self.ks, self.grid, f0[:, :-1], t_end=0.1, dt=0.01)
+
+    @pytest.mark.parametrize("fill", [
+        pytest.param(lambda f: f * 0.0, id="zero"),
+        pytest.param(lambda f: -np.ones_like(f) / 144.0, id="negative-mass"),
+        pytest.param(lambda f: np.where(f == f.max(), np.nan, f), id="nan"),
+        pytest.param(lambda f: np.where(f == f.max(), np.inf, f), id="inf"),
+    ])
+    def test_f0_value_validation(self, fill):
+        f0 = fill(kin.steady_state_grid(self.ks, self.grid))
+        with pytest.raises(ValueError, match="f0") as info:
+            kin.fd_simulate(self.ks, self.grid, f0, t_end=0.1, dt=0.01)
+        assert not isinstance(info.value, kin.KineticError)
 
     def test_reports_cfl_and_mass_drift(self):
         f0 = kin.gaussian_on_grid(np.array([1.0, 0.0]), 0.8 * np.eye(2), self.grid)
