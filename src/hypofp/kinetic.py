@@ -13,10 +13,10 @@ that extends the certificate to non-quadratic potentials with small |Vt''|.
 A desk-scale finite-difference simulator produces discrete entropy series
 against the discretized steady state.  Each step is Strang-split: van Leer
 (MUSCL) flux-limited transport half-steps in x and v around a Crank-Nicolson
-step of the velocity friction+diffusion operator, one O(nx nv^2) product
-with its propagator; between unrecorded steps, two x half-steps merge into
-one.  All walls are zero-flux, so mass is conserved to round-off.  The
-series also carries the run's CFL number and mass drift.
+step of the velocity friction+diffusion operator, one O(nx nv w) product
+with its propagator's band of width w; between unrecorded steps, two x
+half-steps merge into one.  All walls are zero-flux, so mass is conserved to
+round-off.  The series also carries the run's CFL number and mass drift.
 """
 
 from __future__ import annotations
@@ -236,12 +236,12 @@ def steady_state_grid(ks: KineticSpec, grid: PhaseGrid) -> np.ndarray:
 
 
 def gaussian_on_grid(mean: np.ndarray, cov: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """Bivariate normal density evaluated at cell centers, shape (nx, nv)."""
-    Pm = np.linalg.inv(cov)
-    dxs = grid.x[:, None] - mean[0]
-    dvs = grid.v[None, :] - mean[1]
-    q = Pm[0, 0] * dxs ** 2 + 2.0 * Pm[0, 1] * dxs * dvs + Pm[1, 1] * dvs ** 2
-    return np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
+    """Normal density at cell centers, shape (nx, nv), in log form from cov's Cholesky factor."""
+    L = np.linalg.cholesky(cov)
+    zx = (grid.x[:, None] - mean[0]) / L[0, 0]
+    zv = (grid.v[None, :] - mean[1] - L[1, 0] * zx) / L[1, 1]
+    with np.errstate(over="ignore"):  # values beyond the float range read 0 or inf
+        return np.exp(-0.5 * (zx ** 2 + zv ** 2) - math.log(2.0 * math.pi) - np.log(np.diag(L)).sum())
 
 
 class _Sweep:
@@ -259,38 +259,40 @@ class _Sweep:
         # axis 1, the seams from the end of one line to the start of the next
         # are walls: their differences are zeroed and they carry no flux.
         n, nv = shape[0] * shape[1], shape[1]
-        self.step = nv if axis == 0 else 1
+        k = self.step = nv if axis == 0 else 1
         self.seams = slice(nv - 1, None, nv) if axis == 1 else slice(0)
         c = np.broadcast_to(np.expand_dims(speed, axis) * (dt / h), shape).ravel()
-        # Upwind flux (dt/h) F_i = c+ q_i + c- q_{i+step}, where
-        # q = f + face_weight * slope is a cell's value on its downwind face.
-        self.face_weight = 0.5 * np.sign(c) * (1.0 - np.abs(c))
-        self.c_pos, self.c_neg = np.maximum(c[:-self.step], 0.0), np.minimum(c[:-self.step], 0.0)
-        self.c_pos[self.seams] = self.c_neg[self.seams] = 0.0
-        self.work = work.work if work is not None else (  # b, abs_b, flux, slope (0 in axis-0 walls), q
-            *(np.empty(n - self.step) for _ in range(3)), np.zeros(n), np.empty(n))
+        # Upwind flux (dt/h) F_i = c q_i (c > 0) or c q_{i+step} (c < 0), where
+        # q = f + face_weight * slope / 2 is a cell's value on its downwind face.
+        self.face_weight = (np.sign(c) * (1.0 - np.abs(c)))[k:-k]
+        self.c = c[:-k].copy()
+        self.c[self.seams] = 0.0
+        self.upwind_left = self.c > 0.0
+        self.work = work.work if work is not None else (  # b, flux, q, mask
+            np.empty(n - k), np.empty(n - k), np.empty(n), np.empty(n - 2 * k, dtype=bool))
 
     def __call__(self, f: np.ndarray) -> None:
         if not f.flags.c_contiguous:
             raise ValueError("the field must be C-contiguous")
         f, k = f.reshape(-1), self.step
-        b, abs_b, flux, slope, q = self.work
+        b, flux, q, mask = self.work
         np.subtract(f[k:], f[:-k], out=b)
         b[self.seams] = 0.0
-        np.abs(b, out=abs_b)
-        # Cell slope from its one-sided differences a = b[i-k], b = b[i]:
-        # phi(a/b) b = (a|b| + |a|b) / (|a| + |b|), 0 where a = b = 0.
-        tmp, inner = flux[:-k], slope[k:-k]
-        np.multiply(b[:-k], abs_b[k:], out=inner)
-        np.multiply(abs_b[:-k], b[k:], out=tmp)
-        inner += tmp
-        np.add(abs_b[:-k], abs_b[k:], out=tmp)
-        np.divide(inner, tmp, out=inner, where=tmp > 0.0)
-        np.multiply(slope, self.face_weight, out=q)
-        q += f
-        np.multiply(q[:-k], self.c_pos, out=flux)
-        np.multiply(q[k:], self.c_neg, out=b)
-        flux += b
+        # Half the van Leer slope (a|b| + |a|b) / (|a| + |b|) of a cell, from
+        # a = b[i-k] and b = b[i]: ab / (a + b) where ab > 0, else 0 (the same
+        # bits: both round 2ab / (a + b) once, outside the subnormal range).
+        den, half_slope = flux[:-k], q[k:-k]
+        np.multiply(b[:-k], b[k:], out=half_slope)
+        np.maximum(half_slope, 0.0, out=half_slope)
+        np.greater(half_slope, 0.0, out=mask)
+        np.add(b[:-k], b[k:], out=den)
+        np.divide(half_slope, den, out=half_slope, where=mask)
+        half_slope *= self.face_weight
+        half_slope += f[k:-k]
+        q[:k], q[-k:] = f[:k], f[-k:]  # no slope in the first and last cells
+        np.copyto(flux, q[k:])
+        np.copyto(flux, q[:-k], where=self.upwind_left)
+        flux *= self.c
         f[:-k] -= flux
         f[k:] += flux
 
@@ -314,20 +316,30 @@ def _velocity_operator(ks: KineticSpec, grid: PhaseGrid) -> tuple[np.ndarray, np
 
 class _CrankNicolson:
     """The Crank-Nicolson step f_new = R f, R = (I - dt/2 A)^-1 (I + dt/2 A),
-    along axis 1 for the tridiagonal A given by its three diagonals."""
+    along axis 1 for the tridiagonal A given by its three diagonals.  R's
+    entries decay geometrically off the diagonal; those <= u max|R| (u the
+    unit roundoff) are below the error of R itself and are dropped, leaving a
+    band of width w.  A step is one O(nx nv w) product per ``_BLOCK`` output
+    columns with the input columns their band reaches."""
+
+    _BLOCK = 32
 
     def __init__(self, diagonals, dt: float, shape: tuple[int, int]):
-        lower, diag, upper = diagonals
-        hA = 0.5 * dt * (np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1))
-        eye = np.eye(shape[1])
-        R = np.linalg.solve(eye - hA, eye + hA)
-        # R's far entries fall below the normal range; subnormals slow the product.
-        R[np.abs(R) < np.finfo(float).tiny] = 0.0
-        self.Rt = np.ascontiguousarray(R.T)
+        lower, diag, upper = (0.5 * dt * d for d in diagonals)
+        R = linalg.solve_tridiagonal(-lower, 1.0 - diag, -upper,
+                                     np.diag(1.0 + diag) + np.diag(lower, -1) + np.diag(upper, 1))
+        R[np.abs(R) <= 0.5 * np.finfo(float).eps * np.abs(R).max()] = 0.0
+        self.blocks = []  # (input columns, output columns, R^T restricted to them)
+        for outputs in (slice(j, j + self._BLOCK) for j in range(0, shape[1], self._BLOCK)):
+            reach = np.flatnonzero(R[outputs].any(axis=0))
+            inputs = slice(reach[0], reach[-1] + 1)
+            self.blocks.append((inputs, outputs, np.ascontiguousarray(R[outputs, inputs].T)))
 
     def __call__(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The step of ``f``, written to ``out`` and returned."""
-        return np.matmul(f, self.Rt, out=out)
+        for inputs, outputs, Rt in self.blocks:
+            np.matmul(f[:, inputs], Rt, out=out[:, outputs])
+        return out
 
 
 def _series_point(f, f_inf, ks, grid, P):
@@ -338,14 +350,8 @@ def _series_point(f, f_inf, ks, grid, P):
     gx, gv = np.gradient(r, grid.dx, axis=0), np.gradient(r, grid.dv, axis=1)
     psi2 = gen.psi(r, 2)
     i_val = float(np.sum(psi2 * ks.sigma * gv * gv * f_inf) * grid.cell)
-    s_val = float(
-        np.sum(
-            psi2
-            * (P[0, 0] * gx * gx + 2.0 * P[0, 1] * gx * gv + P[1, 1] * gv * gv)
-            * f_inf
-        )
-        * grid.cell
-    )
+    quad = P[0, 0] * gx * gx + 2.0 * P[0, 1] * gx * gv + P[1, 1] * gv * gv
+    s_val = float(np.sum(psi2 * quad * f_inf) * grid.cell)
     return e, i_val, s_val
 
 
@@ -360,22 +366,16 @@ def step_count(t_end: float, dt: float) -> int:
     return n_steps
 
 
-def fd_simulate(
-    ks: KineticSpec,
-    grid: PhaseGrid,
-    f0: np.ndarray,
-    t_end: float,
-    dt: float,
-    P: np.ndarray | None = None,
-    n_records: int = 50,
-) -> KineticSeries:
+def fd_simulate(ks: KineticSpec, grid: PhaseGrid, f0: np.ndarray, t_end: float, dt: float,
+                P: np.ndarray | None = None, n_records: int = 50) -> KineticSeries:
     """Operator-split integration: Strang-symmetrized flux-limited transport
     in x and v (one x step of ``dt`` between unrecorded steps), Crank-Nicolson
-    velocity friction+diffusion as one O(nx nv^2) product with its O(nv^2)
-    propagator, zero-flux boundaries.  Mass is conserved to roundoff; a CFL
-    violation or an under-resolved steady state raises KineticError before
-    stepping, and invalid arguments (``dt``, ``t_end``, an ``f0`` of the
-    wrong shape, not finite, negative or without mass) ValueError.
+    velocity friction+diffusion as one O(nx nv w) product with its propagator
+    cut to a band of width w (entries <= u max|R| dropped), zero-flux walls.
+    Mass is conserved to roundoff; a CFL violation or an under-resolved steady
+    state raises KineticError before stepping, and invalid arguments (``dt``,
+    ``t_end``, an ``f0`` of the wrong shape, not finite, negative or without
+    mass) ValueError.
 
     Returns discrete log-entropy/dissipation series against the discretized
     steady state, the final field, the CFL number and the mass drift.
@@ -391,14 +391,10 @@ def fd_simulate(
     f_inf = steady_state_grid(ks, grid)
 
     # Steady state must be resolved: negligible mass in the outermost cells.
-    edge_mass = (
-        f_inf[0, :].sum() + f_inf[-1, :].sum() + f_inf[:, 0].sum() + f_inf[:, -1].sum()
-    ) * grid.cell
+    edge_mass = (f_inf[0, :].sum() + f_inf[-1, :].sum() + f_inf[:, 0].sum() + f_inf[:, -1].sum()) * grid.cell
     if edge_mass > TOL.edge_mass:
-        raise KineticError(
-            f"steady-state mass on the domain boundary is {edge_mass:.2e} "
-            f"(> {TOL.edge_mass:g}): enlarge the domain"
-        )
+        raise KineticError(f"steady-state mass on the domain boundary is {edge_mass:.2e} "
+                           f"(> {TOL.edge_mass:g}): enlarge the domain")
     vmax = max(abs(grid.v[0]), abs(grid.v[-1]))
     amax = float(np.max(np.abs(ks.Vp(grid.x))))
     cfl = dt * max(vmax / grid.dx, amax / grid.dv)
@@ -448,5 +444,4 @@ def fit_decay_rate(times: np.ndarray, values: np.ndarray, window: tuple[float, f
         window = (0.5 * times[-1], times[-1])
     mask = (times >= window[0]) & (times <= window[1]) & (values > 0)
     t, y = times[mask], np.log(values[mask])
-    slope = np.polyfit(t, y, 1)[0]
-    return -float(slope)
+    return -float(np.polyfit(t, y, 1)[0])

@@ -2,10 +2,10 @@
 
 Everything here is deterministic: eigenstructure with defect detection,
 matrix exponentials, Lyapunov solves on a real Schur form (Bartels-Stewart),
-and the smallest eigenvalue of a symmetric part.  Every kernel is a dense
-LAPACK path.  All are O(d^3) except ``eigen_structure``, whose stacked SVD of
-M - lam I over the clusters is O(d^4): d SVDs of d x d matrices for a simple
-spectrum.
+the smallest eigenvalue of a symmetric part, and banded tridiagonal solves.
+The others are dense LAPACK paths, all O(d^3) except ``eigen_structure``,
+whose stacked SVD of M - lam I over the clusters is O(d^4): d SVDs of d x d
+matrices for a simple spectrum.
 """
 
 from __future__ import annotations
@@ -301,6 +301,11 @@ def matrix_exponential(M: np.ndarray, t=1.0) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise OverflowError("matrix exponential overflowed; ||tM|| too large")
     return out
+
+
+def solve_tridiagonal(lower, diag, upper, b: np.ndarray) -> np.ndarray:
+    """x with T x = b for the tridiagonal T of these diagonals (LAPACK gbsv)."""
+    return scipy.linalg.solve_banded((1, 1), [np.r_[0.0, upper], diag, np.r_[lower, 0.0]], b)
 
 
 def solve_lyapunov(C: np.ndarray, D: np.ndarray) -> np.ndarray:

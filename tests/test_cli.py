@@ -380,6 +380,28 @@ class TestKineticCommand:
         assert capsys.readouterr().err.startswith("error: kinetic.initial:")
         assert not (tmp_path / "kinetic_series.csv").exists()
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310])
+    def test_initial_with_underflowing_determinant(self, tmp_path, capsys, scale):
+        # det cov underflows; the density is formed without it.  With the mean
+        # on a cell centre all the mass sits in that cell: 1e-300 gives a
+        # finite field, 1e-310 a density above the float range.
+        cfgp = write_cfg(tmp_path, {
+            "kinetic": {
+                "nu": 1.0, "sigma": 1.0, "omega0": 1.0,
+                "grid": {"x_range": [-6, 6], "v_range": [-6, 6], "nx": 48, "nv": 48},
+                "t_end": 0.1, "dt": 0.01,
+                "initial": {"mean": [0.125, 0.125], "cov": [[scale, 0.0], [0.0, scale]]},
+            }
+        })
+        rc = run_cli(["kinetic", "--config", cfgp, "--output", tmp_path])
+        if scale == 1e-300:
+            assert rc == 0
+            out = json.loads((tmp_path / "kinetic.json").read_text())
+            assert 0.0 <= out["mass_drift"] <= 1e-12
+        else:
+            assert rc == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("error: kinetic.initial:")
+
     def test_certificate_only_omits_fd_fields(self, tmp_path):
         cfgp = write_cfg(tmp_path, {"kinetic": {"nu": 1.0, "sigma": 1.0, "omega0": 1.0}})
         assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -278,6 +280,37 @@ def _advect(f, speed, h, dt, axis):
     return out
 
 
+def _two_term_sweep(f, speed, h, dt, axis):
+    # The sweep in its two-term form: slope (a|b| + |a|b) / (|a| + |b|) and
+    # flux c+ q_i + c- q_{i+step}, each step allocating its arrays.
+    f = np.array(f, dtype=float, order="C")
+    nv = f.shape[1]
+    k, seams = (nv, slice(0)) if axis == 0 else (1, slice(nv - 1, None, nv))
+    c = np.broadcast_to(np.expand_dims(speed, axis) * (dt / h), f.shape).ravel()
+    c_pos, c_neg = np.maximum(c[:-k], 0.0), np.minimum(c[:-k], 0.0)
+    c_pos[seams] = c_neg[seams] = 0.0
+    g = f.reshape(-1)
+    b = g[k:] - g[:-k]
+    b[seams] = 0.0
+    num = b[:-k] * np.abs(b[k:]) + np.abs(b[:-k]) * b[k:]
+    den = np.abs(b[:-k]) + np.abs(b[k:])
+    slope = np.zeros_like(g)
+    np.divide(num, den, out=slope[k:-k], where=den > 0.0)
+    q = slope * (0.5 * np.sign(c) * (1.0 - np.abs(c))) + g
+    flux = q[:-k] * c_pos + q[k:] * c_neg
+    g[:-k] -= flux
+    g[k:] += flux
+    return f
+
+
+def _lu_step(ks, grid, dt, f):
+    # The Crank-Nicolson step by a dense LU solve.
+    A = _dense_velocity_operator(ks, grid)
+    eye = np.eye(grid.nv)
+    lu = scipy.linalg.lu_factor(eye - 0.5 * dt * A)
+    return scipy.linalg.lu_solve(lu, (eye + 0.5 * dt * A) @ f.T).T
+
+
 def _strang_reference(ks, grid, f0, n_steps, dt):
     # Every step as x and v half-steps around the Crank-Nicolson step, in the
     # mirrored order, with no x steps merged between steps.
@@ -322,10 +355,7 @@ class TestKernels:
     def test_crank_nicolson_matches_dense_solve(self, rng):
         dt = 0.01
         f = self._field(rng)
-        A = _dense_velocity_operator(self.ks, self.grid)
-        eye = np.eye(self.grid.nv)
-        lu = scipy.linalg.lu_factor(eye - 0.5 * dt * A)
-        want = scipy.linalg.lu_solve(lu, (eye + 0.5 * dt * A) @ f.T).T
+        want = _lu_step(self.ks, self.grid, dt, f)
         step = kin._CrankNicolson(kin._velocity_operator(self.ks, self.grid), dt, f.shape)
         got = step(f, np.empty_like(f))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -336,14 +366,40 @@ class TestKernels:
         grid = kin.PhaseGrid(x_range=(-6.0, 6.0), v_range=(-6.0, 6.0), nx=16, nv=256)
         f = rng.uniform(0.1, 1.0, (grid.nx, grid.nv))
         step = kin._CrankNicolson(kin._velocity_operator(self.ks, grid), dt, f.shape)
-        assert not np.any((step.Rt != 0.0) & (np.abs(step.Rt) < np.finfo(float).tiny))
-        A = _dense_velocity_operator(self.ks, grid)
-        eye = np.eye(grid.nv)
-        lu = scipy.linalg.lu_factor(eye - 0.5 * dt * A)
-        want = scipy.linalg.lu_solve(lu, (eye + 0.5 * dt * A) @ f.T).T
+        for _, _, Rt in step.blocks:
+            assert not np.any((Rt != 0.0) & (np.abs(Rt) < np.finfo(float).tiny))
         got = step(f, np.empty_like(f))
+        want = _lu_step(self.ks, grid, dt, f)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert got.sum() == pytest.approx(f.sum(), rel=1e-14)
+
+    def test_propagator_band_on_the_benchmark_grid(self, rng):
+        # nu = sigma = 1, nv = 256, dt = 0.004: the kept entries of R form a
+        # band, stored in blocks that hold fewer than nv^2 entries; each kept
+        # column sums to 1, so a step keeps the mass.
+        dt = 0.004
+        ks = kin.KineticSpec(nu=1.0, sigma=1.0, omega0=1.0)
+        grid = kin.PhaseGrid(x_range=(-6.0, 6.0), v_range=(-6.0, 6.0), nx=16, nv=256)
+        f = rng.uniform(0.1, 1.0, (grid.nx, grid.nv))
+        step = kin._CrankNicolson(kin._velocity_operator(ks, grid), dt, f.shape)
+        assert sum(Rt.size for _, _, Rt in step.blocks) < grid.nv ** 2
+        R = np.zeros((grid.nv, grid.nv))
+        for inputs, outputs, Rt in step.blocks:
+            R[outputs, inputs] = Rt.T
+        assert max(abs(math.fsum(col) - 1.0) for col in R.T) <= 1e-15
+        got = step(f, np.empty_like(f))
+        want = _lu_step(ks, grid, dt, f)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_sweep_matches_two_term_flux_bit_for_bit(self, rng, axis):
+        f = self._field(rng)
+        n_across = f.shape[1 - axis]
+        speed = 2.0 * np.sin(np.linspace(0.0, 5.0 * np.pi, n_across))  # four sign changes
+        speed[n_across // 3] = 0.0
+        for h, dt in ((0.3, 0.05), (0.3, 0.15)):
+            assert np.array_equal(_advect(f, speed, h, dt, axis),
+                                  _two_term_sweep(f, speed, h, dt, axis))
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_advect_matches_two_sided_limiter(self, rng, axis):
