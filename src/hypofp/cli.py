@@ -212,9 +212,9 @@ def _generator_from(cfg) -> entropy.EntropyGenerator:
     kind = _read(sec, "entropy", "kind", str, "log")
     alpha = _read(sec, "entropy", "alpha", _number, 1.0)
     beta = _read(sec, "entropy", "beta", _number, 0.0)
-    if kind in ("log", "logarithmic"):
+    if kind == "log":
         return entropy.LogEntropy(alpha=alpha, beta=beta)
-    if kind in ("quadratic", "quad"):
+    if kind == "quadratic":
         return entropy.QuadraticEntropy(alpha=alpha)
     if kind == "power":
         return entropy.PowerEntropy(p=_read(sec, "entropy", "p", _number), alpha=alpha, beta=beta)
@@ -375,6 +375,7 @@ def _cmd_spectrum(cfg, outdir, fmt, plot) -> list[str]:
 
 
 def _kinetic_spec(sec) -> kinetic.KineticSpec:
+    """The section's spec, V = omega0^2 x^2/2 + Vt, with sup|Vt''| derived from Vt's kind."""
     nu = _read(sec, "kinetic", "nu", _number)
     sigma = _read(sec, "kinetic", "sigma", _number)
     omega0 = _read(sec, "kinetic", "omega0", _number)
@@ -383,22 +384,19 @@ def _kinetic_spec(sec) -> kinetic.KineticSpec:
     if kind == "quadratic":
         return kinetic.KineticSpec(nu=nu, sigma=sigma, omega0=omega0)
     if kind == "cosine":
-        epsp = _read(pot, "kinetic.potential", "epsilon", _number, 0.1)
-        return kinetic.KineticSpec(
-            nu=nu, sigma=sigma, omega0=omega0, vtilde_dd_bound=abs(epsp),
-            potential=lambda x, e=epsp, w=omega0: 0.5 * w * w * x * x + e * np.cos(x),
-            dpotential=lambda x, e=epsp, w=omega0: w * w * x - e * np.sin(x),
-        )
-    if kind == "polynomial":
-        poly = np.polynomial.Polynomial(_read(pot, "kinetic.potential", "coeffs", _array(None)))
-        dpoly = poly.deriv()
-        return kinetic.KineticSpec(
-            nu=nu, sigma=sigma, omega0=omega0,
-            vtilde_dd_bound=_read(sec, "kinetic", "vtilde_dd_bound", _number, 0.0),
-            potential=lambda x, w=omega0: 0.5 * w * w * np.asarray(x) ** 2 + poly(x),
-            dpotential=lambda x, w=omega0: w * w * np.asarray(x) + dpoly(x),
-        )
-    raise ConfigError(f"kinetic.potential.kind: unknown kind {kind!r}")
+        eps = _read(pot, "kinetic.potential", "epsilon", _number, 0.1)
+        vt, dvt, bound = (lambda x: eps * np.cos(x)), (lambda x: -eps * np.sin(x)), abs(eps)
+    elif kind == "polynomial":
+        vt = np.polynomial.Polynomial(_read(pot, "kinetic.potential", "coeffs", _array(None))).trim()
+        if vt.degree() > 2:
+            raise kinetic.InfeasibleError(f"kinetic.potential.coeffs: a polynomial of degree "
+                                          f"{vt.degree()} has unbounded Vt''; no rate can be certified")
+        dvt, bound = vt.deriv(), abs(float(vt.deriv(2).coef[0]))
+    else:
+        raise ConfigError(f"kinetic.potential.kind: unknown kind {kind!r}")
+    return kinetic.KineticSpec(nu=nu, sigma=sigma, omega0=omega0, vtilde_dd_bound=bound,
+                               potential=lambda x: 0.5 * omega0 * omega0 * np.asarray(x) ** 2 + vt(x),
+                               dpotential=lambda x: omega0 * omega0 * np.asarray(x) + dvt(x))
 
 
 def _kinetic_run(sec, gsec, ks):

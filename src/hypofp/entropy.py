@@ -232,9 +232,17 @@ class MixtureStack:
                    tuple((i, x.affine[None]) for i, x in enumerate(c) if x.affine is not None))
 
 
-def _check_dimension(d: int, ss: SteadyState) -> None:
+def check_state(f: MixtureStack, ss: SteadyState) -> None:
+    """ValueError unless f has the steady state's dimension and each affine factor
+    is on a steady-shaped component (mean 0, covariance K), read as (1 + a.x) f_inf."""
+    d = f.means.shape[-1]
     if d != ss.d:
         raise ValueError(f"state dimension {d} differs from the steady state's {ss.d}")
+    for c, _ in f.affine:
+        if (np.linalg.norm(f.means[:, c], axis=-1).max() > TOL.exact or np.linalg.norm(
+                f.covs[:, c] - ss.K, 2, axis=(-2, -1)).max() > TOL.steady * linalg._scale(ss.K)):
+            raise ValueError("affine factors are only supported on steady-shaped components "
+                             "(mean 0, covariance K)")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +431,7 @@ def gaussian_log_functionals(v: np.ndarray, A: np.ndarray, ss: SteadyState) -> t
     every digit of w - log w - 1 near w = 1): e = (sum(x - log1p x) + |u|^2) / 2 and
     G = S^-1 (u u^T + Q diag(x^2 / (1 + x)) Q^T) S^-1; exactly 0 at (0, K)."""
     c = GaussianComponent(1.0, v, A)
-    _check_dimension(len(c.mean), ss)
+    check_state(MixtureStack.of(GaussianMixture((c,))), ss)
     Sinv = ss.sqrtK_inv
     x, Q = np.linalg.eigh(Sinv @ (c.cov - ss.K) @ Sinv)
     u = Sinv @ c.mean
@@ -475,10 +483,15 @@ def _physical(ss: SteadyState, e: np.ndarray, G: np.ndarray):
 def functionals_by_rule(f: MixtureStack, ss: SteadyState, gen: EntropyGenerator, rules):
     """(q, e, G) of ``functionals`` for each rule q of the (possibly lazy) ``rules``
     in turn, from one ``_fold``: only the blocked pass, domain check included,
-    repeats.  The quadratic generator folds nothing and reads no rule.  The
-    errstate covers each computation, never a yield: under numpy 2 it is a
-    context variable, and it would hold in the caller while this is suspended."""
-    _check_dimension(f.means.shape[-1], ss)
+    repeats.  The quadratic generator folds nothing and reads no rule.  f is
+    checked first (``check_state``); ``_by_rule`` is the same for a checked f."""
+    check_state(f, ss)
+    return _by_rule(f, ss, gen, rules)
+
+
+def _by_rule(f: MixtureStack, ss: SteadyState, gen: EntropyGenerator, rules):
+    # The errstate covers each computation, never a yield: under numpy 2 it is a
+    # context variable, and it would hold in the caller while this is suspended.
     quadratic = isinstance(gen, QuadraticEntropy)
     with np.errstate(over="ignore", invalid="ignore"):
         fold = None if quadratic else _fold(f, ss)

@@ -55,17 +55,13 @@ def evolve_cov(A0: np.ndarray, t: float, ss: SteadyState) -> np.ndarray:
 
 
 def _evolve(m0: GaussianMixture, times, ss: SteadyState) -> MixtureStack:
-    """m0 at every time as one stack, from one matrix exponential; an affine
-    factor (1 + a.x) on a steady-shaped component becomes (1 + x.K^-1 E K a)."""
+    """m0, checked by ``ent.check_state``, at every time as one stack from one matrix
+    exponential; an affine factor (1 + a.x) on its component becomes (1 + x.K^-1 E K a)."""
     E = linalg.matrix_exponential(_system(ss).C, -np.array([_time(float(t)) for t in times]))
     f = MixtureStack.of(m0)
-    ent._check_dimension(f.means.shape[-1], ss)
+    ent.check_state(f, ss)
     means, covs = f.means @ np.swapaxes(E, -1, -2), _flow_cov(f.covs[0], E[:, None], ss.K)
     for c, _ in f.affine:
-        if (np.linalg.norm(f.means[0, c]) > TOL.exact
-                or np.linalg.norm(f.covs[0, c] - ss.K, 2) > TOL.steady * linalg._scale(ss.K)):
-            raise ValueError("affine factors are only supported on steady-shaped "
-                             "components (mean 0, covariance K)")
         means[:, c], covs[:, c] = f.means[0, c], f.covs[0, c]
     return MixtureStack(f.weights, means, covs, tuple(
         (c, (ss.sqrtK_inv @ (ss.sqrtK_inv @ (E @ (ss.K @ a[0])).T)).T) for c, a in f.affine))
@@ -193,7 +189,7 @@ def run_trajectory(ss: SteadyState, cert: TransportMatrix, f0: GaussianMixture,
     f = _evolve(f0, grid, ss)
     DP = np.stack([ss.spec.D, cert.P])
     seen, err = [], None
-    for rule, e, G in ent.functionals_by_rule(f, ss, gen, rules):
+    for rule, e, G in ent._by_rule(f, ss, gen, rules):  # f0 is checked, so is its flow
         seen.append(np.column_stack([e, np.einsum("kij,tij->tk", DP, G)]))
         if len(seen) > 1:
             err = _deviation(seen[-1], seen[-2])

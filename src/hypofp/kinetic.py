@@ -43,14 +43,14 @@ class InfeasibleError(KineticError):
 
 @dataclass(frozen=True)
 class KineticSpec:
-    """Parameters of the kinetic equation.  ``potential``/``dpotential`` are
-    V and V' as callables; both default to the quadratic reference
-    V = omega0^2 x^2/2.  ``vtilde_dd_bound`` is sup|Vt''|."""
+    """Parameters of the kinetic equation.  ``potential``/``dpotential`` are V and V'
+    as callables, given together with ``vtilde_dd_bound`` = sup|Vt''|; without
+    them V is the quadratic reference omega0^2 x^2/2, and the bound 0 if unstated."""
 
     nu: float
     sigma: float
     omega0: float
-    vtilde_dd_bound: float = 0.0
+    vtilde_dd_bound: float | None = None
     potential: Callable[[np.ndarray], np.ndarray] | None = None
     dpotential: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -59,18 +59,19 @@ class KineticSpec:
             raise ValueError("need nu > 0 and sigma > 0")
         if self.omega0 == 0:
             raise ValueError("need omega0 != 0")
-        if self.vtilde_dd_bound < 0:
-            raise ValueError("vtilde_dd_bound must be >= 0")
+        if (self.potential is None) != (self.dpotential is None) or (
+                self.potential is not None and self.vtilde_dd_bound is None):
+            raise ValueError("a potential takes V, V' and vtilde_dd_bound = sup|Vt''| together")
+        if self.vtilde_dd_bound is None:
+            object.__setattr__(self, "vtilde_dd_bound", 0.0)
+        if not 0.0 <= self.vtilde_dd_bound < math.inf:
+            raise ValueError(f"vtilde_dd_bound must be finite and >= 0, got {self.vtilde_dd_bound!r}")
 
     def V(self, x):
-        if self.potential is None:
-            return 0.5 * self.omega0 ** 2 * np.asarray(x) ** 2
-        return self.potential(x)
+        return 0.5 * self.omega0 ** 2 * np.asarray(x) ** 2 if self.potential is None else self.potential(x)
 
     def Vp(self, x):
-        if self.dpotential is None:
-            return self.omega0 ** 2 * np.asarray(x)
-        return self.dpotential(x)
+        return self.omega0 ** 2 * np.asarray(x) if self.dpotential is None else self.dpotential(x)
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,9 @@ def build_P_kinetic(nu: float, omega0: float) -> np.ndarray:
 
 
 def perturbation_bound(P: np.ndarray, lam: float) -> float:
-    """Largest |tau| keeping P_tilde(tau) = [[2 lam, tau],[tau, p22 lam ...]]
-    -type perturbed inequality PSD:  |tau| <= sqrt(det P)/p11 * lam.
-    The bound is sharp (equality gives a singular matrix)."""
+    """The largest tau with M(t) = ``perturbed_margin_matrix(P, lam, t)`` PSD for
+    every |t| <= tau: M_11 = lam p11 > 0 and det M(t) = lam^2 det P - t^2 p11^2,
+    so tau = lam sqrt(det P) / p11, sharp (M(tau) is singular)."""
     P = np.asarray(P, dtype=float)
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -137,20 +138,19 @@ def perturbation_bound(P: np.ndarray, lam: float) -> float:
 
 
 def perturbed_margin_matrix(P: np.ndarray, lam: float, tau: float) -> np.ndarray:
-    """The matrix whose positive semidefiniteness encodes the perturbed
-    certificate: lam*P + tau*N with N = [[0, p11],[p11, 2 p12]]/p11-scaled
-    off-structure; concretely [[lam p11, lam p12 + tau p11],
-    [lam p12 + tau p11, lam p22 + 2 tau p12]]."""
+    """M = lam P + tau [[0, p11], [p11, 2 p12]] = [[lam p11, lam p12 + tau p11],
+    [lam p12 + tau p11, lam p22 + 2 tau p12]].  The perturbed certificate is
+    the 2x2 inequality M >= 0 (PSD) for every tau with |tau| <= sup|Vt''|."""
     P = np.asarray(P, dtype=float)
-    return lam * P + tau * np.array(
-        [[0.0, P[0, 0]], [P[0, 0], 2.0 * P[0, 1]]]
-    )
+    return lam * P + tau * np.array([[0.0, P[0, 0]], [P[0, 0], 2.0 * P[0, 1]]])
 
 
 def kinetic_rate(ks: KineticSpec) -> KineticCertificate:
-    """Certificate for the perturbed potential: the smallest admissible
-    lam = sup|Vt''| / sqrt|omega0^2 - nu^2/4| gives rate 2*kappa0 - lam when
-    lam < 2*kappa0, otherwise the certificate is infeasible.
+    """Certificate for the perturbed potential: s = sup|Vt''| needs
+    lam = s / ``perturbation_bound(P, 1)``, the smallest lam whose
+    ``perturbed_margin_matrix`` is PSD for every |tau| <= s; the rate is
+    2*kappa0 - lam when lam < 2*kappa0, otherwise the certificate is
+    infeasible.
 
     Also enforces the uniform-convexity condition sup|Vt''| <= omega0^2 used
     by the decay theorem."""
@@ -158,20 +158,13 @@ def kinetic_rate(ks: KineticSpec) -> KineticCertificate:
     regime = _regime(ks.nu, ks.omega0)
     P = build_P_kinetic(ks.nu, ks.omega0)
     s = ks.vtilde_dd_bound
-    if s == 0.0:
-        return KineticCertificate(kappa0=k0, P=P, lam=0.0, rate=2.0 * k0, regime=regime)
-    denom = math.sqrt(abs(ks.omega0 ** 2 - ks.nu ** 2 / 4.0))
-    lam = s / denom
+    lam = s / perturbation_bound(P, 1.0)
     if lam >= 2.0 * k0:
-        raise InfeasibleError(
-            f"sup|Vt''| = {s} needs lam = {lam:.6g} >= 2*kappa0 = {2 * k0:.6g}: "
-            "no positive certified rate"
-        )
+        raise InfeasibleError(f"sup|Vt''| = {s} needs lam = {lam:.6g} >= 2*kappa0 = {2 * k0:.6g}: "
+                              "no positive certified rate")
     if s > ks.omega0 ** 2:
-        raise InfeasibleError(
-            f"sup|Vt''| = {s} exceeds omega0^2 = {ks.omega0 ** 2}: the "
-            "potential may fail uniform convexity"
-        )
+        raise InfeasibleError(f"sup|Vt''| = {s} exceeds omega0^2 = {ks.omega0 ** 2}: the "
+                              "potential may fail uniform convexity")
     return KineticCertificate(kappa0=k0, P=P, lam=lam, rate=2.0 * k0 - lam, regime=regime)
 
 

@@ -1,9 +1,11 @@
 """The public API: ``hypofp.__all__`` names each export once, and each resolves;
 ``flow`` reads its system from one steady state, ``flow`` and ``kinetic``
-import no scipy, and ``entropy`` alone plans the quadrature."""
+import no scipy, ``entropy`` alone plans the quadrature, and README documents
+every config key the CLI reads."""
 
 import ast
 import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -55,3 +57,19 @@ def test_entropy_alone_plans_the_quadrature():
         names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for a in node.names}
         assert not names & {"gauss_hermite_rule", "rule_for", "ADAPTIVE_ORDERS"}, module.__name__
+
+
+def test_every_config_key_is_documented():
+    # Each key cli.py reads (the key of a _read, the last part of a _section's
+    # dotted name; _section's own _read passes a variable) appears in README
+    # as `key` or "key", or as the last part of a dotted `section.key`.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            arg = {"_read": 2, "_section": 1}.get(node.func.id)
+            if arg is not None and isinstance(node.args[arg], ast.Constant):
+                keys.add(node.args[arg].value.rpartition(".")[2])
+    assert len(keys) > 30
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert not [k for k in sorted(keys) if not re.search(rf'[`"](\w+\.)*{k}[`"]', readme)]

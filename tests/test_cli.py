@@ -402,6 +402,35 @@ class TestKineticCommand:
             assert rc == cli.EXIT_CONFIG
             assert capsys.readouterr().err.startswith("error: kinetic.initial:")
 
+    def test_quadratic_polynomial_certifies_below_the_exact_rate(self, tmp_path):
+        # Vt = -x^2/4 makes V = x^2/4, the quadratic system with omega0^2 = 1/2:
+        # sup|Vt''| = 2|c2| = 1/2 is derived from the coefficients.
+        cfgp = write_cfg(tmp_path, {"kinetic": {
+            "nu": 3.0, "sigma": 1.0, "omega0": 1.0,
+            "potential": {"kind": "polynomial", "coeffs": [0.0, 0.0, -0.25]}}})
+        assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == 0
+        out = json.loads((tmp_path / "kinetic.json").read_text())
+        assert out["lambda"] == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-14)
+        assert out["rate"] == pytest.approx(3.0 - math.sqrt(5.0) - 1.0 / math.sqrt(5.0), rel=1e-14)
+        assert out["rate"] <= 3.0 - math.sqrt(3.0 ** 2 - 4.0 * 0.5)  # 2 kappa0 at omega0^2 = 1/2
+
+    @pytest.mark.parametrize("coeffs, degree", [([0, 0, 0, 0, 0.1], 4), ([1.0, 0, 0, -1e-3, 0.0], 3)])
+    def test_polynomial_above_degree_two_is_unbounded(self, tmp_path, capsys, coeffs, degree):
+        cfgp = write_cfg(tmp_path, {"kinetic": {
+            "nu": 1.0, "sigma": 1.0, "omega0": 1.0,
+            "potential": {"kind": "polynomial", "coeffs": coeffs}}})
+        assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CERTIFICATE
+        assert f"degree {degree} has unbounded" in capsys.readouterr().err
+        assert not (tmp_path / "kinetic.json").exists()
+
+    def test_linear_polynomial_keeps_the_quadratic_rate(self, tmp_path):
+        # A linear Vt has Vt'' = 0: the certificate is the unperturbed one.
+        cfgp = write_cfg(tmp_path, _MUTATION_BASES["kinetic-polynomial"])
+        assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == 0
+        out = json.loads((tmp_path / "kinetic.json").read_text())
+        assert (out["kappa0"], out["lambda"], out["rate"], out["regime"]) == (0.5, 0.0, 1.0, "underdamped")
+        assert out["P"] == [[2.0, 1.0], [1.0, 2.0]]
+
     def test_certificate_only_omits_fd_fields(self, tmp_path):
         cfgp = write_cfg(tmp_path, {"kinetic": {"nu": 1.0, "sigma": 1.0, "omega0": 1.0}})
         assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == 0
@@ -480,6 +509,9 @@ def test_malformed_certificate_weights_exit_config(tmp_path, capsys, weights):
     pytest.param("evolve", "quadrature", "order", 0, id="order-zero"),
     pytest.param("evolve", "entropy", "alpha", "x", id="alpha-string"),
     pytest.param("evolve", "entropy", "beta", "x", id="beta-string"),
+    # Only the documented spellings log, quadratic and power are kinds.
+    pytest.param("evolve", "entropy", "kind", "logarithmic", id="kind-logarithmic"),
+    pytest.param("evolve", "entropy", "kind", "quad", id="kind-quad"),
     pytest.param("spectrum", "spectrum", "m_max", "x", id="m_max-string"),
     pytest.param("spectrum", "spectrum", "m_max", -1, id="m_max-negative"),
     # key None replaces the whole section.
@@ -640,7 +672,7 @@ _MUTATION_BASES = {
     "spectrum": dict(SEC8, spectrum={"m_max": 2}),
     "compare": SEC8,
     "kinetic": {"kinetic": {
-        "nu": 1.0, "sigma": 1.0, "omega0": 1.0, "vtilde_dd_bound": 0.1,
+        "nu": 1.0, "sigma": 1.0, "omega0": 1.0,
         "potential": {"kind": "cosine", "epsilon": 0.1},
         "grid": {"x_range": [-6, 6], "v_range": [-6, 6], "nx": 16, "nv": 16},
         "t_end": 0.1, "dt": 0.01,

@@ -266,6 +266,22 @@ class TestMixtureValidation:
         with pytest.raises(ValueError, match="state dimension 3 differs from the steady state's 2"):
             hp.gaussian_log_functionals(np.zeros(3), np.eye(3), ss)
 
+    @pytest.mark.parametrize("gen", [ent.LogEntropy(), ent.PowerEntropy(p=1.5), ent.QuadraticEntropy()],
+                             ids=["log", "power", "quadratic"])
+    def test_affine_factor_only_on_a_steady_shaped_component(self, gen):
+        # K = I.  (1 + a.x) N(v, A) is not (1 + a.x) f_inf unless v = 0 and A = K: the
+        # closed form would read both states below as the steady-shaped one (e = |a|^2).
+        ss = hp.steady_state(hp.SystemSpec(D=np.eye(2), C=np.array([[1.0, 1.0], [-1.0, 1.0]])))
+        q = None if isinstance(gen, ent.QuadraticEntropy) else hp.gauss_hermite_rule(ss.K, 16)
+        a = np.array([0.3, -0.2])
+        for mean, cov in ((np.array([0.5, 0.1]), ss.K), (np.zeros(2), 0.7 * ss.K)):
+            f = hp.GaussianMixture((ent.GaussianComponent(1.0, mean, cov, affine=a),))
+            with pytest.raises(ValueError, match="steady-shaped"):
+                ent.functionals(f, ss, gen, q)
+        if isinstance(gen, ent.QuadraticEntropy):
+            f = hp.GaussianMixture((ent.GaussianComponent(1.0, np.zeros(2), ss.K, affine=a),))
+            assert ent.functionals(f, ss, gen, q)[0] == pytest.approx(0.13, rel=1e-12)
+
 
 def test_rule_order_above_cap_raises_before_allocating(monkeypatch):
     import tracemalloc

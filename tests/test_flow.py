@@ -520,6 +520,19 @@ def test_trajectory_raises_when_a_covariance_loses_definiteness(traj):
         flow.run_trajectory(ss, tm, bad, ent.QuadraticEntropy(), np.linspace(0.0, 1.0, 3))
 
 
+def test_trajectory_checks_the_initial_state_once(traj, monkeypatch):
+    # entropy's state check runs on f0 alone: its flow is steady-shaped where f0 is.
+    _, ss, tm, _ = traj
+    checked = []
+    check = ent.check_state
+    monkeypatch.setattr(ent, "check_state", lambda f, ss: checked.append(len(f.means)) or check(f, ss))
+    f0 = ent.affine_steady(ss, ss.K @ np.array([0.01, -0.005]))  # (1 + a.x) f_inf > 0 at every node
+    for gen in (ent.QuadraticEntropy(), ent.LogEntropy()):
+        checked.clear()
+        flow.run_trajectory(ss, tm, f0, gen, np.linspace(0.0, 1.0, 5), order=8)
+        assert checked == [1]
+
+
 # The benchmark's d = 3 system: D = diag(1, 0, 0), hypoelliptic with tau = 2.
 D3 = dict(D=np.diag([1.0, 0.0, 0.0]), C=np.array([[2.0, -1.0, 0.0], [1.0, 1.0, -1.0], [0.0, 1.0, 0.5]]))
 

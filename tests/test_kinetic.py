@@ -33,6 +33,20 @@ class TestLinearAssembly:
             kin.KineticSpec(nu=1.0, sigma=-1.0, omega0=1.0)
         with pytest.raises(ValueError):
             kin.KineticSpec(nu=1.0, sigma=1.0, omega0=0.0)
+        for bound in (-0.1, math.nan, math.inf):  # a NaN bound would certify a NaN rate
+            with pytest.raises(ValueError, match="vtilde_dd_bound must be finite"):
+                kin.KineticSpec(nu=1.0, sigma=1.0, omega0=1.0, vtilde_dd_bound=bound)
+
+    @pytest.mark.parametrize("given", [
+        dict(vtilde_dd_bound=0.5, potential=lambda x: 0.25 * x * x),
+        dict(vtilde_dd_bound=0.5, dpotential=lambda x: 0.5 * x),
+        dict(potential=lambda x: 0.25 * x * x, dpotential=lambda x: 0.5 * x),
+    ], ids=["potential-alone", "dpotential-alone", "no-bound"])
+    def test_incomplete_potential_refused(self, given):
+        # A V without V' would run the FD solver with the quadratic force, and a
+        # V without its bound would be certified as if Vt'' were 0.
+        with pytest.raises(ValueError, match="takes V, V' and vtilde_dd_bound"):
+            kin.KineticSpec(nu=3.0, sigma=1.0, omega0=1.0, **given)
 
 
 class TestKappa0:
@@ -135,6 +149,30 @@ class TestKineticRate:
         cert = hp.kinetic_rate(ks)
         assert cert.lam == pytest.approx(0.5)
         assert cert.rate == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("nu, omega0", [(1.0, 1.0), (0.5, 2.0), (3.0, 1.0), (5.0, 2.0), (2.5, 0.7)])
+    def test_lam_is_the_perturbation_bound(self, nu, omega0):
+        # lam = s / perturbation_bound(P, 1) = s p11 / sqrt(det P), in both regimes.
+        for s in (0.0, 1e-3, 0.1, 0.3):
+            ks = kin.KineticSpec(nu=nu, sigma=1.0, omega0=omega0, vtilde_dd_bound=s)
+            try:
+                cert = hp.kinetic_rate(ks)
+            except kin.InfeasibleError:
+                continue
+            P = cert.P
+            want = s * P[0, 0] / math.sqrt(np.linalg.det(P))
+            assert abs(cert.lam - want) <= 1e-15 * want
+            assert cert.rate == 2.0 * cert.kappa0 - cert.lam
+
+    def test_quadratic_perturbation_certifies_below_the_exact_rate(self):
+        # V = x^2/4 on omega0 = 1 (Vt = -x^2/4) is the quadratic system with omega0^2 = 1/2.
+        exact = 2.0 * hp.check_condition_A(hp.assemble_linear(
+            kin.KineticSpec(nu=3.0, sigma=1.0, omega0=math.sqrt(0.5)))).mu
+        cert = hp.kinetic_rate(kin.KineticSpec(
+            nu=3.0, sigma=1.0, omega0=1.0, vtilde_dd_bound=0.5,
+            potential=lambda x: 0.25 * x * x, dpotential=lambda x: 0.5 * x))
+        assert cert.regime == "overdamped" and cert.lam == pytest.approx(1.0 / math.sqrt(5.0))
+        assert cert.rate <= exact
 
     def test_infeasible(self):
         ks = kin.KineticSpec(nu=1.0, sigma=1.0, omega0=1.0, vtilde_dd_bound=0.95)
