@@ -31,6 +31,7 @@ from . import linalg
 from .system import SteadyState, SystemSpec, _check_spec
 
 DIMENSION_CAP = 2000
+ENTRY_CAP = 100_000  # enumerate_spectrum's entries; each costs about 0.3 KB
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,8 @@ def enumerate_spectrum(eig: linalg.EigenStructure, m_max: int) -> SpectrumSet:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     lams = eig.all_eigenvalues
     d = len(lams)
+    if comb(d + m_max, d) > ENTRY_CAP:
+        raise ValueError(f"m_max = {m_max} at d = {d} lists {comb(d + m_max, d)} entries, above {ENTRY_CAP}")
     values = -(_multi_index_array(d, m_max) @ lams)
     return SpectrumSet(entries=tuple(SpectrumEntry(value=complex(v), alpha=alpha)
                                      for v, alpha in zip(values, _multi_indices(d, m_max))))

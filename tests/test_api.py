@@ -60,16 +60,18 @@ def test_entropy_alone_plans_the_quadrature():
 
 
 def test_every_config_key_is_documented():
-    # Each key cli.py reads (the key of a _read, the last part of a _section's
-    # dotted name; _section's own _read passes a variable) appears in README
-    # as `key` or "key", or as the last part of a dotted `section.key`.
+    # Each key cli.py reads (the constant key of a reader's read, object or
+    # objects call) appears in README as `key` or "key", or as the last part
+    # of a dotted `section.key`.  The root reader is ``cfg`` wherever it is
+    # read: its keys are the accepted top-level sections, cli.SECTIONS.
     tree = ast.parse(Path(cli.__file__).read_text())
-    keys = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            arg = {"_read": 2, "_section": 1}.get(node.func.id)
-            if arg is not None and isinstance(node.args[arg], ast.Constant):
-                keys.add(node.args[arg].value.rpartition(".")[2])
+    reads = [(ast.unparse(node.func.value), node.args[0].value) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("read", "object", "objects")
+             and node.args and isinstance(node.args[0], ast.Constant)]
+    keys = {key for _, key in reads}
     assert len(keys) > 30
+    assert {key for reader, key in reads if reader == "cfg"} == cli.SECTIONS
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert not [k for k in sorted(keys) if not re.search(rf'[`"](\w+\.)*{k}[`"]', readme)]
+    assert not [k for k in sorted(keys | cli.SECTIONS)
+                if not re.search(rf'[`"](\w+\.)*{k}[`"]', readme)]

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypofp import certificates, cli, entropy, flow, linalg, system
+from hypofp import certificates, cli, entropy, flow, linalg, spectrum, system
 from conftest import harmonic_chain
 
 FIG1B = {"system": {"D": [[1.0, 0.0], [0.0, 0.0]], "C": [[1.0, -1.0], [1.0, 0.0]]}}
@@ -314,6 +314,18 @@ class TestSpectrumCommand:
         first = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
         assert first == "re,im,alpha,degree"
 
+    def test_m_max_above_the_entry_cap_exit_config(self, tmp_path, capsys, monkeypatch):
+        # comb(100002, 2) ~ 5.0e9 entries are refused before any is built.
+        def fail(*args):
+            raise AssertionError("multi-indices built above the entry cap")
+
+        monkeypatch.setattr(spectrum, "_multi_indices", fail)
+        cfgp = write_cfg(tmp_path, dict(SEC8, spectrum={"m_max": 100000}))
+        assert run_cli(["spectrum", "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: m_max = 100000 at d = 2 lists 5000150001 entries")
+        assert err.count("\n") == 1 and not (tmp_path / "spectrum.csv").exists()
+
 
 class TestKineticCommand:
     def test_certificate_json(self, tmp_path):
@@ -422,6 +434,13 @@ class TestKineticCommand:
         assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CERTIFICATE
         assert f"degree {degree} has unbounded" in capsys.readouterr().err
         assert not (tmp_path / "kinetic.json").exists()
+
+    def test_empty_polynomial_exit_config(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path, {"kinetic": {
+            "nu": 1.0, "sigma": 1.0, "omega0": 1.0,
+            "potential": {"kind": "polynomial", "coeffs": []}}})
+        assert run_cli(["kinetic", "--config", cfgp, "--output", tmp_path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: kinetic.potential.coeffs: expected at least one entry\n"
 
     def test_linear_polynomial_keeps_the_quadratic_rate(self, tmp_path):
         # A linear Vt has Vt'' = 0: the certificate is the unperturbed one.
@@ -707,8 +726,8 @@ def _replaced(node, path, value):
 
 @pytest.mark.parametrize("base", sorted(_MUTATION_BASES))
 def test_mutated_config_never_raises(tmp_path, capsys, base):
-    # Values are bounded on purpose: a huge kinetic t_end or spectrum.m_max
-    # is valid and would simply run for a very long time.
+    # Values are bounded on purpose: a huge kinetic t_end is valid and would
+    # simply run for a very long time.
     cfg = _MUTATION_BASES[base]
     subcommand = base.split("-")[0]
     allowed = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CONDITION,
@@ -727,3 +746,51 @@ def test_mutated_config_never_raises(tmp_path, capsys, base):
             if rc not in allowed or (rc != cli.EXIT_OK and err.count("\n") != 1):
                 bad.append((path, value, rc, err))
     assert not bad
+
+
+_KINETIC = {"nu": 1.0, "sigma": 1.0, "omega0": 1.0}
+_EVOLVE = dict(FIG1B, initial={"components": [{"weight": 1.0, "mean": [0.5, 0.2]}]},
+               times={"t_end": 1.0, "samples": 3})
+
+
+@pytest.mark.parametrize("subcommand, cfg, key", [
+    # Read, "cov" gives e(0) = 0.629; ignored, cov fell back to K and e(0) to 0.125.
+    pytest.param("evolve", dict(_EVOLVE, initial={"components": [
+        {"weight": 1, "mean": [0.5, 0], "covariance": [[0.3, 0], [0, 0.3]]}]}),
+        "initial.components[0].covariance", id="covariance"),
+    pytest.param("evolve", dict(_EVOLVE, initial={"components": [{"weight": 1.0, "afine": [0.3, 0.0]}]}),
+                 "initial.components[0].afine", id="afine"),
+    pytest.param("kinetic", {"kinetic": dict(_KINETIC, potental={"kind": "cosine", "epsilon": 0.3})},
+                 "kinetic.potental", id="potental"),
+    pytest.param("analyze", dict(FIG1B, certficate={"weights": [1.0, 1.0]}), "certficate",
+                 id="certficate"),
+    pytest.param("analyze", dict(FIG1B, certificate={"weigths": [1.0, 1.0]}), "certificate.weigths",
+                 id="weigths"),
+    pytest.param("evolve", dict(_EVOLVE, entropy={"kind": "log", "alhpa": 2.0}), "entropy.alhpa",
+                 id="alhpa"),
+    pytest.param("kinetic", {"kinetic": dict(_KINETIC, t_end=1.0)}, "kinetic.t_end",
+                 id="t_end-without-grid"),
+    pytest.param("kinetic", {"kinetic": dict(_KINETIC, initial={"mean": [1.0, 0.0]})}, "kinetic.initial",
+                 id="initial-without-grid"),
+    pytest.param("evolve", dict(_EVOLVE, entropy={"kind": "log", "p": 2.0}), "entropy.p",
+                 id="p-with-log"),
+    pytest.param("evolve", dict(_EVOLVE, entropy={"kind": "quadratic", "beta": 0.5}), "entropy.beta",
+                 id="beta-with-quadratic"),
+])
+def test_unread_key_exit_config(tmp_path, capsys, subcommand, cfg, key):
+    # A key the command does not read would leave its default in force.
+    out = tmp_path / "out"
+    out.mkdir()
+    cfgp = write_cfg(tmp_path, cfg)
+    assert run_cli([subcommand, "--config", cfgp, "--output", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: not read by {subcommand} ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand", ["analyze", "evolve", "spectrum", "compare"])
+def test_one_config_serves_every_system_subcommand(tmp_path, subcommand):
+    # Each accepts the sections of the others.  The evolve mutation base runs
+    # on SEC8's system: FIG1B's singular D fails compare's SPD check (exit 3).
+    cfgp = write_cfg(tmp_path, dict(_MUTATION_BASES["evolve"], spectrum={"m_max": 2}, **SEC8))
+    assert run_cli([subcommand, "--config", cfgp, "--output", tmp_path]) == 0

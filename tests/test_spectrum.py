@@ -127,6 +127,23 @@ class TestEnumerate:
 
         assert len(sp.entries) == comb(3 + 4, 4)
 
+    def test_entry_count_is_capped_before_any_allocation(self, monkeypatch):
+        eig = linalg.eigen_structure(np.array(SEC8["C"]))
+        monkeypatch.setattr(spectrum, "ENTRY_CAP", 6)  # d = 2: comb(4, 2) = 6, comb(5, 2) = 10
+        assert len(hp.enumerate_spectrum(eig, 2).entries) == 6
+        with pytest.raises(ValueError, match="m_max = 3 at d = 2 lists 10 entries, above 6"):
+            hp.enumerate_spectrum(eig, 3)
+        # At the real cap, m_max = 100000 would list comb(100002, 2) ~ 5.0e9
+        # entries: the count is refused before any multi-index is built.
+        monkeypatch.undo()
+
+        def fail(*args):
+            raise AssertionError("multi-indices built above the entry cap")
+
+        monkeypatch.setattr(spectrum, "_multi_indices", fail)
+        with pytest.raises(ValueError, match="m_max = 100000 at d = 2 lists 5000150001 entries"):
+            hp.enumerate_spectrum(eig, 100000)
+
     def test_defective_uses_all_eigenvalues(self):
         eig = linalg.eigen_structure(np.array([[1.0, 1.0], [0.0, 1.0]]))
         sp = hp.enumerate_spectrum(eig, 1)
